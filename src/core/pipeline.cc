@@ -52,6 +52,7 @@ Status DquagPipeline::Fit(const Table& clean) {
   if (fitted()) {
     return Status::FailedPrecondition("pipeline is already fitted");
   }
+  DQUAG_RETURN_IF_ERROR(ValidateConfig(options_.config));
   if (clean.num_rows() == 0) {
     return Status::InvalidArgument("clean dataset is empty");
   }
@@ -188,10 +189,6 @@ RepairResult DquagPipeline::Repair(const Table& batch,
                                    const BatchVerdict& verdict) const {
   DQUAG_CHECK(fitted());
   return repairer_->Repair(batch, verdict);
-}
-
-RepairResult DquagPipeline::ValidateAndRepair(const Table& batch) const {
-  return Repair(batch, Validate(batch));
 }
 
 const FeatureGraph& DquagPipeline::graph() const {

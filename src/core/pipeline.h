@@ -35,6 +35,13 @@ struct DquagPipelineOptions {
 /// Converts a table into miner columns (categoricals as integer codes).
 std::vector<MinerColumn> TableToMinerColumns(const Table& table);
 
+/// Range checks on a config, applied by Fit before any work and by Load
+/// before any model is built from a decoded one. Limits are generous
+/// versus anything the trainer produces but small enough that a bad field
+/// cannot drive pathological allocations, out-of-range enum dispatch or a
+/// chunk loop that never advances.
+Status ValidateConfig(const DquagConfig& config);
+
 /// Knobs for DquagPipeline::FineTune.
 struct FineTuneOptions {
   /// Optimization epochs over the fine-tune buffer (a few suffice when
@@ -66,7 +73,9 @@ class DquagPipeline {
   DquagPipeline(DquagPipeline&&) = default;
   DquagPipeline& operator=(DquagPipeline&&) = default;
 
-  /// Phase 1: trains on the clean table. Must be called exactly once.
+  /// Phase 1: trains on the clean table. Must be called exactly once. A
+  /// config that ValidateConfig rejects fails with InvalidArgument and
+  /// leaves the pipeline unfitted.
   Status Fit(const Table& clean);
 
   /// Incremental fine-tune on an already-fitted pipeline: continues
@@ -83,9 +92,6 @@ class DquagPipeline {
 
   /// Phase 2: repairs the cells flagged by `verdict`.
   RepairResult Repair(const Table& batch, const BatchVerdict& verdict) const;
-
-  /// Validate + Repair in one call.
-  RepairResult ValidateAndRepair(const Table& batch) const;
 
   /// Writes a fitted pipeline (config, schema, preprocessing statistics,
   /// feature graph, model parameters, error threshold) to a binary

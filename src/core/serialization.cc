@@ -87,41 +87,37 @@ Status ReadConfig(BinaryReader& r, DquagConfig& config) {
   return Status::Ok();
 }
 
-/// Range checks on a decoded config, applied before any model is built
-/// from it. Limits are generous versus anything the trainer produces but
-/// small enough that a corrupted field cannot drive pathological
-/// allocations or out-of-range enum dispatch.
+}  // namespace
+
 Status ValidateConfig(const DquagConfig& config) {
   const auto kind = static_cast<int64_t>(config.encoder.kind);
   if (kind < static_cast<int64_t>(EncoderKind::kGraph2Vec) ||
       kind > static_cast<int64_t>(EncoderKind::kGatGin)) {
-    return Status::InvalidArgument("checkpoint: invalid encoder kind");
+    return Status::InvalidArgument("config: invalid encoder kind");
   }
   const auto act = static_cast<int64_t>(config.encoder.activation);
   if (act < static_cast<int64_t>(Activation::kIdentity) ||
       act > static_cast<int64_t>(Activation::kTanh)) {
-    return Status::InvalidArgument("checkpoint: invalid activation");
+    return Status::InvalidArgument("config: invalid activation");
   }
   if (config.encoder.hidden_dim < 1 || config.encoder.hidden_dim > 1024) {
-    return Status::InvalidArgument("checkpoint: implausible hidden_dim");
+    return Status::InvalidArgument("config: implausible hidden_dim");
   }
   if (config.encoder.num_layers < 1 || config.encoder.num_layers > 32) {
-    return Status::InvalidArgument("checkpoint: implausible num_layers");
+    return Status::InvalidArgument("config: implausible num_layers");
   }
   if (config.encoder.num_heads < 1 || config.encoder.num_heads > 64 ||
       config.encoder.hidden_dim % config.encoder.num_heads != 0) {
-    return Status::InvalidArgument("checkpoint: invalid num_heads");
+    return Status::InvalidArgument("config: invalid num_heads");
   }
   if (config.batch_size < 1) {
-    return Status::InvalidArgument("checkpoint: invalid batch_size");
+    return Status::InvalidArgument("config: invalid batch_size");
   }
   if (config.inference_chunk_rows < 1) {
-    return Status::InvalidArgument("checkpoint: invalid inference_chunk_rows");
+    return Status::InvalidArgument("config: invalid inference_chunk_rows");
   }
   return Status::Ok();
 }
-
-}  // namespace
 
 Status DquagPipeline::Save(const std::string& path) const {
   if (!fitted()) {

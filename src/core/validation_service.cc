@@ -62,12 +62,6 @@ BatchVerdict ValidationService::ValidateMatrix(const Tensor& matrix) const {
   }
 
   validator.FinalizeVerdict(verdict);
-
-  batches_validated_.fetch_add(1, std::memory_order_relaxed);
-  rows_validated_.fetch_add(rows, std::memory_order_relaxed);
-  rows_flagged_.fetch_add(static_cast<int64_t>(verdict.flagged_rows.size()),
-                          std::memory_order_relaxed);
-  if (verdict.is_dirty) dirty_batches_.fetch_add(1, std::memory_order_relaxed);
   return verdict;
 }
 
@@ -83,19 +77,7 @@ StatusOr<BatchVerdict> ValidationService::TryValidate(
 StatusOr<RepairResult> ValidationService::TryValidateAndRepair(
     const Table& batch) const {
   DQUAG_ASSIGN_OR_RETURN(BatchVerdict verdict, TryValidate(batch));
-  return Repair(batch, verdict);
-}
-
-RepairResult ValidationService::Repair(const Table& batch,
-                                       const BatchVerdict& verdict) const {
-  RepairResult result = pipeline_.Repair(batch, verdict);
-  batches_repaired_.fetch_add(1, std::memory_order_relaxed);
-  cells_repaired_.fetch_add(result.cells_repaired, std::memory_order_relaxed);
-  return result;
-}
-
-RepairResult ValidationService::ValidateAndRepair(const Table& batch) const {
-  return Repair(batch, Validate(batch));
+  return pipeline_.Repair(batch, verdict);
 }
 
 StatusOr<StreamVerdict> ValidationService::ValidateStream(
@@ -104,23 +86,7 @@ StatusOr<StreamVerdict> ValidationService::ValidateStream(
     StreamingValidatorOptions stream_options) const {
   if (options_.quantized) stream_options.mode = validation_mode();
   StreamingValidator streamer(&pipeline_, stream_options);
-  auto verdict = streamer.Run(reader, callback);
-  if (!verdict.ok()) return verdict.status();
-
-  batches_validated_.fetch_add(1, std::memory_order_relaxed);
-  rows_validated_.fetch_add(verdict->total_rows, std::memory_order_relaxed);
-  rows_flagged_.fetch_add(
-      static_cast<int64_t>(verdict->flagged_rows.size()),
-      std::memory_order_relaxed);
-  if (verdict->is_dirty) {
-    dirty_batches_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (stream_options.repair) {
-    batches_repaired_.fetch_add(1, std::memory_order_relaxed);
-    cells_repaired_.fetch_add(verdict->cells_repaired,
-                              std::memory_order_relaxed);
-  }
-  return verdict;
+  return streamer.Run(reader, callback);
 }
 
 StatusOr<StreamVerdict> ValidationService::RepairStream(
@@ -129,10 +95,6 @@ StatusOr<StreamVerdict> ValidationService::RepairStream(
     StreamingValidatorOptions stream_options) const {
   stream_options.repair = true;
   return ValidateStream(reader, callback, stream_options);
-}
-
-MonitorObservation ValidationService::Observe(const Table& batch) {
-  return ObserveVerdict(Validate(batch));
 }
 
 MonitorObservation ValidationService::ObserveVerdict(
@@ -168,17 +130,6 @@ ValidationService::MonitorSnapshot ValidationService::monitor_snapshot()
   s.smoothed_fraction = monitor_.smoothed_fraction();
   s.alarming = monitor_.alarming();
   s.drifting_columns = monitor_.drifting_columns();
-  return s;
-}
-
-ValidationServiceStats ValidationService::stats() const {
-  ValidationServiceStats s;
-  s.batches_validated = batches_validated_.load(std::memory_order_relaxed);
-  s.rows_validated = rows_validated_.load(std::memory_order_relaxed);
-  s.rows_flagged = rows_flagged_.load(std::memory_order_relaxed);
-  s.dirty_batches = dirty_batches_.load(std::memory_order_relaxed);
-  s.batches_repaired = batches_repaired_.load(std::memory_order_relaxed);
-  s.cells_repaired = cells_repaired_.load(std::memory_order_relaxed);
   return s;
 }
 

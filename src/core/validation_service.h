@@ -1,7 +1,7 @@
 // Concurrent Phase-2 serving layer over a fitted pipeline.
 //
 // A ValidationService owns a fitted (typically checkpoint-loaded) pipeline
-// and exposes thread-safe Validate / Repair / Observe entry points for
+// and exposes thread-safe Validate / stream / monitor entry points for
 // serving many concurrent callers. Incoming batches are micro-batched: rows
 // split into fixed-size chunks that fan out across the process-wide
 // ThreadPool, each chunk running the tape-free inference engine with its
@@ -13,13 +13,12 @@
 //   auto service = ValidationService::FromCheckpoint("model.ckpt");
 //   // from any number of threads:
 //   BatchVerdict v = (*service)->Validate(incoming);
-//   RepairResult r = (*service)->Repair(incoming, v);
-//   MonitorObservation o = (*service)->Observe(incoming);  // streamed
+//   RepairResult r = (*service)->pipeline().Repair(incoming, v);
+//   MonitorObservation o = (*service)->ObserveVerdict(v);
 
 #ifndef DQUAG_CORE_VALIDATION_SERVICE_H_
 #define DQUAG_CORE_VALIDATION_SERVICE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -37,7 +36,7 @@ struct ValidationServiceOptions {
   /// cache-resident; larger chunks amortize dispatch. 512 rows of a
   /// hidden-64 model keep every workspace comfortably inside L2.
   int64_t micro_batch_rows = 512;
-  /// Stream-monitoring knobs for Observe().
+  /// Stream-monitoring knobs for ObserveVerdict() / ObserveStream().
   MonitorOptions monitor;
   /// Serve validation on the int8 quantized engine (see ValidationMode).
   /// Repair always runs on the float path.
@@ -45,16 +44,6 @@ struct ValidationServiceOptions {
   /// Margin-band width for the quantized float re-check, as a fraction of
   /// the threshold.
   double quantized_margin = 0.25;
-};
-
-/// Monotonic service counters (atomically maintained; read with stats()).
-struct ValidationServiceStats {
-  int64_t batches_validated = 0;
-  int64_t rows_validated = 0;
-  int64_t rows_flagged = 0;
-  int64_t dirty_batches = 0;
-  int64_t batches_repaired = 0;
-  int64_t cells_repaired = 0;
 };
 
 class ValidationService {
@@ -79,24 +68,17 @@ class ValidationService {
   /// instead of a checked abort; an empty batch is a valid clean verdict.
   StatusOr<BatchVerdict> TryValidate(const Table& batch) const;
 
-  /// Status-checked Validate + Repair (see TryValidate).
+  /// Status-checked Validate + pipeline Repair (see TryValidate).
   StatusOr<RepairResult> TryValidateAndRepair(const Table& batch) const;
 
   /// Thread-safe validation of an already-preprocessed [B, d] matrix.
   BatchVerdict ValidateMatrix(const Tensor& matrix) const;
 
-  /// Thread-safe repair of the cells flagged by `verdict`.
-  RepairResult Repair(const Table& batch, const BatchVerdict& verdict) const;
-
-  /// Validate + Repair in one call.
-  RepairResult ValidateAndRepair(const Table& batch) const;
-
   /// Streaming, out-of-core validation: drains `reader` chunk by chunk
   /// through the StreamingValidator (bounded in-flight pipeline over the
   /// process pool, ordered per-chunk callbacks on the calling thread).
   /// Bit-identical to Validate on the fully materialized table; memory
-  /// stays O(chunks in flight * chunk_rows). Thread-safe; counts the whole
-  /// stream as one batch in stats().
+  /// stays O(chunks in flight * chunk_rows). Thread-safe.
   StatusOr<StreamVerdict> ValidateStream(
       TableChunkReader& reader,
       const StreamingValidator::ChunkCallback& callback = nullptr,
@@ -104,21 +86,18 @@ class ValidationService {
 
   /// ValidateStream + per-chunk repair: each emitted chunk carries a
   /// RepairResult for its flagged cells (row-local, so chunk repairs concat
-  /// to exactly the whole-table repair). Repair totals land in stats().
+  /// to exactly the whole-table repair); totals land in the StreamVerdict.
   StatusOr<StreamVerdict> RepairStream(
       TableChunkReader& reader,
       const StreamingValidator::ChunkCallback& callback = nullptr,
       StreamingValidatorOptions stream_options = {}) const;
 
-  /// Validates the batch and feeds the verdict into the streaming quality
-  /// monitor (EWMA over flagged fractions; see core/monitor.h). Inference
-  /// runs in parallel; only the monitor update itself is serialized.
-  MonitorObservation Observe(const Table& batch);
-
-  /// Streaming Observe: validates the stream out-of-core, then feeds the
-  /// whole-stream per-row flag sequence to the monitor as ONE row-weighted
-  /// observation — identical monitor state to Observe on the materialized
-  /// table (and to observing the same rows as N chunks).
+  /// Validates the stream out-of-core, then feeds the whole-stream per-row
+  /// flag sequence to the quality monitor (EWMA over flagged fractions; see
+  /// core/monitor.h) as ONE row-weighted observation — identical monitor
+  /// state to ObserveVerdict(Validate(t)) on the materialized table (and to
+  /// observing the same rows as N chunks). Only the monitor update itself
+  /// is serialized.
   StatusOr<MonitorObservation> ObserveStream(TableChunkReader& reader);
 
   /// Feeds an already-computed verdict into the monitor without
@@ -145,8 +124,6 @@ class ValidationService {
   };
   MonitorSnapshot monitor_snapshot() const;
 
-  ValidationServiceStats stats() const;
-
   const DquagPipeline& pipeline() const { return pipeline_; }
   const ValidationServiceOptions& options() const { return options_; }
 
@@ -161,13 +138,6 @@ class ValidationService {
 
   mutable std::mutex monitor_mutex_;
   mutable QualityMonitor monitor_;  // guarded by monitor_mutex_
-
-  mutable std::atomic<int64_t> batches_validated_{0};
-  mutable std::atomic<int64_t> rows_validated_{0};
-  mutable std::atomic<int64_t> rows_flagged_{0};
-  mutable std::atomic<int64_t> dirty_batches_{0};
-  mutable std::atomic<int64_t> batches_repaired_{0};
-  mutable std::atomic<int64_t> cells_repaired_{0};
 };
 
 }  // namespace dquag

@@ -76,25 +76,18 @@ class Validator {
   /// per-instance verdicts into out[0 .. end-start). `ctx` is the calling
   /// thread's workspace (rewound internally). Thread-safe for disjoint row
   /// ranges over one fitted model — the fan-out primitive of the
-  /// ValidationService.
-  void ValidateRowsInto(const Tensor& matrix, int64_t start, int64_t end,
-                        InferenceContext& ctx, InstanceVerdict* out) const;
-
-  /// Mode-aware variant: with mode.quantized the forward pass runs on the
-  /// int8 engine and margin-band rows are re-checked on the float path
-  /// (see ValidationMode).
+  /// ValidationService and the StreamingValidator. With mode.quantized the
+  /// forward pass runs on the int8 engine and margin-band rows are
+  /// re-checked on the float path (see ValidationMode).
   void ValidateRowsInto(const Tensor& matrix, int64_t start, int64_t end,
                         InferenceContext& ctx, InstanceVerdict* out,
-                        const ValidationMode& mode) const;
+                        const ValidationMode& mode = {}) const;
 
   /// Derives the batch-level verdict fields (flagged_rows, fraction,
   /// is_dirty) from already-filled per-instance verdicts. Shared by serial
   /// validation and the ValidationService's parallel path so the
   /// dirty-batch rule lives in exactly one place.
   void FinalizeVerdict(BatchVerdict& verdict) const;
-
-  /// Per-instance reconstruction errors only (used by benchmarks).
-  std::vector<double> ComputeErrors(const Tensor& matrix) const;
 
   double threshold() const { return threshold_; }
   /// The batch dirty-fraction cutoff: (1 - percentile) * n.

@@ -6,7 +6,7 @@
 // paths return Status on corrupt input — a hostile .dqc can never reach a
 // DQUAG_CHECK abort or an out-of-bounds read.
 //
-// The reader is a TableChunkReader, so `validate --stream`, serve-sim, and
+// The reader is a TableChunkReader, so `validate`, `serve-sim`, and
 // out-of-core training consume .dqc files through the same interface as
 // CSV. It additionally exposes zero-copy per-(block, column) views into
 // the mapping: bitmap + raw values with no copy, valid while the reader is

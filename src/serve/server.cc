@@ -460,9 +460,7 @@ WireResponse ServeDaemon::HandleStats(const WireRequest& request) {
   }
   WireResponse response;
   response.request_id = request.request_id;
-  // The v3 trailer only goes to clients that announced v3 — a v1/v2
-  // decoder would reject the trailing bytes.
-  response.body = EncodeStats(stats, /*extended=*/request.version >= 3);
+  response.body = EncodeStats(stats);
   return response;
 }
 

@@ -26,7 +26,7 @@ Status RequireAtEnd(const BinaryReader& reader, const char* what) {
 }
 
 Status CheckVersion(uint64_t version) {
-  if (version < kMinWireVersion || version > kWireVersion) {
+  if (version != kWireVersion) {
     return Status::InvalidArgument("unsupported wire version " +
                                    std::to_string(version));
   }
@@ -69,13 +69,9 @@ StatusOr<WireRequest> DecodeRequest(const std::string& payload) {
     return Status::InvalidArgument("unknown verb " + std::to_string(verb));
   }
   WireRequest request;
-  request.version = version;
   request.verb = static_cast<WireVerb>(verb);
   DQUAG_ASSIGN_OR_RETURN(request.request_id, r.ReadU64());
-  if (version >= 2) {
-    // v1 requests predate deadlines; 0 keeps them un-bounded.
-    DQUAG_ASSIGN_OR_RETURN(request.deadline_ms, r.ReadU64());
-  }
+  DQUAG_ASSIGN_OR_RETURN(request.deadline_ms, r.ReadU64());
   DQUAG_ASSIGN_OR_RETURN(request.tenant, r.ReadString());
   DQUAG_ASSIGN_OR_RETURN(request.body, r.ReadString());
   DQUAG_RETURN_IF_ERROR(RequireAtEnd(r, "request"));
@@ -177,8 +173,7 @@ StatusOr<WireRepair> DecodeRepair(const std::string& body) {
   return repair;
 }
 
-std::string EncodeStats(const std::vector<TenantStatsSnapshot>& stats,
-                        bool extended) {
+std::string EncodeStats(const std::vector<TenantStatsSnapshot>& stats) {
   BinaryWriter w;
   w.WriteU64(stats.size());
   for (const TenantStatsSnapshot& s : stats) {
@@ -199,18 +194,15 @@ std::string EncodeStats(const std::vector<TenantStatsSnapshot>& stats,
     w.WriteI64(s.latency.p999_us);
     w.WriteI64(s.latency.max_us);
   }
-  if (extended) {
-    // v3 trailer: the continuous-pipeline fields, one record per entry in
-    // the same order. Tagged so a decoder never mistakes other trailing
-    // bytes for the extension.
-    w.WriteU64(kStatsExtensionMagic);
-    for (const TenantStatsSnapshot& s : stats) {
-      w.WriteI64(s.retrains);
-      w.WriteI64(s.retrain_failures);
-      w.WriteI64(s.monitor_rows);
-      w.WriteI64(s.drifting_columns);
-      w.WriteI64(s.alarming ? 1 : 0);
-    }
+  // v3 trailer: the continuous-pipeline fields, one record per entry in
+  // the same order, behind a tag so a stray payload never decodes as one.
+  w.WriteU64(kStatsExtensionMagic);
+  for (const TenantStatsSnapshot& s : stats) {
+    w.WriteI64(s.retrains);
+    w.WriteI64(s.retrain_failures);
+    w.WriteI64(s.monitor_rows);
+    w.WriteI64(s.drifting_columns);
+    w.WriteI64(s.alarming ? 1 : 0);
   }
   return w.buffer();
 }
@@ -245,21 +237,17 @@ StatusOr<std::vector<TenantStatsSnapshot>> DecodeStats(
     DQUAG_ASSIGN_OR_RETURN(s.latency.max_us, r.ReadI64());
     stats.push_back(std::move(s));
   }
-  if (!r.AtEnd()) {
-    // v3 extension trailer; a pre-v3 daemon simply never sends one, and
-    // the snapshots keep their zero defaults.
-    DQUAG_ASSIGN_OR_RETURN(uint64_t magic, r.ReadU64());
-    if (magic != kStatsExtensionMagic) {
-      return Status::InvalidArgument("stats: bad extension tag");
-    }
-    for (TenantStatsSnapshot& s : stats) {
-      DQUAG_ASSIGN_OR_RETURN(s.retrains, r.ReadI64());
-      DQUAG_ASSIGN_OR_RETURN(s.retrain_failures, r.ReadI64());
-      DQUAG_ASSIGN_OR_RETURN(s.monitor_rows, r.ReadI64());
-      DQUAG_ASSIGN_OR_RETURN(s.drifting_columns, r.ReadI64());
-      DQUAG_ASSIGN_OR_RETURN(int64_t alarming, r.ReadI64());
-      s.alarming = alarming != 0;
-    }
+  DQUAG_ASSIGN_OR_RETURN(uint64_t magic, r.ReadU64());
+  if (magic != kStatsExtensionMagic) {
+    return Status::InvalidArgument("stats: bad extension tag");
+  }
+  for (TenantStatsSnapshot& s : stats) {
+    DQUAG_ASSIGN_OR_RETURN(s.retrains, r.ReadI64());
+    DQUAG_ASSIGN_OR_RETURN(s.retrain_failures, r.ReadI64());
+    DQUAG_ASSIGN_OR_RETURN(s.monitor_rows, r.ReadI64());
+    DQUAG_ASSIGN_OR_RETURN(s.drifting_columns, r.ReadI64());
+    DQUAG_ASSIGN_OR_RETURN(int64_t alarming, r.ReadI64());
+    s.alarming = alarming != 0;
   }
   DQUAG_RETURN_IF_ERROR(RequireAtEnd(r, "stats"));
   return stats;

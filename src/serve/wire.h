@@ -9,14 +9,16 @@
 // rejects trailing bytes — a malformed client can only ever produce an
 // error Status, never an abort (see the server's bad-request path).
 //
-// One request/response pair per frame, on a persistent connection:
-//   WireRequest  { version, verb, request_id, deadline_ms, tenant, body }
-//   WireResponse { version, request_id, code, message, body }
+// One request/response pair per frame, on a persistent connection; each
+// payload starts with a u64 version word, which encoders always stamp as
+// kWireVersion:
+//   request  { version, verb, request_id, deadline_ms, tenant, body }
+//   response { version, request_id, code, message, body }
 // Version history: v1 had no deadline_ms. v2 added deadline_ms. v3 added
 // the continuous-pipeline stats extension (retrains, monitor state) as a
-// magic-tagged trailer on the kStats response body — the daemon emits it
-// only to v3+ clients, and DecodeStats tolerates its absence, so v1/v2
-// peers keep working across a rolling upgrade.
+// magic-tagged trailer on the kStats response body. Client and daemon ship
+// together, so decoders accept exactly kWireVersion: any other version
+// word is InvalidArgument, and every stats body carries the v3 trailer.
 // `body` is a verb-specific sub-encoding (validate verdicts, repair
 // results, stats snapshots) with its own Encode/Decode pair below. The
 // request_id is echoed verbatim so clients can pipeline.
@@ -35,11 +37,10 @@ namespace dquag {
 
 inline constexpr uint32_t kFrameMagic = 0x46575144;  // "DQWF" (LE)
 inline constexpr uint32_t kMaxFramePayload = 64u << 20;
-inline constexpr uint64_t kWireVersion = 3;     // emitted by encoders
-inline constexpr uint64_t kMinWireVersion = 1;  // oldest decodable
+inline constexpr uint64_t kWireVersion = 3;  // emitted and accepted
 
-/// Tags the v3 stats-extension trailer ("DQS3" + pad). A decoder that
-/// finds bytes after the base entries requires exactly this magic.
+/// Tags the v3 stats-extension trailer ("DQS3" + pad), which DecodeStats
+/// requires after the base entries.
 inline constexpr uint64_t kStatsExtensionMagic = 0x3353514400000001ULL;
 
 /// Request verbs understood by the daemon.
@@ -70,10 +71,6 @@ const char* WireCodeName(WireCode code);
 
 struct WireRequest {
   WireVerb verb = WireVerb::kPing;
-  /// Protocol version the client spoke (stamped by DecodeRequest). The
-  /// daemon gates version-dependent response content on it — e.g. the v3
-  /// stats extension is only sent to clients that announced v3.
-  uint64_t version = kWireVersion;
   uint64_t request_id = 0;
   /// End-to-end budget in milliseconds, counted by the server from frame
   /// arrival; 0 means no deadline. An expired request is answered
@@ -130,10 +127,7 @@ StatusOr<WireVerdict> DecodeVerdict(const std::string& body);
 std::string EncodeRepair(const WireRepair& repair);
 StatusOr<WireRepair> DecodeRepair(const std::string& body);
 
-/// `extended` appends the v3 continuous-pipeline trailer; pass false when
-/// answering a pre-v3 client, whose decoder would reject trailing bytes.
-std::string EncodeStats(const std::vector<TenantStatsSnapshot>& stats,
-                        bool extended = true);
+std::string EncodeStats(const std::vector<TenantStatsSnapshot>& stats);
 StatusOr<std::vector<TenantStatsSnapshot>> DecodeStats(
     const std::string& body);
 

@@ -1,7 +1,7 @@
 # End-to-end CLI parity test for the columnar format: `dquag convert` turns
-# the tiny CSV fixture into a .dqc file, and every consumer (validate,
-# validate --stream, serve-sim --stream) must produce EXACTLY the same
-# output and exit code on the .dqc as on the source CSV.
+# the tiny CSV fixture into a .dqc file, and every consumer (validate and
+# serve-sim, at the default chunk size and at --chunk-rows 2) must produce
+# EXACTLY the same output and exit code on the .dqc as on the source CSV.
 # Invoked by ctest as:
 #   cmake -DDQUAG_CLI=<binary> -DFIXTURE=<csv> -DWORK_DIR=<dir>
 #         -P cli_convert_test.cmake
@@ -62,8 +62,8 @@ if(NOT code EQUAL 0)
   message(FATAL_ERROR "train exited with ${code}\nstderr: ${err}\n${out}")
 endif()
 
-# 5. validate: CSV whole-table vs .dqc whole-table vs .dqc --stream must be
-# byte-identical on stdout with equal exit codes.
+# 5. validate: CSV vs .dqc vs .dqc at --chunk-rows 2 must be byte-identical
+# on stdout with equal exit codes.
 execute_process(
   COMMAND ${DQUAG_CLI} validate --model ${model} --data ${FIXTURE} --verbose
   OUTPUT_VARIABLE csv_out
@@ -82,32 +82,34 @@ if(dqc_code GREATER 2)
 endif()
 execute_process(
   COMMAND ${DQUAG_CLI} validate --model ${model} --data ${dqc} --verbose
-          --stream --chunk-rows 2
-  OUTPUT_VARIABLE stream_out
+          --chunk-rows 2
+  OUTPUT_VARIABLE chunked_out
   ERROR_VARIABLE err
-  RESULT_VARIABLE stream_code)
-if(stream_code GREATER 2)
-  message(FATAL_ERROR
-          "validate --stream (dqc) exited with ${stream_code}\nstderr: ${err}")
+  RESULT_VARIABLE chunked_code)
+if(chunked_code GREATER 2)
+  message(FATAL_ERROR "validate --chunk-rows 2 (dqc) exited with "
+                      "${chunked_code}\nstderr: ${err}")
 endif()
-if(NOT csv_code EQUAL dqc_code OR NOT csv_code EQUAL stream_code)
+if(NOT csv_code EQUAL dqc_code OR NOT csv_code EQUAL chunked_code)
   message(FATAL_ERROR "validate exit codes differ: csv=${csv_code} "
-                      "dqc=${dqc_code} stream=${stream_code}")
+                      "dqc=${dqc_code} dqc-chunk-rows-2=${chunked_code}")
 endif()
 if(NOT csv_out STREQUAL dqc_out)
   message(FATAL_ERROR "csv vs dqc validate parity violated:\n--- csv ---\n"
                       "${csv_out}\n--- dqc ---\n${dqc_out}")
 endif()
-if(NOT csv_out STREQUAL stream_out)
-  message(FATAL_ERROR "dqc --stream validate parity violated:\n--- csv ---\n"
-                      "${csv_out}\n--- stream ---\n${stream_out}")
+if(NOT csv_out STREQUAL chunked_out)
+  message(FATAL_ERROR "dqc --chunk-rows 2 validate parity violated:\n"
+                      "--- csv ---\n${csv_out}\n--- dqc chunk-rows 2 ---\n"
+                      "${chunked_out}")
 endif()
 if(NOT csv_out MATCHES "instances flagged")
   message(FATAL_ERROR "unexpected validate output:\n${csv_out}")
 endif()
 
-# 6. serve-sim --stream over the .dqc: the deterministic summary line must
-# match the CSV run (throughput lines are timing-dependent and excluded).
+# 6. serve-sim over the .dqc at --chunk-rows 2: the deterministic summary
+# line must match the default-chunk CSV run (throughput lines are
+# timing-dependent and excluded).
 function(extract_flagged_line text out_var)
   string(REGEX MATCH "flagged: [^\n]*" line "${text}")
   set(${out_var} "${line}" PARENT_SCOPE)
@@ -124,13 +126,13 @@ if(NOT code EQUAL 0)
 endif()
 execute_process(
   COMMAND ${DQUAG_CLI} serve-sim --model ${model} --data ${dqc}
-          --threads 2 --rounds 2 --stream --chunk-rows 2
+          --threads 2 --rounds 2 --chunk-rows 2
   OUTPUT_VARIABLE dqc_out
   ERROR_VARIABLE err
   RESULT_VARIABLE code)
 if(NOT code EQUAL 0)
   message(FATAL_ERROR
-          "serve-sim --stream (dqc) exited with ${code}\nstderr: ${err}")
+          "serve-sim --chunk-rows 2 (dqc) exited with ${code}\nstderr: ${err}")
 endif()
 extract_flagged_line("${csv_out}" csv_flagged)
 extract_flagged_line("${dqc_out}" dqc_flagged)

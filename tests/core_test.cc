@@ -319,6 +319,22 @@ TEST(PipelineTest, EmptyCleanIsError) {
   EXPECT_EQ(pipeline.Fit(empty).code(), StatusCode::kInvalidArgument);
 }
 
+TEST(PipelineTest, FitRejectsConfigThatLoadRejects) {
+  Rng rng(19);
+  Table clean = datasets::GenerateCreditCard(50, rng);
+  // A zero chunk would never advance the validator's chunk loop; a
+  // negative one would abort on its range check. Both must fail up front.
+  for (int64_t chunk_rows : {int64_t{0}, int64_t{-1}}) {
+    DquagPipelineOptions options;
+    options.config = SmallConfig();
+    options.config.inference_chunk_rows = chunk_rows;
+    DquagPipeline pipeline(std::move(options));
+    EXPECT_EQ(pipeline.Fit(clean).code(), StatusCode::kInvalidArgument)
+        << "inference_chunk_rows " << chunk_rows;
+    EXPECT_FALSE(pipeline.fitted());
+  }
+}
+
 TEST(PipelineTest, ExternalRelationshipsBypassMining) {
   Rng rng(17);
   Table clean = datasets::GenerateCreditCard(400, rng);

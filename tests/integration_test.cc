@@ -113,7 +113,7 @@ TEST_F(EndToEndTest, RepairReducesErrorRate) {
 TEST_F(EndToEndTest, RepairedTableKeepsSchemaAndRows) {
   ErrorInjector injector(8);
   Table dirty = injector.InjectCreditIncomeConflict(*clean_, 0.1).table;
-  RepairResult repair = pipeline_->ValidateAndRepair(dirty);
+  RepairResult repair = pipeline_->Repair(dirty, pipeline_->Validate(dirty));
   EXPECT_TRUE(repair.repaired.schema() == dirty.schema());
   EXPECT_EQ(repair.repaired.num_rows(), dirty.num_rows());
 }

@@ -130,7 +130,7 @@ TEST_F(CheckpointTest, LoadedPipelineCanRepair) {
   Table dirty =
       injector.InjectNumericAnomalies(probe, {"AMT_INCOME_TOTAL"}, 0.2)
           .table;
-  RepairResult repair = loaded->ValidateAndRepair(dirty);
+  RepairResult repair = loaded->Repair(dirty, loaded->Validate(dirty));
   EXPECT_GT(repair.cells_repaired, 0);
   std::remove(path.c_str());
 }

@@ -209,6 +209,36 @@ TEST(WireCodecTest, TruncationsAndTrailingBytesAreErrors) {
   EXPECT_TRUE(DecodeRequest(encoded).ok());
 }
 
+TEST(WireCodecTest, OnlyTheCurrentVersionDecodes) {
+  // Client and daemon ship together: a request or response stamped with
+  // any version word but kWireVersion is refused, older or newer.
+  WireRequest request;
+  request.verb = WireVerb::kStats;
+  const std::string request_payload = EncodeRequest(request);
+  const std::string response_payload = EncodeResponse(WireResponse{});
+  ASSERT_TRUE(DecodeRequest(request_payload).ok());
+  ASSERT_TRUE(DecodeResponse(response_payload).ok());
+  for (uint64_t version : {uint64_t{1}, uint64_t{2}, uint64_t{4}}) {
+    BinaryWriter w;
+    w.WriteU64(version);
+    const std::string word = w.buffer();
+    EXPECT_EQ(DecodeRequest(word + request_payload.substr(8)).status().code(),
+              StatusCode::kInvalidArgument)
+        << "request version " << version;
+    EXPECT_EQ(
+        DecodeResponse(word + response_payload.substr(8)).status().code(),
+        StatusCode::kInvalidArgument)
+        << "response version " << version;
+  }
+
+  // The v3 stats trailer is required, not optional.
+  const std::string stats = EncodeStats({TenantStatsSnapshot{}});
+  ASSERT_TRUE(DecodeStats(stats).ok());
+  const size_t trailer_bytes = 8 + 5 * 8;  // tag + one 5-field record
+  EXPECT_FALSE(
+      DecodeStats(stats.substr(0, stats.size() - trailer_bytes)).ok());
+}
+
 TEST(WireCodecTest, GarbageFuzzNeverCrashes) {
   Rng rng(1234);
   for (int iteration = 0; iteration < 500; ++iteration) {

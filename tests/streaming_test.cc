@@ -295,6 +295,60 @@ TEST(StreamingCsvTest, MalformedRowsFailWithRowAndColumnContext) {
   std::remove(path.c_str());
 }
 
+/// Delivers `table` in chunks until asked for chunk `fail_at`, then fails —
+/// a file that turns malformed after some chunks were already handed out.
+class FailingChunkReader final : public TableChunkReader {
+ public:
+  FailingChunkReader(const Table* table, int64_t chunk_rows, int64_t fail_at)
+      : inner_(table, chunk_rows), fail_at_(fail_at) {}
+
+  StatusOr<int64_t> Next(Table& chunk) override {
+    if (calls_++ == fail_at_) {
+      return Status::InvalidArgument("row 1234: injected reader failure");
+    }
+    return inner_.Next(chunk);
+  }
+  const Schema& schema() const override { return inner_.schema(); }
+  int64_t rows_delivered() const override { return inner_.rows_delivered(); }
+  int64_t chunk_rows() const override { return inner_.chunk_rows(); }
+
+ private:
+  TableViewChunkReader inner_;
+  int64_t fail_at_;
+  int64_t calls_ = 0;
+};
+
+TEST(StreamingFailureTest, ReaderFailureWithChunksInFlightIsReturned) {
+  DquagPipeline pipeline = FitTaxiPipeline();
+  const Table fresh = DirtyTaxi(320);
+  constexpr int64_t kChunkRows = 16;  // 20 chunks
+  constexpr int64_t kFailAt = 9;
+
+  for (size_t threads : {size_t{4}, size_t{1}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    StreamingValidatorOptions options;
+    options.pool = &pool;
+    options.max_in_flight = 4;
+    StreamingValidator streamer(&pipeline, options);
+    FailingChunkReader reader(&fresh, kChunkRows, kFailAt);
+    std::vector<int64_t> seen;
+    auto verdict = streamer.Run(reader, [&](const StreamChunk& chunk) {
+      seen.push_back(chunk.chunk_index);
+    });
+    ASSERT_FALSE(verdict.ok());
+    EXPECT_EQ(verdict.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(verdict.status().message().find("row 1234"), std::string::npos)
+        << verdict.status().ToString();
+    for (size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_LT(seen[i], kFailAt);
+      if (i > 0) EXPECT_GT(seen[i], seen[i - 1]);
+    }
+    // Serially every chunk read before the failure is emitted first.
+    if (threads == 1) EXPECT_EQ(seen.size(), static_cast<size_t>(kFailAt));
+  }
+}
+
 // ---- Streaming repair -------------------------------------------------------
 
 TEST(StreamingRepairTest, ChunkRepairsConcatenateToBatchRepair) {
@@ -373,7 +427,7 @@ TEST(StreamingMemoryTest, ChunkBufferingIsBoundedAndRowCountIndependent) {
 
 // ---- Service integration ----------------------------------------------------
 
-TEST(ServiceStreamTest, ValidateStreamMatchesValidateAndCountsStats) {
+TEST(ServiceStreamTest, ValidateStreamMatchesValidate) {
   ValidationService service(FitTaxiPipeline());
   const Table fresh = DirtyTaxi(180);
   const BatchVerdict batch = service.Validate(fresh);
@@ -386,19 +440,14 @@ TEST(ServiceStreamTest, ValidateStreamMatchesValidateAndCountsStats) {
   });
   ASSERT_TRUE(stream.ok());
   ExpectStreamEqualsBatch(*stream, reassembled, batch);
-
-  const ValidationServiceStats stats = service.stats();
-  EXPECT_EQ(stats.batches_validated, 2);  // one batch call + one stream
-  EXPECT_EQ(stats.rows_validated, 2 * fresh.num_rows());
-  EXPECT_EQ(stats.rows_flagged,
-            2 * static_cast<int64_t>(batch.flagged_rows.size()));
 }
 
-TEST(ServiceStreamTest, ObserveStreamFeedsMonitorLikeObserve) {
+TEST(ServiceStreamTest, ObserveStreamFeedsMonitorLikeObserveVerdict) {
   ValidationService service(FitTaxiPipeline());
   const Table fresh = DirtyTaxi(120);
 
-  const MonitorObservation from_batch = service.Observe(fresh);
+  const MonitorObservation from_batch =
+      service.ObserveVerdict(service.Validate(fresh));
   TableViewChunkReader reader(&fresh, 16);
   auto from_stream = service.ObserveStream(reader);
   ASSERT_TRUE(from_stream.ok());

@@ -6,14 +6,12 @@
 //   dquag convert   <data.csv> <data.dqc> --schema schema.json
 //                   [--block-rows N]      (CSV -> columnar .dqc, out-of-core)
 //   dquag validate  --model model.ckpt --data new.csv [--verbose]
-//                   [--micro-batch M] [--stream] [--chunk-rows N]
-//                   [--format csv|columnar]
+//                   [--chunk-rows N] [--format csv|columnar]
 //                   [--quantized [--quantized-margin F]]  (int8 inference)
 //   dquag repair    --model model.ckpt --data new.csv --out repaired.csv
 //   dquag explain   --model model.ckpt --data new.csv --row K
 //   dquag serve-sim --model model.ckpt --data new.csv [--threads T]
-//                   [--rounds R] [--micro-batch M] [--stream]
-//                   [--chunk-rows N]                 (concurrent serving sim)
+//                   [--rounds R] [--chunk-rows N]    (concurrent serving sim)
 //   dquag serve     --port P [--host H] [--capacity N] [--max-inflight K]
 //                   [--max-connections C] [--micro-batch M]
 //                   [--io-timeout-ms MS]  (disconnect stalled peers; 0=off)
@@ -40,13 +38,15 @@
 //   --connect-timeout-ms MS  bound on TCP connect (default 5000)
 //   dquag schema-template --data data.csv   (guess a schema from a CSV)
 //
-// validate and serve-sim run through the ValidationService: micro-batched
-// tape-free inference fanned across the process thread pool. With --stream
-// the input is never materialized: chunks of --chunk-rows rows are read,
-// validated and retired with bounded memory, and the verdict is
-// bit-identical to the whole-table run. Data files may be CSV or the
-// columnar .dqc format produced by `dquag convert` — `--format` forces a
-// reader, otherwise the .dqc suffix selects columnar.
+// validate and serve-sim stream their input through the ValidationService:
+// chunks of --chunk-rows rows (default 4096) are read, validated on the
+// tape-free inference engine across the process thread pool, and retired
+// with bounded memory. validate never materializes the file; the verdict is
+// bit-identical to validating the whole table at once, for any chunk size.
+// A malformed row past the first chunk fails the run with exit code 1 and
+// the row named on stderr. Data files may be CSV or the columnar .dqc
+// format produced by `dquag convert` — `--format` forces a reader,
+// otherwise the .dqc suffix selects columnar.
 //
 // serve starts the real daemon (serve/server.h): a multi-tenant model
 // registry (LRU-bounded residency, lazy checkpoint loads, atomic hot-swap
@@ -285,7 +285,6 @@ StatusOr<std::unique_ptr<ValidationService>> LoadService(const Args& args) {
     return Status::InvalidArgument("--model and --data are required");
   }
   ValidationServiceOptions options;
-  options.micro_batch_rows = args.GetInt("micro-batch", 512);
   options.quantized = args.Has("quantized");
   options.quantized_margin = args.GetDouble("quantized-margin", 0.25);
   if (options.quantized_margin < 0.0) {
@@ -314,9 +313,9 @@ void PrintFlaggedRow(const Schema& schema, size_t row,
   std::printf("\n");
 }
 
-/// validate --stream: the CSV is consumed chunk by chunk and never
-/// materialized; output and exit code match the whole-table path exactly.
-int CmdValidateStream(const Args& args) {
+/// validate: the data file is consumed chunk by chunk and never
+/// materialized; output and exit code do not depend on --chunk-rows.
+int CmdValidate(const Args& args) {
   auto service = LoadService(args);
   if (!service.ok()) return Fail(service.status());
   const int64_t chunk_rows = args.GetInt("chunk-rows", 4096);
@@ -343,26 +342,6 @@ int CmdValidateStream(const Args& args) {
   return verdict->is_dirty ? 2 : 0;
 }
 
-int CmdValidate(const Args& args) {
-  if (args.Has("stream")) return CmdValidateStream(args);
-  Table table;
-  auto service = LoadServiceAndData(args, &table);
-  if (!service.ok()) return Fail(service.status());
-  BatchVerdict verdict = (*service)->Validate(table);
-  std::printf("%s: %.2f%% of %lld instances flagged (cutoff %.2f%%)\n",
-              verdict.is_dirty ? "DIRTY" : "clean",
-              verdict.flagged_fraction * 100.0,
-              static_cast<long long>(table.num_rows()),
-              (*service)->pipeline().validator().batch_cutoff() * 100.0);
-  if (args.Has("verbose")) {
-    const Schema& schema = table.schema();
-    for (size_t row : verdict.flagged_rows) {
-      PrintFlaggedRow(schema, row, verdict.instances[row]);
-    }
-  }
-  return verdict.is_dirty ? 2 : 0;
-}
-
 int CmdServeSim(const Args& args) {
   Table table;
   auto service_or = LoadServiceAndData(args, &table);
@@ -373,40 +352,21 @@ int CmdServeSim(const Args& args) {
   if (threads <= 0 || rounds <= 0) {
     return Fail(Status::InvalidArgument("--threads and --rounds must be > 0"));
   }
-
-  const bool stream = args.Has("stream");
   const int64_t chunk_rows = args.GetInt("chunk-rows", 4096);
-  if (stream && chunk_rows <= 0) {
+  if (chunk_rows <= 0) {
     return Fail(Status::InvalidArgument("--chunk-rows must be > 0"));
   }
   const std::string data_path = args.Get("data");
-  bool columnar_stream = false;
-  if (stream) {
-    auto columnar = UseColumnar(args, data_path);
-    if (!columnar.ok()) return Fail(columnar.status());
-    columnar_stream = *columnar;
-    if (columnar_stream) {
-      // Fail cleanly up front; the per-round opens inside the client
-      // threads then only re-read an already-validated file.
-      auto probe = ColumnarReader::Open(data_path);
-      if (!probe.ok()) return Fail(probe.status());
-    }
-  }
-  if (stream) {
-    std::printf("serving %lld rows to %lld concurrent STREAMING clients, "
-                "%lld rounds each (chunk %lld)\n",
-                static_cast<long long>(table.num_rows()),
-                static_cast<long long>(threads),
-                static_cast<long long>(rounds),
-                static_cast<long long>(chunk_rows));
-  } else {
-    std::printf("serving %lld rows to %lld concurrent clients, %lld rounds "
-                "each (micro-batch %lld)\n",
-                static_cast<long long>(table.num_rows()),
-                static_cast<long long>(threads),
-                static_cast<long long>(rounds),
-                static_cast<long long>(service.options().micro_batch_rows));
-  }
+  // LoadServiceAndData already read the whole file, so the format check
+  // and the per-round columnar opens below cannot fail on it.
+  auto columnar = UseColumnar(args, data_path);
+  if (!columnar.ok()) return Fail(columnar.status());
+  std::printf("serving %lld rows to %lld concurrent clients, %lld rounds "
+              "each (chunk %lld)\n",
+              static_cast<long long>(table.num_rows()),
+              static_cast<long long>(threads),
+              static_cast<long long>(rounds),
+              static_cast<long long>(chunk_rows));
   // Simulated clients report through the SAME lock-free counters the
   // daemon keeps per tenant, so serve-sim and `dquag stats` emit one
   // metric schema (serve/serving_stats.h).
@@ -418,54 +378,38 @@ int CmdServeSim(const Args& args) {
     clients.emplace_back([&] {
       for (int64_t r = 0; r < rounds; ++r) {
         Stopwatch request_timer;
-        if (stream) {
-          // Each round streams the batch through its own cursor; readers
-          // are cheap, the chunk buffers live inside ObserveStream. With a
-          // columnar file every round exercises the real mmap read path.
-          std::unique_ptr<ColumnarReader> file_reader;
-          std::unique_ptr<TableViewChunkReader> view_reader;
-          TableChunkReader* reader = nullptr;
-          if (columnar_stream) {
-            ColumnarReaderOptions reader_options;
-            reader_options.chunk_rows = chunk_rows;
-            auto opened = ColumnarReader::Open(data_path, reader_options);
-            DQUAG_CHECK(opened.ok());  // validated before the threads began
-            file_reader = std::move(*opened);
-            reader = file_reader.get();
-          } else {
-            view_reader =
-                std::make_unique<TableViewChunkReader>(&table, chunk_rows);
-            reader = view_reader.get();
-          }
-          auto obs = service.ObserveStream(*reader);
-          DQUAG_CHECK(obs.ok());  // readers over validated inputs
-          counters.RecordRequest(
-              table.num_rows(),
-              static_cast<int64_t>(obs->flagged_fraction *
-                                   static_cast<double>(table.num_rows()) +
-                                   0.5),
-              obs->batch_dirty,
-              static_cast<uint64_t>(request_timer.ElapsedSeconds() * 1e6));
+        // Each round streams the batch through its own cursor; readers
+        // are cheap, the chunk buffers live inside ObserveStream. With a
+        // columnar file every round exercises the real mmap read path.
+        std::unique_ptr<TableChunkReader> reader;
+        if (*columnar) {
+          ColumnarReaderOptions reader_options;
+          reader_options.chunk_rows = chunk_rows;
+          auto opened = ColumnarReader::Open(data_path, reader_options);
+          DQUAG_CHECK(opened.ok());
+          reader = std::move(*opened);
         } else {
-          MonitorObservation obs = service.Observe(table);
-          counters.RecordRequest(
-              table.num_rows(),
-              static_cast<int64_t>(obs.flagged_fraction *
-                                   static_cast<double>(table.num_rows()) +
-                                   0.5),
-              obs.batch_dirty,
-              static_cast<uint64_t>(request_timer.ElapsedSeconds() * 1e6));
+          reader = std::make_unique<TableViewChunkReader>(&table, chunk_rows);
         }
+        auto obs = service.ObserveStream(*reader);
+        DQUAG_CHECK(obs.ok());  // readers over validated inputs
+        counters.RecordRequest(
+            table.num_rows(),
+            static_cast<int64_t>(obs->flagged_fraction *
+                                 static_cast<double>(table.num_rows()) +
+                                 0.5),
+            obs->batch_dirty,
+            static_cast<uint64_t>(request_timer.ElapsedSeconds() * 1e6));
       }
     });
   }
   for (std::thread& t : clients) t.join();
   const double seconds = timer.ElapsedSeconds();
 
-  const ValidationServiceStats stats = service.stats();
+  const TenantStatsSnapshot stats = counters.Snapshot("sim", true);
   std::printf("throughput: %.0f rows/s over %.2fs (%lld batches)\n",
               static_cast<double>(stats.rows_validated) / seconds, seconds,
-              static_cast<long long>(stats.batches_validated));
+              static_cast<long long>(stats.requests_ok));
   std::printf("flagged: %.2f%% of rows; dirty batches: %lld/%lld; "
               "monitor %s\n",
               stats.rows_validated == 0
@@ -473,10 +417,9 @@ int CmdServeSim(const Args& args) {
                   : 100.0 * static_cast<double>(stats.rows_flagged) /
                         static_cast<double>(stats.rows_validated),
               static_cast<long long>(stats.dirty_batches),
-              static_cast<long long>(stats.batches_validated),
+              static_cast<long long>(stats.requests_ok),
               service.alarming() ? "ALARMING" : "quiet");
-  std::printf("%s\n",
-              FormatStatsLine(counters.Snapshot("sim", true)).c_str());
+  std::printf("%s\n", FormatStatsLine(stats).c_str());
   return 0;
 }
 
@@ -663,7 +606,7 @@ int CmdRepair(const Args& args) {
   auto pipeline = LoadModelAndData(args, &table);
   if (!pipeline.ok()) return Fail(pipeline.status());
   const std::string out_path = args.Get("out", "repaired.csv");
-  RepairResult repair = pipeline->ValidateAndRepair(table);
+  RepairResult repair = pipeline->Repair(table, pipeline->Validate(table));
   Status status = WriteCsvFile(repair.repaired.ToCsv(), out_path);
   if (!status.ok()) return Fail(status);
   std::printf("repaired %lld cells in %lld instances -> %s\n",
