@@ -95,20 +95,19 @@ const Tensor& DquagModel::InferReconstruction(
   DQUAG_CHECK_EQ(x.ndim(), 2);
   DQUAG_CHECK_EQ(x.dim(1), num_features_);
   const int64_t rows = x.dim(0);
-  // Rows are independent along the batch axis, so large batches run in
-  // fixed blocks whose workspaces ([block, d, h] intermediates) stay
+  // Rows are independent along the batch axis, so batches run in fixed
+  // blocks whose workspaces ([block, d, h] intermediates) stay
   // cache-resident — the preallocated arena makes per-block dispatch free,
-  // which the allocating tape path could not afford.
+  // which the allocating tape path could not afford. Small batches take the
+  // same path as one block, so every arena slot holds the same role at any
+  // batch size: a context that forwards a chunk and then a few of its rows
+  // (validation, then repair) does not grow past one forward's high-water
+  // mark.
   constexpr int64_t kRowBlock = 256;
   // Graph2Vec consumes the raw rows directly; skip the (discarded)
   // tokenizer pass for it.
   const bool tokenize =
       encoder_->config().kind != EncoderKind::kGraph2Vec;
-  if (rows <= kRowBlock) {
-    const Tensor& tokens = tokenize ? tokenizer_->InferForward(x, ctx) : x;
-    Tensor& z = encoder_->InferForward(tokens, x, ctx);
-    return decoder.InferForward(z, ctx);
-  }
   Tensor& out = ctx.Acquire({rows, num_features_});
   const size_t mark = ctx.Mark();
   for (int64_t start = 0; start < rows; start += kRowBlock) {

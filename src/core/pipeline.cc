@@ -211,6 +211,11 @@ const Validator& DquagPipeline::validator() const {
   return *validator_;
 }
 
+const Repairer& DquagPipeline::repairer() const {
+  DQUAG_CHECK(fitted());
+  return *repairer_;
+}
+
 double DquagPipeline::threshold() const {
   DQUAG_CHECK(fitted());
   return report_.error_statistics.threshold;

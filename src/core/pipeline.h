@@ -115,6 +115,7 @@ class DquagPipeline {
   const TablePreprocessor& preprocessor() const { return *preprocessor_; }
   const DquagModel& model() const;
   const Validator& validator() const;
+  const Repairer& repairer() const;
   double threshold() const;
   const std::vector<FeatureRelationship>& relationships() const {
     return relationships_used_;

@@ -1,6 +1,7 @@
 #include "core/repairer.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "engine/inference_context.h"
 
@@ -13,72 +14,98 @@ Repairer::Repairer(const DquagModel* model,
   DQUAG_CHECK(model_ != nullptr);
 }
 
-Tensor Repairer::RepairMatrix(const Tensor& matrix,
-                              const BatchVerdict& verdict,
-                              int64_t* cells_repaired) const {
-  DQUAG_CHECK_EQ(matrix.ndim(), 2);
-  const int64_t rows = matrix.dim(0);
-  const int64_t d = matrix.dim(1);
-  DQUAG_CHECK_EQ(static_cast<int64_t>(verdict.instances.size()), rows);
+namespace {
 
-  Tensor repaired = matrix;
-  int64_t repaired_cells = 0;
-  InferenceContext& ctx = InferenceContext::ThreadLocal();
-  const int64_t chunk = config_.inference_chunk_rows;
-  for (int64_t start = 0; start < rows; start += chunk) {
-    const int64_t end = std::min(rows, start + chunk);
-    // Skip chunks with no flagged instance.
-    bool any = false;
-    for (int64_t r = start; r < end && !any; ++r) {
-      any = verdict.instances[static_cast<size_t>(r)].flagged;
+/// Forwards the flagged rows of `matrix` through the repair head, gathered
+/// in blocks of `block_rows`, and calls set(row, column, suggestion) for
+/// every suspect cell in row order. Returns the number of cells visited.
+template <typename SetCell>
+int64_t ForEachRepairedCell(const DquagModel& model, int64_t block_rows,
+                            const Tensor& matrix, const BatchVerdict& verdict,
+                            SetCell&& set) {
+  DQUAG_CHECK_EQ(matrix.ndim(), 2);
+  const int64_t d = matrix.dim(1);
+  DQUAG_CHECK_EQ(static_cast<int64_t>(verdict.instances.size()),
+                 matrix.dim(0));
+
+  // Rows with something to repair; a flagged row always blames at least
+  // one feature, but a hand-built verdict need not.
+  std::vector<int64_t> targets;
+  for (size_t r = 0; r < verdict.instances.size(); ++r) {
+    const InstanceVerdict& inst = verdict.instances[r];
+    if (inst.flagged && !inst.suspect_features.empty()) {
+      targets.push_back(static_cast<int64_t>(r));
     }
-    if (!any) continue;
+  }
+
+  int64_t cells = 0;
+  InferenceContext& ctx = InferenceContext::ThreadLocal();
+  const int64_t total = static_cast<int64_t>(targets.size());
+  for (int64_t start = 0; start < total; start += block_rows) {
+    const int64_t n = std::min(total, start + block_rows) - start;
     ctx.Rewind();
-    Tensor& slice = ctx.Acquire({end - start, d});
-    std::copy(matrix.data() + start * d, matrix.data() + end * d,
-              slice.data());
-    const Tensor& suggestion = model_->InferRepair(slice, ctx);
-    for (int64_t r = start; r < end; ++r) {
-      const InstanceVerdict& inst =
-          verdict.instances[static_cast<size_t>(r)];
-      if (!inst.flagged) continue;
-      for (int64_t c : inst.suspect_features) {
-        repaired(r, c) = suggestion(r - start, c);
-        ++repaired_cells;
+    Tensor& gathered = ctx.Acquire({n, d});
+    for (int64_t i = 0; i < n; ++i) {
+      const float* src = matrix.data() + targets[start + i] * d;
+      std::copy(src, src + d, gathered.data() + i * d);
+    }
+    const Tensor& suggestion = model.InferRepair(gathered, ctx);
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t row = targets[start + i];
+      for (int64_t c :
+           verdict.instances[static_cast<size_t>(row)].suspect_features) {
+        set(row, c, suggestion(i, c));
+        ++cells;
       }
     }
   }
-  if (cells_repaired) *cells_repaired = repaired_cells;
+  return cells;
+}
+
+}  // namespace
+
+Tensor Repairer::RepairMatrix(const Tensor& matrix,
+                              const BatchVerdict& verdict,
+                              int64_t* cells_repaired) const {
+  Tensor repaired = matrix;
+  const int64_t cells = ForEachRepairedCell(
+      *model_, config_.inference_chunk_rows, matrix, verdict,
+      [&](int64_t r, int64_t c, float value) {
+        repaired(r, c) = value;
+      });
+  if (cells_repaired) *cells_repaired = cells;
   return repaired;
 }
 
 RepairResult Repairer::Repair(const Table& batch,
                               const BatchVerdict& verdict) const {
   DQUAG_CHECK(preprocessor_ != nullptr);
-  const Tensor matrix = preprocessor_->Transform(batch);
+  return Repair(batch, preprocessor_->Transform(batch), verdict);
+}
+
+RepairResult Repairer::Repair(const Table& batch, const Tensor& matrix,
+                              const BatchVerdict& verdict) const {
+  DQUAG_CHECK(preprocessor_ != nullptr);
+  DQUAG_CHECK_EQ(matrix.dim(0), batch.num_rows());
   RepairResult result;
-  Tensor repaired_matrix =
-      RepairMatrix(matrix, verdict, &result.cells_repaired);
-  for (const InstanceVerdict& inst : verdict.instances) {
-    if (inst.flagged && !inst.suspect_features.empty()) {
-      ++result.instances_repaired;
-    }
-  }
-  // InverseTransform handles the categorical snap-to-nearest-code rule.
-  Table decoded = preprocessor_->InverseTransform(repaired_matrix);
-  // Only repaired cells should change; copy original values elsewhere so
-  // numeric round-trips do not perturb untouched data.
+  // Only repaired cells change; every other cell keeps its original value
+  // rather than a numeric round trip through the scaler.
   result.repaired = batch;
-  for (size_t r : verdict.flagged_rows) {
-    const InstanceVerdict& inst = verdict.instances[r];
-    for (int64_t c : inst.suspect_features) {
-      if (batch.schema().column(c).type == ColumnType::kNumeric) {
-        result.repaired.Numeric(c)[r] = decoded.Numeric(c)[r];
-      } else {
-        result.repaired.Categorical(c)[r] = decoded.Categorical(c)[r];
-      }
-    }
-  }
+  int64_t last_row = -1;
+  result.cells_repaired = ForEachRepairedCell(
+      *model_, config_.inference_chunk_rows, matrix, verdict,
+      [&](int64_t r, int64_t c, float value) {
+        const size_t row = static_cast<size_t>(r);
+        if (batch.schema().column(c).type == ColumnType::kNumeric) {
+          result.repaired.Numeric(c)[row] =
+              preprocessor_->InverseNumericCell(c, value);
+        } else {
+          result.repaired.Categorical(c)[row] =
+              preprocessor_->InverseCategoricalCell(c, value);
+        }
+        if (r != last_row) ++result.instances_repaired;
+        last_row = r;
+      });
   return result;
 }
 

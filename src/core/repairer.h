@@ -1,10 +1,15 @@
 // Repair suggestion generation (paper §3.2.2).
 //
-// The repair decoder produces a fully repaired feature vector for every
-// instance; repairs are applied selectively — only to the (instance,
-// feature) pairs flagged by the validator. Categorical features snap to the
-// most likely valid category; numeric features take the decoder's value
-// mapped back through the inverse min-max transform.
+// The repair decoder suggests a repaired feature vector per instance, and
+// repairs are applied selectively — only to the (instance, feature) pairs
+// flagged by the validator. Only the flagged rows are forwarded: they are
+// gathered into one matrix (in blocks of inference_chunk_rows) and run
+// through the encoder and repair decoder, and the suspect cells are
+// scattered back. Rows are independent along the batch axis and every
+// kernel is row-position independent (tensor/simd.h), so the gathered
+// forward is bit-identical to forwarding the whole batch. Categorical
+// features snap to the most likely valid category; numeric features take
+// the decoder's value mapped back through the inverse min-max transform.
 
 #ifndef DQUAG_CORE_REPAIRER_H_
 #define DQUAG_CORE_REPAIRER_H_
@@ -31,6 +36,12 @@ class Repairer {
   /// Repairs the flagged cells of `batch` according to `verdict` (which must
   /// come from validating the same batch).
   RepairResult Repair(const Table& batch, const BatchVerdict& verdict) const;
+
+  /// Repair for a caller that already holds `matrix`, the preprocessed
+  /// `batch` (its Transform): skips the second Transform. Thread-safe; the
+  /// forward runs in the calling thread's InferenceContext.
+  RepairResult Repair(const Table& batch, const Tensor& matrix,
+                      const BatchVerdict& verdict) const;
 
   /// Matrix-level repair (preprocessed space): returns a copy of `matrix`
   /// with flagged cells replaced by repair-decoder outputs.

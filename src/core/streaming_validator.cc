@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <utility>
 
 #include "engine/inference_context.h"
 
@@ -45,12 +46,14 @@ StreamErrorStats StreamErrorStats::FromVerdict(const BatchVerdict& verdict) {
 namespace {
 
 /// Per-chunk pipeline state. A fixed pool of slots bounds memory: each slot
-/// holds one chunk's rows, its preprocessed matrix, and verdict scratch,
-/// and is recycled once the chunk has been emitted.
+/// holds one chunk's rows, its preprocessed matrix, its chunk-local verdict
+/// and (when repairing) its repair until emission, and is recycled once the
+/// chunk has been emitted.
 struct Slot {
   Table chunk;
   Tensor matrix;
-  std::vector<InstanceVerdict> verdicts;
+  BatchVerdict verdict;
+  RepairResult repair;
   int64_t rows = 0;
   int64_t chunk_index = -1;
 };
@@ -68,6 +71,7 @@ StreamingValidator::StreamingValidator(const DquagPipeline* pipeline,
 StatusOr<StreamVerdict> StreamingValidator::Run(
     TableChunkReader& reader, const ChunkCallback& callback) const {
   const Validator& validator = pipeline_->validator();
+  const Repairer& repairer = pipeline_->repairer();
   const TablePreprocessor& preprocessor = pipeline_->preprocessor();
 
   ThreadPool& pool = options_.pool ? *options_.pool : GlobalThreadPool();
@@ -101,15 +105,11 @@ StatusOr<StreamVerdict> StreamingValidator::Run(
   int64_t next_emit = 0;
   int64_t buffered_rows = 0;  // rows resident in occupied slots
 
-  // Emits one completed slot (caller thread, in chunk order): finalize the
-  // chunk-local verdict, fold it into the stream aggregates, invoke the
-  // callback, recycle the slot.
+  // Emits one completed slot (caller thread, in chunk order): fold the
+  // chunk's verdict into the stream aggregates, invoke the callback,
+  // recycle the slot.
   auto emit = [&](Slot* slot) {
-    BatchVerdict chunk_verdict;
-    chunk_verdict.threshold = stream.threshold;
-    chunk_verdict.instances = std::move(slot->verdicts);
-    validator.FinalizeVerdict(chunk_verdict);
-
+    const BatchVerdict& chunk_verdict = slot->verdict;
     const int64_t row_offset = stream.total_rows;
     // Global row order: chunks emit in order and rows are walked in order,
     // so this is the same accumulation sequence as the batch path.
@@ -126,12 +126,10 @@ StatusOr<StreamVerdict> StreamingValidator::Run(
     stream.total_rows += slot->rows;
     ++stream.total_chunks;
 
-    RepairResult repair;
-    if (options_.repair) {
-      repair = pipeline_->Repair(slot->chunk, chunk_verdict);
-      stream.cells_repaired += repair.cells_repaired;
-      stream.instances_repaired += repair.instances_repaired;
-    }
+    // Taken out of the slot so an idle slot never holds a repaired table.
+    const RepairResult repair = std::exchange(slot->repair, RepairResult{});
+    stream.cells_repaired += repair.cells_repaired;
+    stream.instances_repaired += repair.instances_repaired;
     if (callback) {
       StreamChunk emitted;
       emitted.chunk_index = slot->chunk_index;
@@ -142,9 +140,7 @@ StatusOr<StreamVerdict> StreamingValidator::Run(
       callback(emitted);
     }
 
-    // Recycle: hand the instance scratch (and its capacity) back to the
-    // slot, return the slot to the free list.
-    slot->verdicts = std::move(chunk_verdict.instances);
+    // Recycle: the verdict scratch keeps its capacity for the next chunk.
     buffered_rows -= slot->rows;
     slot->rows = 0;
     ++next_emit;
@@ -207,24 +203,32 @@ StatusOr<StreamVerdict> StreamingValidator::Run(
         std::max(stream.peak_in_flight_chunks, submitted - next_emit);
 
     // Preprocess on the reader thread (cheap, deterministic); fan the
-    // engine inference out.
+    // engine inference — validation, then repair of the flagged rows — out
+    // to the workers.
     slot->matrix = preprocessor.Transform(slot->chunk);
-    slot->verdicts.resize(static_cast<size_t>(slot->rows));
-    auto validate_chunk = [&validator, slot, mode = options_.mode] {
+    slot->verdict.threshold = stream.threshold;
+    slot->verdict.instances.resize(static_cast<size_t>(slot->rows));
+    auto process_chunk = [&validator, &repairer, slot,
+                           repair = options_.repair, mode = options_.mode] {
       validator.ValidateRowsInto(slot->matrix, 0, slot->rows,
                                  InferenceContext::ThreadLocal(),
-                                 slot->verdicts.data(), mode);
+                                 slot->verdict.instances.data(), mode);
+      validator.FinalizeVerdict(slot->verdict);
+      if (repair) {
+        slot->repair = repairer.Repair(slot->chunk, slot->matrix,
+                                       slot->verdict);
+      }
     };
     if (serial) {
-      validate_chunk();
+      process_chunk();
       {
         std::lock_guard<std::mutex> lock(mutex);
         completed[slot->chunk_index] = slot;
       }
       emit_ready();
     } else {
-      pool.Submit([&mutex, &ready, &completed, slot, validate_chunk] {
-        validate_chunk();
+      pool.Submit([&mutex, &ready, &completed, slot, process_chunk] {
+        process_chunk();
         // Notify while holding the mutex: once the caller's final wait can
         // observe this completion it must also be past this notify, so the
         // condition variable is never destroyed mid-notify when Run

@@ -4,8 +4,10 @@
 // materialized as one Table; StreamingValidator removes that ceiling. It
 // pulls fixed-size row chunks from a TableChunkReader, pipelines them
 // through the tape-free inference engine across the thread pool with a
-// bounded number of chunks in flight, and emits per-chunk verdicts IN CHUNK
-// ORDER on the calling thread while aggregating a whole-stream verdict.
+// bounded number of chunks in flight (validation and, when repairing, the
+// repair of the flagged rows both run on the workers), and emits per-chunk
+// verdicts IN CHUNK ORDER on the calling thread while aggregating a
+// whole-stream verdict.
 //
 // The contract that makes streaming safe to deploy:
 //   * Verdicts are bit-identical to whole-table validation. Instances are
@@ -72,6 +74,8 @@ struct StreamChunk {
   /// chunk only; instance errors are globally exact).
   const BatchVerdict* verdict = nullptr;
   /// Repaired chunk, only when StreamingValidatorOptions::repair is set.
+  /// Computed on a pool worker; like `rows`, it is freed once the callback
+  /// returns, so copy whatever must outlive the callback.
   const RepairResult* repair = nullptr;
 };
 
@@ -108,8 +112,10 @@ struct StreamingValidatorOptions {
   /// Falls back to in-line serial validation for single-thread pools or
   /// when the caller is itself a pool worker (results are identical).
   ThreadPool* pool = nullptr;
-  /// Also repair each chunk's flagged cells; repaired chunks are handed to
-  /// the callback and repair totals accumulate into the StreamVerdict.
+  /// Also repair each chunk's flagged cells. Repair runs on the pool worker
+  /// right after the chunk validates (forwarding only its flagged rows);
+  /// repaired chunks are handed to the callback, valid only during it, and
+  /// repair totals accumulate into the StreamVerdict.
   bool repair = false;
   /// Forward-pass mode for chunk validation (float by default; see
   /// ValidationMode for the quantized contract). Repair always runs float.

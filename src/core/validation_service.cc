@@ -65,19 +65,26 @@ BatchVerdict ValidationService::ValidateMatrix(const Tensor& matrix) const {
   return verdict;
 }
 
-StatusOr<BatchVerdict> ValidationService::TryValidate(
-    const Table& batch) const {
+Status ValidationService::CheckSchema(const Table& batch) const {
   if (!(batch.schema() == pipeline_.preprocessor().schema())) {
     return Status::InvalidArgument(
         "batch schema does not match the deployed model's schema");
   }
+  return Status::Ok();
+}
+
+StatusOr<BatchVerdict> ValidationService::TryValidate(
+    const Table& batch) const {
+  DQUAG_RETURN_IF_ERROR(CheckSchema(batch));
   return Validate(batch);
 }
 
 StatusOr<RepairResult> ValidationService::TryValidateAndRepair(
     const Table& batch) const {
-  DQUAG_ASSIGN_OR_RETURN(BatchVerdict verdict, TryValidate(batch));
-  return pipeline_.Repair(batch, verdict);
+  DQUAG_RETURN_IF_ERROR(CheckSchema(batch));
+  // One Transform feeds both the validation and the repair forward.
+  const Tensor matrix = pipeline_.preprocessor().Transform(batch);
+  return pipeline_.repairer().Repair(batch, matrix, ValidateMatrix(matrix));
 }
 
 StatusOr<StreamVerdict> ValidationService::ValidateStream(

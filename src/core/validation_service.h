@@ -68,7 +68,8 @@ class ValidationService {
   /// instead of a checked abort; an empty batch is a valid clean verdict.
   StatusOr<BatchVerdict> TryValidate(const Table& batch) const;
 
-  /// Status-checked Validate + pipeline Repair (see TryValidate).
+  /// Status-checked Validate + Repair (see TryValidate); the batch is
+  /// transformed once for both.
   StatusOr<RepairResult> TryValidateAndRepair(const Table& batch) const;
 
   /// Thread-safe validation of an already-preprocessed [B, d] matrix.
@@ -133,6 +134,9 @@ class ValidationService {
   }
 
  private:
+  /// InvalidArgument unless `batch` has the fitted preprocessor's schema.
+  Status CheckSchema(const Table& batch) const;
+
   DquagPipeline pipeline_;
   ValidationServiceOptions options_;
 

@@ -137,24 +137,36 @@ Table TablePreprocessor::InverseTransform(const Tensor& matrix) const {
     std::vector<double> numeric_cells;
     std::vector<std::string> categorical_cells;
     for (int64_t c = 0; c < schema_.num_columns(); ++c) {
-      const size_t ci = static_cast<size_t>(c);
-      const double scaled = matrix(r, c);
       if (schema_.column(c).type == ColumnType::kCategorical) {
-        const LabelEncoder& enc = label_encoders_[ci];
-        const double denom =
-            std::max<double>(1.0, static_cast<double>(enc.vocab_size() - 1));
-        int64_t code = static_cast<int64_t>(std::llround(scaled * denom));
-        code = std::clamp<int64_t>(code, 0, enc.vocab_size() - 1);
-        categorical_cells.push_back(enc.vocab_size() > 0 ? enc.Decode(code)
-                                                         : std::string());
+        categorical_cells.push_back(InverseCategoricalCell(c, matrix(r, c)));
       } else {
-        numeric_cells.push_back(
-            minmax_scalers_[ci].InverseTransform(scaled));
+        numeric_cells.push_back(InverseNumericCell(c, matrix(r, c)));
       }
     }
     out.AppendRow(numeric_cells, categorical_cells);
   }
   return out;
+}
+
+double TablePreprocessor::InverseNumericCell(int64_t column,
+                                             double scaled) const {
+  return minmax_scalers_[static_cast<size_t>(column)].InverseTransform(
+      scaled);
+}
+
+const std::string& TablePreprocessor::InverseCategoricalCell(
+    int64_t column, double scaled) const {
+  static const std::string kEmpty;
+  const LabelEncoder& enc = label_encoders_[static_cast<size_t>(column)];
+  if (enc.vocab_size() == 0) return kEmpty;
+  // Snap to the nearest valid code; out-of-range values (the missing and
+  // unknown sentinels included) clamp to the vocabulary's ends.
+  const double denom =
+      std::max<double>(1.0, static_cast<double>(enc.vocab_size() - 1));
+  const int64_t code = std::clamp<int64_t>(
+      static_cast<int64_t>(std::llround(scaled * denom)), 0,
+      enc.vocab_size() - 1);
+  return enc.Decode(code);
 }
 
 double TablePreprocessor::TransformCell(int64_t column,

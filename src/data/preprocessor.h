@@ -91,6 +91,13 @@ class TablePreprocessor {
   /// un-scaled; categorical cells snap to the nearest valid category code.
   Table InverseTransform(const Tensor& matrix) const;
 
+  /// Per-cell inverse: the value InverseTransform puts in `column` for a
+  /// model-space value `scaled`. InverseTransform is built on these, so
+  /// decoding single cells (repair) cannot drift from decoding a matrix.
+  double InverseNumericCell(int64_t column, double scaled) const;
+  const std::string& InverseCategoricalCell(int64_t column,
+                                            double scaled) const;
+
   /// Encoded value of one cell (for diagnostics).
   double TransformCell(int64_t column, double numeric_value) const;
 

@@ -1,6 +1,7 @@
 // Tests for the core DQuaG components: model shapes, trainer behaviour,
 // error statistics, validator rules, repairer semantics, and config knobs.
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -275,6 +276,66 @@ TEST(RepairerTest, RepairMovesCellsTowardCleanRange) {
       EXPECT_LT(std::abs(repaired(r, 0) - 0.5f),
                 std::abs(probe(r, 0) - 0.5f));
     }
+  }
+}
+
+TEST(RepairerTest, GatheredForwardIsBitIdenticalToWholeBatch) {
+  Rng rng(15);
+  DquagConfig config = SmallConfig();
+  DquagModel model(SmallGraph(), config, rng);
+  const int64_t rows = 700;
+  Tensor probe = Tensor::RandUniform({rows, 4}, rng, -0.5f, 1.5f);
+  const Tensor reference = model.ReconstructRepair(probe);
+
+  // 420 non-contiguous flagged rows: more than one 256-row forward block,
+  // and several inference chunks once the chunk size drops to 100.
+  BatchVerdict verdict;
+  verdict.instances.resize(static_cast<size_t>(rows));
+  int64_t expected_cells = 0;
+  for (int64_t r = 0; r < rows; ++r) {
+    if (r % 5 == 1 || r % 5 == 4) continue;
+    InstanceVerdict& inst = verdict.instances[static_cast<size_t>(r)];
+    inst.flagged = true;
+    inst.suspect_features = {r % 4};
+    if (r % 3 == 0) inst.suspect_features.push_back((r + 2) % 4);
+    expected_cells += static_cast<int64_t>(inst.suspect_features.size());
+  }
+
+  for (int64_t chunk_rows : {config.inference_chunk_rows, int64_t{100}}) {
+    DquagConfig chunked = config;
+    chunked.inference_chunk_rows = chunk_rows;
+    Repairer repairer(&model, nullptr, chunked);
+    int64_t cells = 0;
+    const Tensor repaired = repairer.RepairMatrix(probe, verdict, &cells);
+    EXPECT_EQ(cells, expected_cells) << "chunk " << chunk_rows;
+    for (int64_t r = 0; r < rows; ++r) {
+      const InstanceVerdict& inst = verdict.instances[static_cast<size_t>(r)];
+      for (int64_t c = 0; c < 4; ++c) {
+        const bool suspect =
+            std::find(inst.suspect_features.begin(),
+                      inst.suspect_features.end(),
+                      c) != inst.suspect_features.end();
+        EXPECT_EQ(repaired(r, c), suspect ? reference(r, c) : probe(r, c))
+            << "chunk " << chunk_rows << " row " << r << " col " << c;
+      }
+    }
+  }
+}
+
+TEST(RepairerTest, NothingFlaggedReturnsAnIdenticalCopy) {
+  Rng rng(16);
+  DquagConfig config = SmallConfig();
+  DquagModel model(SmallGraph(), config, rng);
+  Tensor probe = Tensor::RandUniform({300, 4}, rng, 0.0f, 1.0f);
+  BatchVerdict verdict;
+  verdict.instances.resize(300);
+  Repairer repairer(&model, nullptr, config);
+  int64_t cells = -1;
+  const Tensor repaired = repairer.RepairMatrix(probe, verdict, &cells);
+  EXPECT_EQ(cells, 0);
+  ASSERT_EQ(repaired.shape(), probe.shape());
+  for (int64_t i = 0; i < probe.numel(); ++i) {
+    EXPECT_EQ(repaired.data()[i], probe.data()[i]) << "element " << i;
   }
 }
 

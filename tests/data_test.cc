@@ -152,6 +152,62 @@ TEST(PreprocessorTest, InverseSnapsToNearestCategory) {
   EXPECT_EQ(prep.InverseTransform(m).Categorical(0)[0], "b");
 }
 
+TEST(PreprocessorTest, PerCellInverseMatchesInverseTransform) {
+  const Schema schema({
+      {"city", ColumnType::kCategorical, "city name"},
+      {"population", ColumnType::kNumeric, "population count"},
+      {"never_seen", ColumnType::kCategorical, "always missing in training"},
+  });
+  Table clean(schema);
+  clean.AppendRow({10.0}, {"alpha", ""});
+  clean.AppendRow({250.0}, {"beta", ""});
+  clean.AppendRow({40.0}, {"gamma", ""});
+  clean.AppendRow({MissingValue()}, {"delta", ""});
+  TablePreprocessor prep;
+  prep.Fit(clean);
+
+  // Encoded rows with the missing and unknown sentinels, then raw
+  // model-space values in and far out of range, including snap ties.
+  Table encoded(schema);
+  encoded.AppendRow({MissingValue()}, {"", "x"});
+  encoded.AppendRow({1e6}, {"typo", ""});
+  encoded.AppendRow({-40.0}, {"gamma", "beta"});
+  Tensor m = prep.Transform(encoded);
+  const std::vector<float> raw = {
+      -0.5f, 1.5f, 0.0f, 1.0f, 0.1666667f, 0.5f, 0.8333333f, -7.25f,
+      42.0f, 0.49999f, 0.99f, -0.0f};
+  Tensor extra({static_cast<int64_t>(raw.size()), 3});
+  for (size_t i = 0; i < raw.size(); ++i) {
+    const int64_t r = static_cast<int64_t>(i);
+    extra(r, 0) = raw[i];
+    extra(r, 1) = raw[(i + 1) % raw.size()];
+    extra(r, 2) = raw[(i + 2) % raw.size()];
+  }
+
+  for (const Tensor* matrix : {&m, &extra}) {
+    const Table whole = prep.InverseTransform(*matrix);
+    for (int64_t r = 0; r < matrix->dim(0); ++r) {
+      const size_t i = static_cast<size_t>(r);
+      EXPECT_EQ(prep.InverseCategoricalCell(0, (*matrix)(r, 0)),
+                whole.Categorical(0)[i])
+          << "row " << r;
+      EXPECT_EQ(prep.InverseNumericCell(1, (*matrix)(r, 1)),
+                whole.Numeric(1)[i])
+          << "row " << r;
+      EXPECT_EQ(prep.InverseCategoricalCell(2, (*matrix)(r, 2)),
+                whole.Categorical(2)[i])
+          << "row " << r;
+    }
+  }
+  // The sentinels clamp to the vocabulary's ends.
+  EXPECT_EQ(prep.InverseCategoricalCell(0, MinMaxScaler::kMissingSentinel),
+            "alpha");
+  EXPECT_EQ(
+      prep.InverseCategoricalCell(0, TablePreprocessor::kUnknownSentinel),
+      "gamma");
+  EXPECT_EQ(prep.InverseCategoricalCell(2, 0.0), "");
+}
+
 TEST(PreprocessorTest, LabelEncoderDeterministicOrder) {
   LabelEncoder enc;
   enc.Fit({"zebra", "ant", "mule", "ant"});

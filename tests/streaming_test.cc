@@ -353,36 +353,57 @@ TEST(StreamingFailureTest, ReaderFailureWithChunksInFlightIsReturned) {
 
 TEST(StreamingRepairTest, ChunkRepairsConcatenateToBatchRepair) {
   DquagPipeline pipeline = FitTaxiPipeline();
-  const Table fresh = DirtyTaxi(200);
-  const BatchVerdict batch = pipeline.Validate(fresh);
-  const RepairResult whole = pipeline.Repair(fresh, batch);
-  ASSERT_GT(whole.cells_repaired, 0);
+  const Table fresh = DirtyTaxi(300);
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
 
-  StreamingValidatorOptions options;
-  options.repair = true;
-  StreamingValidator streamer(&pipeline, options);
-  TableViewChunkReader reader(&fresh, 7);
-  Table stitched(fresh.schema());
-  auto verdict = streamer.Run(reader, [&](const StreamChunk& chunk) {
-    ASSERT_NE(chunk.repair, nullptr);
-    stitched.AppendRows(chunk.repair->repaired);
-  });
-  ASSERT_TRUE(verdict.ok());
+  for (bool quantized : {false, true}) {
+    const ValidationMode mode{quantized, 0.25};
+    const BatchVerdict batch = pipeline.validator().Validate(fresh, mode);
+    const RepairResult whole = pipeline.Repair(fresh, batch);
+    ASSERT_GT(whole.cells_repaired, 0);
 
-  EXPECT_EQ(verdict->cells_repaired, whole.cells_repaired);
-  EXPECT_EQ(verdict->instances_repaired, whole.instances_repaired);
-  ASSERT_EQ(stitched.num_rows(), whole.repaired.num_rows());
-  for (int64_t c = 0; c < fresh.num_columns(); ++c) {
-    if (fresh.schema().column(c).type == ColumnType::kNumeric) {
-      for (int64_t r = 0; r < stitched.num_rows(); ++r) {
-        const size_t i = static_cast<size_t>(r);
-        const double a = stitched.Numeric(c)[i];
-        const double b = whole.repaired.Numeric(c)[i];
-        EXPECT_TRUE(a == b || (std::isnan(a) && std::isnan(b)))
-            << "col " << c << " row " << r;
+    for (ThreadPool* pool : {&pool1, &pool4}) {
+      for (int64_t max_in_flight : {1, 8}) {
+        for (int64_t chunk_rows : {1, 7, 256, 1000}) {
+          SCOPED_TRACE(testing::Message()
+                       << "quantized " << quantized << " threads "
+                       << pool->num_threads() << " in_flight "
+                       << max_in_flight << " chunk " << chunk_rows);
+          StreamingValidatorOptions options;
+          options.repair = true;
+          options.mode = mode;
+          options.pool = pool;
+          options.max_in_flight = max_in_flight;
+          StreamingValidator streamer(&pipeline, options);
+          TableViewChunkReader reader(&fresh, chunk_rows);
+          Table stitched(fresh.schema());
+          auto verdict = streamer.Run(reader, [&](const StreamChunk& chunk) {
+            ASSERT_NE(chunk.repair, nullptr);
+            stitched.AppendRows(chunk.repair->repaired);
+          });
+          ASSERT_TRUE(verdict.ok());
+
+          EXPECT_EQ(verdict->flagged_rows, batch.flagged_rows);
+          EXPECT_EQ(verdict->cells_repaired, whole.cells_repaired);
+          EXPECT_EQ(verdict->instances_repaired, whole.instances_repaired);
+          ASSERT_EQ(stitched.num_rows(), whole.repaired.num_rows());
+          for (int64_t c = 0; c < fresh.num_columns(); ++c) {
+            if (fresh.schema().column(c).type == ColumnType::kNumeric) {
+              for (int64_t r = 0; r < stitched.num_rows(); ++r) {
+                const size_t i = static_cast<size_t>(r);
+                const double a = stitched.Numeric(c)[i];
+                const double b = whole.repaired.Numeric(c)[i];
+                EXPECT_TRUE(a == b || (std::isnan(a) && std::isnan(b)))
+                    << "col " << c << " row " << r;
+              }
+            } else {
+              EXPECT_EQ(stitched.Categorical(c), whole.repaired.Categorical(c))
+                  << "col " << c;
+            }
+          }
+        }
       }
-    } else {
-      EXPECT_EQ(stitched.Categorical(c), whole.repaired.Categorical(c));
     }
   }
 }
@@ -440,6 +461,28 @@ TEST(ServiceStreamTest, ValidateStreamMatchesValidate) {
   });
   ASSERT_TRUE(stream.ok());
   ExpectStreamEqualsBatch(*stream, reassembled, batch);
+}
+
+TEST(ServiceStreamTest, TryValidateAndRepairMatchesPipelineRepair) {
+  ValidationService service(FitTaxiPipeline());
+  const Table fresh = DirtyTaxi(600);
+  const DquagPipeline& pipeline = service.pipeline();
+  const RepairResult expected =
+      pipeline.Repair(fresh, pipeline.Validate(fresh));
+  ASSERT_GT(expected.cells_repaired, 0);
+
+  auto repaired = service.TryValidateAndRepair(fresh);
+  ASSERT_TRUE(repaired.ok());
+  EXPECT_EQ(repaired->cells_repaired, expected.cells_repaired);
+  EXPECT_EQ(repaired->instances_repaired, expected.instances_repaired);
+  EXPECT_EQ(WriteCsvString(repaired->repaired.ToCsv()),
+            WriteCsvString(expected.repaired.ToCsv()));
+
+  const Table empty(fresh.schema());
+  auto none = service.TryValidateAndRepair(empty);
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none->repaired.num_rows(), 0);
+  EXPECT_EQ(none->cells_repaired, 0);
 }
 
 TEST(ServiceStreamTest, ObserveStreamFeedsMonitorLikeObserveVerdict) {
