@@ -15,23 +15,17 @@
 //
 // Parity gate: both formats must decode to bit-identical tables (FNV-1a
 // over every cell, computed outside the timed region). Performance gate:
-// warm columnar ingest must beat CSV by >= DQUAG_MIN_SPEEDUP (default 5x).
-// Exits non-zero on either failure — CI runs this as a regression gate.
-//
-// --json[=path] writes a BENCH_columnar.json machine-readable summary
-// (default path: BENCH_columnar.json). DQUAG_BENCH_FAST=1 shrinks the
-// workload.
+// warm columnar ingest must beat CSV by >= kMinSpeedup (5x). Exits
+// non-zero on either failure — CI runs this as a regression gate.
+// DQUAG_BENCH_FAST=1 shrinks the workload.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "bench_util.h"
-#include "util/atomic_file.h"
 #include "data/columnar_reader.h"
 #include "data/columnar_writer.h"
 #include "data/error_injector.h"
@@ -42,6 +36,9 @@
 
 namespace dquag {
 namespace {
+
+/// Warm columnar ingest must run at least this many times faster than CSV.
+constexpr double kMinSpeedup = 5.0;
 
 int64_t FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
@@ -95,13 +92,12 @@ uint64_t DrainHash(TableChunkReader& reader) {
   return h;
 }
 
-int RunAll(const char* json_path) {
+int RunAll() {
   const bool fast = bench::FastMode();
   const int64_t rows = bench::EnvInt("DQUAG_ROWS", fast ? 4000 : 50000);
   const int64_t chunk_rows = bench::EnvInt("DQUAG_CHUNK_ROWS", 4096);
   const int64_t block_rows = bench::EnvInt("DQUAG_BLOCK_ROWS", 4096);
   const int64_t repeats = bench::EnvInt("DQUAG_REPEATS", fast ? 2 : 3);
-  const double min_speedup = bench::EnvDouble("DQUAG_MIN_SPEEDUP", 5.0);
 
   std::printf("=== columnar vs CSV ingest ===\n");
   std::printf("(%lld rows, chunk %lld, block %lld, best of %lld)\n",
@@ -219,7 +215,7 @@ int RunAll(const char* json_path) {
               convert_seconds, static_cast<long long>(csv_bytes),
               static_cast<long long>(dqc_bytes), is_mapped ? "yes" : "no");
   std::printf("warm columnar vs csv: %.1fx (gate: >= %.1fx)\n", warm_speedup,
-              min_speedup);
+              kMinSpeedup);
 
   bool failed = false;
   if (csv_hash != dqc_hash) {
@@ -237,46 +233,11 @@ int RunAll(const char* json_path) {
                  static_cast<unsigned long long>(warm_extra_bytes));
     failed = true;
   }
-  if (warm_speedup < min_speedup) {
+  if (warm_speedup < kMinSpeedup) {
     std::fprintf(stderr,
                  "FAIL: warm columnar ingest is only %.1fx CSV (gate %.1fx)\n",
-                 warm_speedup, min_speedup);
+                 warm_speedup, kMinSpeedup);
     failed = true;
-  }
-
-  if (json_path != nullptr) {
-    std::ostringstream out;
-    out << "{\n"
-        << "  \"rows\": " << rows << ",\n"
-        << "  \"chunk_rows\": " << chunk_rows << ",\n"
-        << "  \"block_rows\": " << block_rows << ",\n"
-        << "  \"convert_seconds\": " << convert_seconds << ",\n"
-        << "  \"csv_seconds\": " << csv_seconds << ",\n"
-        << "  \"columnar_cold_seconds\": " << cold_seconds << ",\n"
-        << "  \"columnar_warm_seconds\": " << warm_seconds << ",\n"
-        << "  \"csv_rows_per_sec\": " << csv_rows_per_sec << ",\n"
-        << "  \"columnar_cold_rows_per_sec\": " << cold_rows_per_sec << ",\n"
-        << "  \"columnar_warm_rows_per_sec\": " << warm_rows_per_sec << ",\n"
-        << "  \"warm_speedup_vs_csv\": " << warm_speedup << ",\n"
-        << "  \"csv_file_bytes\": " << csv_bytes << ",\n"
-        << "  \"dqc_file_bytes\": " << dqc_bytes << ",\n"
-        << "  \"payload_bytes_touched_cold\": " << cold_bytes_touched
-        << ",\n"
-        << "  \"payload_bytes_touched_warm_extra\": " << warm_extra_bytes
-        << ",\n"
-        << "  \"mmap\": " << (is_mapped ? "true" : "false") << ",\n"
-        << "  \"decode_parity\": " << (csv_hash == dqc_hash ? "true" : "false")
-        << ",\n"
-        << "  \"gate_min_speedup\": " << min_speedup << ",\n"
-        << "  \"gate_passed\": " << (failed ? "false" : "true") << "\n"
-        << "}\n";
-    const Status json_status = WriteFileAtomic(json_path, out.str());
-    if (!json_status.ok()) {
-      std::fprintf(stderr, "FAIL: writing %s: %s\n", json_path,
-                   json_status.ToString().c_str());
-      failed = true;
-    }
-    std::printf("wrote %s\n", json_path);
   }
 
   std::remove(csv_path.c_str());
@@ -287,17 +248,7 @@ int RunAll(const char* json_path) {
 }  // namespace
 }  // namespace dquag
 
-int main(int argc, char** argv) {
+int main() {
   dquag::SetLogLevel(dquag::LogLevel::kWarning);
-  const char* json_path = nullptr;
-  std::string json_storage;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_columnar.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_storage = argv[i] + 7;
-      json_path = json_storage.c_str();
-    }
-  }
-  return dquag::RunAll(json_path);
+  return dquag::RunAll();
 }

@@ -10,18 +10,15 @@
 // drop or error a single one, and the bench exits non-zero if it does —
 // this is the zero-drop gate CI enforces.
 //
-// --json[=path] writes a BENCH_drift.json machine-readable summary
-// (default path: BENCH_drift.json). DQUAG_BENCH_FAST=1 shrinks the
-// workload. Knobs: DQUAG_TRAIN_ROWS, DQUAG_EPOCHS, DQUAG_DRIFT_CLIENTS.
+// DQUAG_BENCH_FAST=1 shrinks the workload. Knobs: DQUAG_TRAIN_ROWS,
+// DQUAG_EPOCHS, DQUAG_DRIFT_CLIENTS.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,7 +30,6 @@
 #include "data/generators.h"
 #include "serve/client.h"
 #include "serve/server.h"
-#include "util/atomic_file.h"
 #include "util/csv.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -236,7 +232,7 @@ ServeMetrics RunServeLeg(const std::string& checkpoint, const Table& clean,
   return m;
 }
 
-int RunAll(const char* json_path) {
+int RunAll() {
   const bool fast = bench::FastMode();
   const int64_t train_rows = bench::EnvInt("DQUAG_TRAIN_ROWS", 600);
   const int64_t epochs = bench::EnvInt("DQUAG_EPOCHS", fast ? 2 : 4);
@@ -288,58 +284,13 @@ int RunAll(const char* json_path) {
               static_cast<long long>(serve.requests_during_retrain),
               static_cast<long long>(serve.requests_dropped));
 
-  const bool ok = drift.ok && serve.ok;
-  if (json_path != nullptr) {
-    std::ostringstream out;
-    out << "{\n"
-        << "  \"train_rows\": " << train_rows << ",\n"
-        << "  \"batch_rows\": " << batch_rows << ",\n"
-        << "  \"shift_fraction\": " << shift << ",\n"
-        << "  \"detection_latency_batches\": " << drift.detection_batches
-        << ",\n"
-        << "  \"detection_latency_rows\": " << drift.detection_rows << ",\n"
-        << "  \"retrain_wall_ms\": " << drift.retrain_wall_ms << ",\n"
-        << "  \"degraded_flag_rate\": " << drift.degraded_flag_rate << ",\n"
-        << "  \"recovered_flag_rate\": " << drift.recovered_flag_rate
-        << ",\n"
-        << "  \"serve_clients\": " << clients << ",\n"
-        << "  \"serve_retrains\": " << serve.retrains << ",\n"
-        << "  \"serve_drift_to_swap_ms\": " << serve.drift_to_swap_ms
-        << ",\n"
-        << "  \"serve_requests_total\": " << serve.requests_total << ",\n"
-        << "  \"serve_requests_during_retrain\": "
-        << serve.requests_during_retrain << ",\n"
-        << "  \"serve_requests_dropped\": " << serve.requests_dropped
-        << ",\n"
-        << "  \"zero_drop\": "
-        << (serve.requests_dropped == 0 ? "true" : "false") << ",\n"
-        << "  \"ok\": " << (ok ? "true" : "false") << "\n"
-        << "}\n";
-    const Status json_status = WriteFileAtomic(json_path, out.str());
-    if (!json_status.ok()) {
-      std::fprintf(stderr, "FAIL: writing %s: %s\n", json_path,
-                   json_status.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path);
-  }
-  return ok ? 0 : 1;
+  return drift.ok && serve.ok ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace dquag
 
-int main(int argc, char** argv) {
+int main() {
   dquag::SetLogLevel(dquag::LogLevel::kWarning);
-  const char* json_path = nullptr;
-  std::string json_storage;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_drift.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_storage = argv[i] + 7;
-      json_path = json_storage.c_str();
-    }
-  }
-  return dquag::RunAll(json_path);
+  return dquag::RunAll();
 }

@@ -11,23 +11,19 @@
 //             and reports the quantized verdict flip fraction;
 //   part 3 — ValidationService scaling across concurrent client threads.
 //
-// --json[=path] writes a BENCH_inference.json machine-readable summary
-// (default path: BENCH_inference.json). Exits non-zero if the speedup gate
-// fails (quantized vs forced-scalar float, DQUAG_MIN_SPEEDUP, default 2.0),
-// if scalar/dispatched verdicts diverge, or if the quantized flip fraction
-// exceeds 0.5% — CI runs this as a regression gate.
+// Exits non-zero if the speedup gate fails (quantized vs forced-scalar
+// float, kMinSpeedup = 2.0x), if scalar/dispatched verdicts diverge, or if
+// the quantized flip fraction exceeds 0.5% — CI runs this as a regression
+// gate.
 // DQUAG_BENCH_FAST=1 shrinks the workload for smoke runs.
 
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <sstream>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "util/atomic_file.h"
 #include "core/validation_service.h"
 #include "data/generators.h"
 #include "engine/inference_context.h"
@@ -37,6 +33,10 @@
 
 namespace dquag {
 namespace {
+
+/// The int8 path must run at least this many times faster than the
+/// forced-scalar float path.
+constexpr double kMinSpeedup = 2.0;
 
 /// Identical per-instance verdicts, bit for bit (errors compared as raw
 /// IEEE doubles).
@@ -53,13 +53,12 @@ bool VerdictsBitIdentical(const std::vector<InstanceVerdict>& a,
   return true;
 }
 
-int RunAll(const char* json_path) {
+int RunAll() {
   const bool fast = bench::FastMode();
   const int64_t train_rows = bench::EnvInt("DQUAG_ROWS", fast ? 1000 : 3000);
   const int64_t epochs = bench::EnvInt("DQUAG_EPOCHS", fast ? 3 : 10);
   const int64_t eval_rows =
       bench::EnvInt("DQUAG_ENGINE_EVAL_ROWS", fast ? 20000 : 100000);
-  const double min_speedup = bench::EnvDouble("DQUAG_MIN_SPEEDUP", 2.0);
 
   // Train on the Figure-4 shape: NY Taxi, 18 columns.
   Rng rng(41);
@@ -82,7 +81,6 @@ int RunAll(const char* json_path) {
               static_cast<long long>(model.encoder().config().hidden_dim));
   std::printf("%10s  %14s  %14s  %8s\n", "batch", "tape rows/s",
               "engine rows/s", "speedup");
-  double tape_2048 = 0.0, engine_2048 = 0.0;
   // 512 is the service micro-batch default, 2048 the validator chunk
   // default, 8192 a large request.
   for (const int64_t batch : {512LL, 2048LL, 8192LL}) {
@@ -116,10 +114,6 @@ int RunAll(const char* json_path) {
     });
     const double engine_s = engine_timer.ElapsedSeconds();
 
-    if (batch == 2048) {
-      tape_2048 = eval_rows / tape_s;
-      engine_2048 = eval_rows / engine_s;
-    }
     std::printf("%10lld  %14.0f  %14.0f  %7.2fx\n",
                 static_cast<long long>(batch), eval_rows / tape_s,
                 eval_rows / engine_s, tape_s / engine_s);
@@ -213,41 +207,12 @@ int RunAll(const char* json_path) {
                  100.0 * flip_fraction);
     failed = true;
   }
-  if (quant_speedup < min_speedup) {
+  if (quant_speedup < kMinSpeedup) {
     std::fprintf(stderr,
                  "FAIL: quantized speedup %.2fx vs scalar float below the "
-                 "%.2fx gate (DQUAG_MIN_SPEEDUP)\n",
-                 quant_speedup, min_speedup);
+                 "%.2fx gate\n",
+                 quant_speedup, kMinSpeedup);
     failed = true;
-  }
-
-  if (json_path != nullptr) {
-    std::ostringstream out;
-    out << "{\n"
-        << "  \"eval_rows\": " << eval_rows << ",\n"
-        << "  \"kernel_table\": \"" << simd::ActiveKernels().name << "\",\n"
-        << "  \"tape_rows_per_sec_batch2048\": " << tape_2048 << ",\n"
-        << "  \"engine_rows_per_sec_batch2048\": " << engine_2048 << ",\n"
-        << "  \"scalar_float_rows_per_sec\": " << scalar_float << ",\n"
-        << "  \"dispatched_float_rows_per_sec\": " << dispatched_float
-        << ",\n"
-        << "  \"quantized_rows_per_sec\": " << quantized_rows << ",\n"
-        << "  \"dispatched_vs_scalar_speedup\": " << dispatch_speedup
-        << ",\n"
-        << "  \"quantized_vs_scalar_speedup\": " << quant_speedup << ",\n"
-        << "  \"min_speedup_gate\": " << min_speedup << ",\n"
-        << "  \"verdict_bit_identity\": " << (bit_identical ? "true" : "false")
-        << ",\n"
-        << "  \"quantized_flip_fraction\": " << flip_fraction << ",\n"
-        << "  \"gates_passed\": " << (failed ? "false" : "true") << "\n"
-        << "}\n";
-    const Status json_status = WriteFileAtomic(json_path, out.str());
-    if (!json_status.ok()) {
-      std::fprintf(stderr, "FAIL: writing %s: %s\n", json_path,
-                   json_status.ToString().c_str());
-      failed = true;
-    }
-    std::printf("wrote %s\n", json_path);
   }
 
   std::printf("\n=== ValidationService scaling (concurrent clients) ===\n");
@@ -281,17 +246,7 @@ int RunAll(const char* json_path) {
 }  // namespace
 }  // namespace dquag
 
-int main(int argc, char** argv) {
+int main() {
   dquag::SetLogLevel(dquag::LogLevel::kWarning);
-  const char* json_path = nullptr;
-  std::string json_storage;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_inference.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_storage = argv[i] + 7;
-      json_path = json_storage.c_str();
-    }
-  }
-  return dquag::RunAll(json_path);
+  return dquag::RunAll();
 }

@@ -22,8 +22,8 @@
 //     model, and the caller must decide that, not the transport.
 //
 // Retry accounting is exposed via retry_stats() for tests and the CLI.
-// Used by the CLI (deploy/stats/shutdown), the integration tests,
-// the chaos suite and bench_serve.
+// Used by the CLI (deploy/stats/shutdown), the integration tests, the
+// chaos suite, bench_drift_recovery and perfbench's serve workload.
 
 #ifndef DQUAG_SERVE_CLIENT_H_
 #define DQUAG_SERVE_CLIENT_H_

@@ -3,9 +3,9 @@
 // A failpoint is a named site in production code where a test (or the
 // DQUAG_FAILPOINTS environment variable) can inject an error Status, a
 // fixed delay, or a hard process crash. Sites compile into release builds
-// as a single relaxed atomic load — with no failpoint armed the cost is a
-// predicted-not-taken branch, cheap enough to leave in the serving hot
-// path (the bench_serve gate pins this at < 3% p50).
+// as a single relaxed atomic load — with no failpoint armed the cost is
+// that load and a predicted-not-taken branch, cheap enough to leave in the
+// serving hot path.
 //
 // Activation:
 //   * Environment: DQUAG_FAILPOINTS="site=action[@p][;site=action[@p]...]"

@@ -321,6 +321,64 @@ TEST(RetrainControllerTest, RetrainIsBitIdenticalToManualFineTune) {
   std::remove(manual_path.c_str());
 }
 
+// ---- Post-swap cooldown -----------------------------------------------------
+
+// After a successful swap, drift is ignored for `cooldown_rows` observed
+// rows; the trigger re-arms only after that many rows and a fresh streak.
+TEST(RetrainControllerTest, CooldownHoldsTheTriggerThenReArms) {
+  Rng rng(6);
+  Table clean = datasets::GenerateCreditCard(600, rng);
+  DquagPipeline pipeline(SmallConfig(12));
+  ASSERT_TRUE(pipeline.Fit(clean).ok());
+  const std::string checkpoint = "/tmp/dquag_drift_cooldown.ckpt";
+  ASSERT_TRUE(pipeline.Save(checkpoint).ok());
+
+  ValidationServiceOptions service_options;
+  service_options.monitor.warmup_rows = 200;
+  auto service = ValidationService::FromCheckpoint(checkpoint,
+                                                   service_options);
+  ASSERT_TRUE(service.ok());
+
+  RetrainOptions retrain;
+  retrain.min_buffer_rows = 64;
+  retrain.trigger_observations = 2;
+  retrain.cooldown_rows = 1000;
+  retrain.finetune_epochs = 1;
+  // The swap is a no-op, so the service keeps seeing the shifted regime
+  // as drift and only the cooldown can hold the trigger.
+  RetrainController controller(checkpoint, retrain,
+                               [](const std::string&) {
+                                 return Status::Ok();
+                               });
+
+  Table shifted = ShiftNumericColumns(clean, 0.3);
+  Rng stream_rng(4);
+  auto observe = [&] {
+    Table batch = SampleBatch(shifted, 200, stream_rng);
+    BatchVerdict verdict = (*service)->Validate(batch);
+    controller.ObserveBatch(batch, verdict,
+                            (*service)->ObserveVerdict(verdict));
+  };
+  for (int fed = 0; fed < 30 && !controller.ShouldRetrain(); ++fed) observe();
+  ASSERT_TRUE(controller.ShouldRetrain());
+  auto path = controller.RetrainAndSwap();
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+
+  // 1000 rows of cooldown = five 200-row batches, all ignored.
+  for (int batch = 0; batch < 5; ++batch) {
+    observe();
+    EXPECT_FALSE(controller.ShouldRetrain()) << "cooldown batch " << batch;
+  }
+  // Then a fresh streak of trigger_observations drifting batches re-arms.
+  observe();
+  EXPECT_FALSE(controller.ShouldRetrain());
+  observe();
+  EXPECT_TRUE(controller.ShouldRetrain());
+
+  std::remove(checkpoint.c_str());
+  std::remove(path->c_str());
+}
+
 // ---- Chaos: every retrain.* failpoint site fails closed --------------------
 
 class RetrainChaosTest : public ::testing::Test {
@@ -415,6 +473,13 @@ TEST(DriftServeTest, AutoRetrainUnderConcurrentTrafficDropsNothing) {
   options.retrain.max_buffer_rows = 2048;
   options.retrain.trigger_observations = 3;
   options.retrain.finetune_epochs = 2;
+  // The small stale model over-flags even its own clean sample, so the
+  // loop may retrain during the clean phase too. The traffic repeats one
+  // 200-row sample, so without a cooldown it re-arms the trigger at once
+  // and each later generation fine-tunes on copies of the rows its
+  // predecessor trained on, collapsing the recalibrated threshold. Four
+  // buffers of traffic outlast the post-swap window this test checks.
+  options.retrain.cooldown_rows = 4 * options.retrain.max_buffer_rows;
   options.registry.service.monitor.warmup_rows = 300;
   options.registry.service.monitor.drift_window_rows = 1200;
   ServeDaemon daemon(options);
@@ -461,15 +526,31 @@ TEST(DriftServeTest, AutoRetrainUnderConcurrentTrafficDropsNothing) {
   }
 
   // Let some clean traffic flow, then shift the regime and wait for the
-  // loop to detect, retrain and swap.
+  // loop to detect, retrain and swap. The small stale model over-flags
+  // even its own clean sample, so it may already have retrained on the
+  // clean regime; only a retrain that STARTS after the shift fine-tunes
+  // on shifted rows, so that is the one to wait for.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  auto before_drift = daemon.RetrainSnapshot("acme");
+  const int64_t attempts_before_drift =
+      before_drift.ok() ? before_drift->attempts : 0;
   drifted.store(true, std::memory_order_release);
 
-  int64_t retrains = 0;
-  for (int poll = 0; poll < 300 && retrains == 0; ++poll) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  int64_t retrains = 0;  // finished retrains that started after the shift
+  for (int poll = 0; poll < 3000 && retrains < 1; ++poll) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    auto snapshot = daemon.RetrainSnapshot("acme");
+    if (snapshot.ok()) {
+      retrains = snapshot->successes + snapshot->failures -
+                 attempts_before_drift;
+    }
+  }
+  // Keep the traffic on the swapped-in model until its monitor has
+  // observed some of it, so the stats below read that monitor.
+  for (int poll = 0; poll < 3000; ++poll) {
     auto stats = observer->Stats("acme");
-    if (stats.ok() && !stats->empty()) retrains = (*stats)[0].retrains;
+    if (stats.ok() && !stats->empty() && (*stats)[0].monitor_rows > 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   stop.store(true, std::memory_order_release);
   for (std::thread& worker : workers) worker.join();

@@ -1,9 +1,12 @@
 // Tests for the tape-free inference engine: numerical equivalence with the
 // autograd tape across every encoder kind, workspace reuse after warm-up,
+// byte-identical verdicts under the scalar and dispatched kernel tables,
 // and race-freedom of concurrent Validate calls on one fitted pipeline
 // (serial and parallel verdicts must be identical).
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "core/validation_service.h"
 #include "data/generators.h"
 #include "engine/inference_context.h"
+#include "tensor/simd.h"
 
 namespace dquag {
 namespace {
@@ -136,6 +140,51 @@ TEST(EngineConcurrencyTest, ParallelValidateMatchesSerial) {
   }
   for (std::thread& t : threads) t.join();
   for (const BatchVerdict& v : verdicts) ExpectSameVerdict(serial, v);
+}
+
+// Every SIMD kernel must be byte-identical to the scalar reference, so the
+// end-to-end verdicts are too: errors compared as raw IEEE doubles, over
+// several validator-sized blocks and a ragged tail.
+TEST(EngineTest, ScalarAndDispatchedVerdictsAreByteIdentical) {
+  // Resets the process-wide override even when an assertion returns early,
+  // so the scalar table cannot leak into later tests.
+  struct OverrideReset {
+    ~OverrideReset() { simd::SetKernelTableOverride(nullptr); }
+  } reset;
+
+  DquagPipeline pipeline = FitPipeline(EncoderKind::kGatGin, /*rows=*/200,
+                                       /*epochs=*/3);
+  Rng rng(37);
+  const Table batch = datasets::GenerateNyTaxi(4500, rng, /*dims=*/10);
+  const Tensor matrix = pipeline.preprocessor().Transform(batch);
+  const int64_t rows = matrix.dim(0);
+  constexpr int64_t kBlockRows = 2048;  // the validator's chunk size
+
+  auto validate = [&](const simd::SimdKernelTable* table) {
+    simd::SetKernelTableOverride(table);
+    InferenceContext& ctx = InferenceContext::ThreadLocal();
+    std::vector<InstanceVerdict> out(static_cast<size_t>(rows));
+    for (int64_t start = 0; start < rows; start += kBlockRows) {
+      pipeline.validator().ValidateRowsInto(
+          matrix, start, std::min(rows, start + kBlockRows), ctx,
+          out.data() + start);
+    }
+    return out;
+  };
+  const std::vector<InstanceVerdict> scalar =
+      validate(&simd::ScalarKernels());
+  const std::vector<InstanceVerdict> dispatched = validate(nullptr);
+
+  ASSERT_EQ(scalar.size(), dispatched.size());
+  for (size_t i = 0; i < scalar.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&scalar[i].error, &dispatched[i].error,
+                          sizeof(double)),
+              0)
+        << "row " << i;
+    EXPECT_EQ(scalar[i].flagged, dispatched[i].flagged) << "row " << i;
+    EXPECT_EQ(scalar[i].suspect_features, dispatched[i].suspect_features)
+        << "row " << i;
+  }
 }
 
 TEST(ValidationServiceTest, MicroBatchedVerdictMatchesPipeline) {

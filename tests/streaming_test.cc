@@ -356,12 +356,24 @@ TEST(StreamingRepairTest, ChunkRepairsConcatenateToBatchRepair) {
   const Table fresh = DirtyTaxi(300);
   ThreadPool pool1(1);
   ThreadPool pool4(4);
+  const BatchVerdict float_batch = pipeline.validator().Validate(fresh);
 
   for (bool quantized : {false, true}) {
     const ValidationMode mode{quantized, 0.25};
     const BatchVerdict batch = pipeline.validator().Validate(fresh, mode);
     const RepairResult whole = pipeline.Repair(fresh, batch);
     ASSERT_GT(whole.cells_repaired, 0);
+
+    // The int8 contract (ValidationMode): at most 0.5% of row verdicts
+    // flip versus the float path.
+    ASSERT_EQ(batch.instances.size(), float_batch.instances.size());
+    int64_t flips = 0;
+    for (size_t r = 0; r < batch.instances.size(); ++r) {
+      if (batch.instances[r].flagged != float_batch.instances[r].flagged) {
+        ++flips;
+      }
+    }
+    EXPECT_LE(flips, fresh.num_rows() / 200) << "quantized " << quantized;
 
     for (ThreadPool* pool : {&pool1, &pool4}) {
       for (int64_t max_in_flight : {1, 8}) {

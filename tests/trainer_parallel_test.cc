@@ -13,7 +13,10 @@
 
 #include "autograd/grad_arena.h"
 #include "autograd/ops.h"
+#include "core/pipeline.h"
 #include "core/trainer.h"
+#include "data/generators.h"
+#include "data/preprocessor.h"
 #include "nn/losses.h"
 #include "util/thread_pool.h"
 
@@ -62,14 +65,20 @@ Tensor TestData(int64_t rows, uint64_t seed) {
   return data;
 }
 
-TrainingReport FitWithPool(ThreadPool* pool, int64_t train_shards) {
-  DquagConfig config = TestConfig();
+TrainingReport Fit(const FeatureGraph& graph, DquagConfig config,
+                   const Tensor& data, ThreadPool* pool,
+                   int64_t train_shards) {
   config.train_shards = train_shards;
   Rng rng(11);
-  DquagModel model(TestGraph(), config, rng);
+  DquagModel model(graph, config, rng);
   Trainer trainer(&model, config);
   trainer.set_thread_pool(pool);
-  return trainer.Fit(TestData(320, 17));
+  return trainer.Fit(data);
+}
+
+TrainingReport FitWithPool(ThreadPool* pool, int64_t train_shards) {
+  return Fit(TestGraph(), TestConfig(), TestData(320, 17), pool,
+             train_shards);
 }
 
 // (a) Fixed seed => identical epoch losses, threshold, and calibration
@@ -100,12 +109,13 @@ TEST(TrainerParallelTest, IdenticalResultsAcrossThreadCounts) {
   }
 }
 
-// Sharded training only reassociates the loss/gradient sums of the
-// single-tape path; with the same seed the trajectories must stay within
-// float-reassociation distance.
-TEST(TrainerParallelTest, ParallelMatchesSerialPathWithin1e4) {
-  const TrainingReport parallel = FitWithPool(nullptr, /*train_shards=*/8);
-  const TrainingReport serial = FitWithPool(nullptr, /*train_shards=*/1);
+void ExpectShardedMatchesSerialWithin1e4(const FeatureGraph& graph,
+                                         const DquagConfig& config,
+                                         const Tensor& data) {
+  const TrainingReport parallel =
+      Fit(graph, config, data, nullptr, /*train_shards=*/8);
+  const TrainingReport serial =
+      Fit(graph, config, data, nullptr, /*train_shards=*/1);
 
   ASSERT_EQ(parallel.epoch_losses.size(), serial.epoch_losses.size());
   for (size_t e = 0; e < parallel.epoch_losses.size(); ++e) {
@@ -114,6 +124,33 @@ TEST(TrainerParallelTest, ParallelMatchesSerialPathWithin1e4) {
   }
   EXPECT_NEAR(parallel.error_statistics.threshold,
               serial.error_statistics.threshold, 1e-4);
+}
+
+// Sharded training only reassociates the loss/gradient sums of the
+// single-tape path; with the same seed the trajectories must stay within
+// float-reassociation distance. Checked on the toy graph and on the
+// paper-scale shape: the default config on 18-column NY Taxi with its
+// mined feature graph.
+TEST(TrainerParallelTest, ParallelMatchesSerialPathWithin1e4) {
+  {
+    SCOPED_TRACE("toy graph");
+    ExpectShardedMatchesSerialWithin1e4(TestGraph(), TestConfig(),
+                                        TestData(320, 17));
+  }
+  {
+    SCOPED_TRACE("NY Taxi, default config");
+    Rng rng(41);
+    const Table taxi = datasets::GenerateNyTaxi(1000, rng);
+    TablePreprocessor preprocessor;
+    preprocessor.Fit(taxi);
+    auto graph = FeatureGraph::FromRelationships(
+        taxi.schema().Names(), MineRelationships(TableToMinerColumns(taxi)));
+    ASSERT_TRUE(graph.ok());
+    DquagConfig config;
+    config.epochs = 2;
+    ExpectShardedMatchesSerialWithin1e4(*graph, config,
+                                        preprocessor.Transform(taxi));
+  }
 }
 
 // (b) Finite-difference gradient check of the full model loss through the
