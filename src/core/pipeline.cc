@@ -4,6 +4,7 @@
 
 #include "tensor/quantized.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace dquag {
 
@@ -104,7 +105,15 @@ void DquagPipeline::ComputeDriftProfile(const Table& clean) {
                                      : Table();
   const Table& sample = sample_rows < clean.num_rows() ? sliced : clean;
 
-  const BatchVerdict verdict = validator_->Validate(sample);
+  // Kernels never fan out, so spread the sample's rows evenly over the
+  // pool here (Fit runs on the caller's thread).
+  ThreadPool& pool = GlobalThreadPool();
+  const int64_t threads = static_cast<int64_t>(pool.num_threads());
+  const int64_t chunk_rows =
+      std::max<int64_t>(1, std::min(options_.config.inference_chunk_rows,
+                                    (sample_rows + threads - 1) / threads));
+  const BatchVerdict verdict = validator_->ValidateMatrixOn(
+      pool, preprocessor_->Transform(sample), chunk_rows);
   const int64_t columns = preprocessor_->schema().num_columns();
   report_.column_clean_suspect_rate.assign(static_cast<size_t>(columns), 0.0);
   for (size_t row : verdict.flagged_rows) {

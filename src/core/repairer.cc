@@ -88,6 +88,7 @@ RepairResult Repairer::Repair(const Table& batch, const Tensor& matrix,
   DQUAG_CHECK(preprocessor_ != nullptr);
   DQUAG_CHECK_EQ(matrix.dim(0), batch.num_rows());
   RepairResult result;
+  result.is_dirty = verdict.is_dirty;
   // Only repaired cells change; every other cell keeps its original value
   // rather than a numeric round trip through the scaler.
   result.repaired = batch;

@@ -26,6 +26,8 @@ struct RepairResult {
   int64_t cells_repaired = 0;
   /// Number of instances with at least one repaired cell.
   int64_t instances_repaired = 0;
+  /// The batch-level verdict the repair acted on (is the batch dirty?).
+  bool is_dirty = false;
 };
 
 class Repairer {

@@ -1,8 +1,6 @@
 #include "core/trainer.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
 
 #include "autograd/ops.h"
 #include "data/preprocessor.h"
@@ -18,6 +16,11 @@ namespace {
 /// outweighs the arithmetic. Part of the determinism contract: the shard
 /// count derives from the batch size through this constant only.
 constexpr int64_t kMinShardRows = 16;
+
+/// Below this total parameter count the pool dispatch costs more than the
+/// Adam update itself; paper-scale models sit near the boundary, wide ones
+/// gain.
+constexpr int64_t kParallelAdamThreshold = int64_t{1} << 16;
 
 }  // namespace
 
@@ -85,9 +88,19 @@ void Trainer::EnsureShardState(int64_t num_shards) {
 
 void Trainer::RunShardTasks(int64_t count,
                             const std::function<void(int64_t)>& fn) const {
-  // Private latch, not pool.Wait(): waiting on the shared pool would couple
-  // this step to unrelated submitters (same idiom as ValidationService).
-  RunTasksAndWait(pool_ != nullptr ? *pool_ : GlobalThreadPool(), count, fn);
+  RunTasksAndWait(pool(), count, fn);
+}
+
+void Trainer::StepOptimizer() {
+  if (optimizer_.total_numel() < kParallelAdamThreshold) {
+    optimizer_.Step();
+    return;
+  }
+  // Parameters update independently, so the fan-out cannot change results.
+  optimizer_.Step([this](int64_t count,
+                         const std::function<void(int64_t)>& fn) {
+    RunShardTasks(count, fn);
+  });
 }
 
 double Trainer::Step(const Tensor& batch) {
@@ -136,7 +149,7 @@ double Trainer::StepSerial(const Tensor& batch) {
     Backward(total);
     loss_value = total->value()[0];
   }  // tape destroyed inside the scope: payloads return to the pool
-  optimizer_.Step();
+  StepOptimizer();
   return loss_value;
 }
 
@@ -264,7 +277,7 @@ double Trainer::StepParallel(const Tensor& batch, int64_t num_shards) {
     std::copy(reduced.data(), reduced.data() + reduced.numel(), grad.data());
   });
 
-  optimizer_.Step();
+  StepOptimizer();
   return loss_value;
 }
 
@@ -381,7 +394,11 @@ std::vector<double> Trainer::ComputeErrors(const Tensor& matrix) const {
   const int64_t rows = matrix.dim(0);
   const int64_t d = matrix.dim(1);
   std::vector<double> errors(static_cast<size_t>(rows));
-  const int64_t chunk = std::max<int64_t>(1, config_.inference_chunk_rows);
+  // Rows spread evenly over the pool, at most inference_chunk_rows a chunk.
+  const int64_t threads = static_cast<int64_t>(pool().num_threads());
+  const int64_t chunk =
+      std::max<int64_t>(1, std::min(config_.inference_chunk_rows,
+                                    (rows + threads - 1) / threads));
   const int64_t num_chunks = (rows + chunk - 1) / chunk;
   // Tape-free engine path, fanned across the pool: each worker stages the
   // chunk into its thread-local workspace (one preallocated slice buffer

@@ -96,10 +96,7 @@ class Trainer {
   /// parameter fan-out (nullptr = the process-wide pool). Tests drive
   /// 1/2/8-thread pools through this; results are identical by
   /// construction.
-  void set_thread_pool(ThreadPool* pool) {
-    pool_ = pool;
-    optimizer_.set_thread_pool(pool);
-  }
+  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Payload allocations performed by the training arenas so far, summed
   /// over the serial arena and every shard arena. Stable across steps after
@@ -132,6 +129,11 @@ class Trainer {
   /// Grows per-shard arenas / gradient sinks up to `num_shards`.
   void EnsureShardState(int64_t num_shards);
 
+  /// The injected pool, else the process-wide one.
+  ThreadPool& pool() const {
+    return pool_ != nullptr ? *pool_ : GlobalThreadPool();
+  }
+
   /// Runs fn(0..count) on the shard pool behind a private completion latch
   /// (degrades to inline execution for 1-thread pools or nested calls).
   void RunShardTasks(int64_t count,
@@ -139,6 +141,10 @@ class Trainer {
 
   double StepSerial(const Tensor& batch);
   double StepParallel(const Tensor& batch, int64_t num_shards);
+
+  /// One Adam step, its parameters fanned out over the shard pool when the
+  /// model is large enough to pay for the dispatch.
+  void StepOptimizer();
 
   DquagModel* model_;
   DquagConfig config_;

@@ -1,9 +1,5 @@
 #include "core/validation_service.h"
 
-#include <algorithm>
-#include <condition_variable>
-
-#include "engine/inference_context.h"
 #include "util/thread_pool.h"
 
 namespace dquag {
@@ -30,39 +26,11 @@ BatchVerdict ValidationService::Validate(const Table& batch) const {
 }
 
 BatchVerdict ValidationService::ValidateMatrix(const Tensor& matrix) const {
-  DQUAG_CHECK_EQ(matrix.ndim(), 2);
-  const int64_t rows = matrix.dim(0);
-  const Validator& validator = pipeline_.validator();
-
-  BatchVerdict verdict;
-  verdict.threshold = validator.threshold();
-  verdict.instances.resize(static_cast<size_t>(rows));
-
-  const ValidationMode mode = validation_mode();
-  const int64_t micro = options_.micro_batch_rows;
-  const int64_t num_chunks = micro > 0 ? (rows + micro - 1) / micro : 0;
-  if (num_chunks <= 1 || InsidePoolWorker()) {
-    // Degrade gracefully: one chunk, or a caller that is itself a pool
-    // worker (fanning out would wait on the pool from inside it).
-    if (rows > 0) {
-      validator.ValidateRowsInto(matrix, 0, rows,
-                                 InferenceContext::ThreadLocal(),
-                                 verdict.instances.data(), mode);
-    }
-  } else {
-    // Fan the chunks across the shared pool behind a private latch — not
-    // ThreadPool::Wait(), which would couple concurrent callers.
-    RunTasksAndWait(GlobalThreadPool(), num_chunks, [&](int64_t c) {
-      const int64_t lo = c * micro;
-      const int64_t hi = std::min(rows, lo + micro);
-      validator.ValidateRowsInto(matrix, lo, hi,
-                                 InferenceContext::ThreadLocal(),
-                                 verdict.instances.data() + lo, mode);
-    });
-  }
-
-  validator.FinalizeVerdict(verdict);
-  return verdict;
+  // Micro-batches share the process-wide pool; each call waits on its own
+  // latch, so concurrent callers never wait on each other's chunks.
+  return pipeline_.validator().ValidateMatrixOn(
+      GlobalThreadPool(), matrix, options_.micro_batch_rows,
+      validation_mode());
 }
 
 Status ValidationService::CheckSchema(const Table& batch) const {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "nn/losses.h"
+#include "util/thread_pool.h"
 
 namespace dquag {
 
@@ -166,6 +167,27 @@ BatchVerdict Validator::ValidateMatrix(const Tensor& matrix,
     ValidateRowsInto(matrix, start, end, ctx,
                      verdict.instances.data() + start, mode);
   }
+  FinalizeVerdict(verdict);
+  return verdict;
+}
+
+BatchVerdict Validator::ValidateMatrixOn(ThreadPool& pool,
+                                         const Tensor& matrix,
+                                         int64_t chunk_rows,
+                                         const ValidationMode& mode) const {
+  DQUAG_CHECK_EQ(matrix.ndim(), 2);
+  DQUAG_CHECK_GT(chunk_rows, 0);
+  const int64_t rows = matrix.dim(0);
+
+  BatchVerdict verdict;
+  verdict.threshold = threshold_;
+  verdict.instances.resize(static_cast<size_t>(rows));
+  RunTasksAndWait(pool, (rows + chunk_rows - 1) / chunk_rows, [&](int64_t c) {
+    const int64_t start = c * chunk_rows;
+    const int64_t end = std::min(rows, start + chunk_rows);
+    ValidateRowsInto(matrix, start, end, InferenceContext::ThreadLocal(),
+                     verdict.instances.data() + start, mode);
+  });
   FinalizeVerdict(verdict);
   return verdict;
 }

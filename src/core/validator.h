@@ -7,8 +7,8 @@
 //   * feature flagged    <=> its error > mu_i + k * sigma_i within the
 //                            flagged instance
 // Validation runs on the tape-free inference engine in fixed-size chunks;
-// rows are independent along the batch axis, so any chunking (serial or the
-// ValidationService's parallel micro-batches) produces identical verdicts.
+// rows are independent along the batch axis, so any chunking (serial or
+// fanned out over a pool by ValidateMatrixOn) produces identical verdicts.
 
 #ifndef DQUAG_CORE_VALIDATOR_H_
 #define DQUAG_CORE_VALIDATOR_H_
@@ -22,6 +22,8 @@
 #include "engine/inference_context.h"
 
 namespace dquag {
+
+class ThreadPool;
 
 /// How the validator runs the reconstruction forward pass.
 ///
@@ -71,6 +73,13 @@ class Validator {
   /// Validates an already-preprocessed matrix [B, d].
   BatchVerdict ValidateMatrix(const Tensor& matrix,
                               const ValidationMode& mode = {}) const;
+
+  /// ValidateMatrix fanned out over `pool`: one task per `chunk_rows` rows,
+  /// waited on through a private latch (inline when called from a pool
+  /// worker). Rows are independent, so the verdict equals ValidateMatrix's.
+  BatchVerdict ValidateMatrixOn(ThreadPool& pool, const Tensor& matrix,
+                                int64_t chunk_rows,
+                                const ValidationMode& mode = {}) const;
 
   /// Engine-path validation of rows [start, end) of `matrix`, writing the
   /// per-instance verdicts into out[0 .. end-start). `ctx` is the calling

@@ -2,7 +2,6 @@
 
 #include "tensor/simd.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace dquag {
 
@@ -24,21 +23,9 @@ void QuantizedLinearInto(const Tensor& x, const QuantizedWeight& qw,
   Tensor& xscales = ctx.Acquire({rows});
   const float* pb = bias != nullptr ? bias->data() : nullptr;
 
-  auto run = [&](size_t lo, size_t hi) {
-    const int64_t m = static_cast<int64_t>(hi - lo);
-    const int64_t base = static_cast<int64_t>(lo);
-    kt.quantize_rows(x.data() + base * k, m, k, kp, xq + base * kp,
-                     xscales.data() + base);
-    kt.qgemm(xq + base * kp, xscales.data() + base, qw.packed.data(),
-             qw.scales.data(), pb, out.data() + base * n, m, kp, n);
-  };
-  // Same fan-out heuristic as LinearInto: pool dispatch only pays off for
-  // the big Phase-2 inference chunks.
-  if (rows >= 1024 && rows * k * n >= (int64_t{32} << 20)) {
-    ParallelForChunked(0, static_cast<size_t>(rows), run, /*min_chunk=*/64);
-  } else {
-    run(0, static_cast<size_t>(rows));
-  }
+  kt.quantize_rows(x.data(), rows, k, kp, xq, xscales.data());
+  kt.qgemm(xq, xscales.data(), qw.packed.data(), qw.scales.data(), pb,
+           out.data(), rows, kp, n);
 }
 
 QuantizedActivation QuantizeActivation(const Tensor& x, int64_t k,
@@ -70,20 +57,9 @@ void QuantizedGemmInto(const QuantizedActivation& act,
   DQUAG_CHECK(!qw.packed.empty());
   const float* pb = bias != nullptr ? bias->data() : nullptr;
 
-  auto run = [&](size_t lo, size_t hi) {
-    const int64_t m = static_cast<int64_t>(hi - lo);
-    const int64_t base = static_cast<int64_t>(lo);
-    simd::ActiveKernels().qgemm(act.xq + base * act.k_padded,
-                                act.scales + base, qw.packed.data(),
-                                qw.scales.data(), pb, out.data() + base * n, m,
-                                act.k_padded, n);
-  };
-  if (act.rows >= 1024 && act.rows * qw.in * n >= (int64_t{32} << 20)) {
-    ParallelForChunked(0, static_cast<size_t>(act.rows), run,
-                      /*min_chunk=*/64);
-  } else {
-    run(0, static_cast<size_t>(act.rows));
-  }
+  simd::ActiveKernels().qgemm(act.xq, act.scales, qw.packed.data(),
+                              qw.scales.data(), pb, out.data(), act.rows,
+                              act.k_padded, n);
 }
 
 }  // namespace dquag

@@ -2,17 +2,7 @@
 
 #include <cmath>
 
-#include "util/thread_pool.h"
-
 namespace dquag {
-
-namespace {
-
-/// Below this total parameter count the pool dispatch costs more than the
-/// update itself; paper-scale models sit near the boundary, wide ones gain.
-constexpr int64_t kParallelStepThreshold = int64_t{1} << 16;
-
-}  // namespace
 
 Adam::Adam(std::vector<VarPtr> parameters, AdamOptions options)
     : parameters_(std::move(parameters)), options_(options) {
@@ -25,7 +15,7 @@ Adam::Adam(std::vector<VarPtr> parameters, AdamOptions options)
   }
 }
 
-void Adam::Step() {
+void Adam::Step(const ParameterRunner& run) {
   ++step_count_;
   const float b1 = options_.beta1;
   const float b2 = options_.beta2;
@@ -41,13 +31,14 @@ void Adam::Step() {
   const float eps = options_.epsilon;
   const float decay = options_.weight_decay;
 
-  const auto update_param = [&](size_t i) {
-    Variable& p = *parameters_[i];
+  const auto update_param = [&](int64_t i) {
+    const size_t pi = static_cast<size_t>(i);
+    Variable& p = *parameters_[pi];
     if (!p.has_grad()) return;
     float* w = p.mutable_value().data();
     const float* g = p.grad().data();
-    float* m = first_moment_[i].data();
-    float* v = second_moment_[i].data();
+    float* m = first_moment_[pi].data();
+    float* v = second_moment_[pi].data();
     const int64_t n = p.value().numel();
     // The decay test is loop-invariant; two specialized loops keep the hot
     // (decay-free) path branchless and vectorizable.
@@ -70,17 +61,12 @@ void Adam::Step() {
     }
   };
 
-  // Parameters update independently, so fanning out over the pool cannot
-  // change results — each element's math is identical on any thread count.
-  // A private latch (not pool.Wait()) keeps the step decoupled from other
-  // submitters sharing the pool.
-  if (total_numel_ < kParallelStepThreshold) {
-    for (size_t i = 0; i < parameters_.size(); ++i) update_param(i);
-    return;
+  const int64_t count = static_cast<int64_t>(parameters_.size());
+  if (run) {
+    run(count, update_param);
+  } else {
+    for (int64_t i = 0; i < count; ++i) update_param(i);
   }
-  RunTasksAndWait(pool_ != nullptr ? *pool_ : GlobalThreadPool(),
-                  static_cast<int64_t>(parameters_.size()),
-                  [&](int64_t i) { update_param(static_cast<size_t>(i)); });
 }
 
 void Adam::ZeroGrad() {

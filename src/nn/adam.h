@@ -5,13 +5,12 @@
 #define DQUAG_NN_ADAM_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "autograd/variable.h"
 
 namespace dquag {
-
-class ThreadPool;
 
 struct AdamOptions {
   float learning_rate = 0.01f;  // paper §4.4
@@ -26,10 +25,14 @@ class Adam {
  public:
   Adam(std::vector<VarPtr> parameters, AdamOptions options = {});
 
-  /// Applies one update from the currently accumulated gradients. Large
-  /// models fan the per-parameter updates across the global pool; elements
-  /// update independently, so results never depend on the thread count.
-  void Step();
+  /// Calls fn(i) once for every i in [0, count), in any order or thread.
+  using ParameterRunner = std::function<void(
+      int64_t count, const std::function<void(int64_t)>& fn)>;
+
+  /// Applies one update from the currently accumulated gradients. `run`
+  /// (nullptr = a serial loop) drives the per-parameter updates; parameters
+  /// update independently, so results never depend on how it spreads them.
+  void Step(const ParameterRunner& run = nullptr);
 
   /// Zeroes all parameter gradients.
   void ZeroGrad();
@@ -38,13 +41,11 @@ class Adam {
   const AdamOptions& options() const { return options_; }
   void set_learning_rate(float lr) { options_.learning_rate = lr; }
 
-  /// Pool for the per-parameter fan-out (nullptr = the process-wide pool).
-  /// Step waits on a private latch, never on the shared pool's global
-  /// in-flight count, so concurrent pool users cannot stall the optimizer.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
+  /// Elements across all parameters: what a caller weighs against the cost
+  /// of fanning Step out.
+  int64_t total_numel() const { return total_numel_; }
 
  private:
-  ThreadPool* pool_ = nullptr;
   std::vector<VarPtr> parameters_;
   std::vector<Tensor> first_moment_;
   std::vector<Tensor> second_moment_;

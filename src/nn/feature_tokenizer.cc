@@ -1,10 +1,7 @@
 #include "nn/feature_tokenizer.h"
 
-#include <algorithm>
-
 #include "autograd/ops.h"
 #include "nn/init.h"
-#include "util/thread_pool.h"
 
 namespace dquag {
 
@@ -38,20 +35,17 @@ Tensor& FeatureTokenizer::InferForward(const Tensor& x,
   const float* pu = scale_->value().data();
   const float* pc = shift_->value().data();
   float* po = out.data();
-  ParallelFor(0, static_cast<size_t>(batch),
-              [&](size_t b) {
-                const float* row = px + static_cast<int64_t>(b) * d;
-                float* dst = po + static_cast<int64_t>(b) * d * h;
-                for (int64_t f = 0; f < d; ++f) {
-                  const float v = row[f];
-                  const float* u = pu + f * h;
-                  const float* c = pc + f * h;
-                  float* o = dst + f * h;
-                  for (int64_t j = 0; j < h; ++j) o[j] = v * u[j] + c[j];
-                }
-              },
-              /*grain=*/static_cast<size_t>(
-                  std::max<int64_t>(1, (1 << 18) / std::max<int64_t>(1, d * h))));
+  for (int64_t b = 0; b < batch; ++b) {
+    const float* row = px + b * d;
+    float* dst = po + b * d * h;
+    for (int64_t f = 0; f < d; ++f) {
+      const float v = row[f];
+      const float* u = pu + f * h;
+      const float* c = pc + f * h;
+      float* o = dst + f * h;
+      for (int64_t j = 0; j < h; ++j) o[j] = v * u[j] + c[j];
+    }
+  }
   return out;
 }
 

@@ -380,6 +380,7 @@ WireResponse ServeDaemon::HandleValidate(const WireRequest& request,
     wire.cells_repaired = result->cells_repaired;
     wire.instances_repaired = result->instances_repaired;
     flagged_rows = result->instances_repaired;
+    dirty = result->is_dirty;
     response.body = EncodeRepair(wire);
   } else {
     auto verdict = (*service)->TryValidate(*table);

@@ -6,7 +6,6 @@
 
 #include "tensor/fast_math.h"
 #include "tensor/simd.h"
-#include "util/thread_pool.h"
 
 namespace dquag {
 
@@ -34,23 +33,6 @@ std::vector<int64_t> BroadcastStrides(const Shape& src, const Shape& out) {
   return strides;
 }
 
-/// Elementwise loops parallelize only above this size (pool dispatch costs
-/// ~0.5 ms; a 4M-element pass takes ~2 ms serially).
-constexpr int64_t kElementwiseParallelThreshold = int64_t{4} << 20;
-
-template <typename Fn>
-void ForEachFlat(int64_t n, Fn fn) {
-  if (n < kElementwiseParallelThreshold) {
-    fn(0, n);
-    return;
-  }
-  ParallelForChunked(0, static_cast<size_t>(n),
-                     [&](size_t lo, size_t hi) {
-                       fn(static_cast<int64_t>(lo), static_cast<int64_t>(hi));
-                     },
-                     /*min_chunk=*/1 << 18);
-}
-
 template <typename BinaryFn>
 Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
   // Fast path: identical shapes.
@@ -59,9 +41,8 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
     const float* pa = a.data();
     const float* pb = b.data();
     float* po = out.data();
-    ForEachFlat(a.numel(), [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) po[i] = fn(pa[i], pb[i]);
-    });
+    const int64_t n = a.numel();
+    for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i], pb[i]);
     return out;
   }
   // Fast path: b is a scalar.
@@ -70,9 +51,8 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
     Tensor out(a.shape());
     const float* pa = a.data();
     float* po = out.data();
-    ForEachFlat(a.numel(), [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) po[i] = fn(pa[i], s);
-    });
+    const int64_t n = a.numel();
+    for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i], s);
     return out;
   }
   if (a.numel() == 1) {
@@ -80,9 +60,8 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
     Tensor out(b.shape());
     const float* pb = b.data();
     float* po = out.data();
-    ForEachFlat(b.numel(), [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) po[i] = fn(s, pb[i]);
-    });
+    const int64_t n = b.numel();
+    for (int64_t i = 0; i < n; ++i) po[i] = fn(s, pb[i]);
     return out;
   }
   // General broadcast.
@@ -109,9 +88,8 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
     }
     const float* pa2 = a.data();
     const float* pb2 = b.data();
-    float* po_base = out.data();
-    auto outer_slice = [&](int64_t i0) {
-      float* po2 = po_base + i0 * d1 * d2;
+    float* po2 = out.data();
+    for (int64_t i0 = 0; i0 < d0; ++i0) {
       for (int64_t i1 = 0; i1 < d1; ++i1) {
         const float* ra = pa2 + i0 * a0 + i1 * a1;
         const float* rb = pb2 + i0 * b0 + i1 * b1;
@@ -130,15 +108,6 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
         }
         po2 += d2;
       }
-    };
-    if (out.numel() >= kElementwiseParallelThreshold && d0 > 1) {
-      const size_t grain = static_cast<size_t>(
-          std::max<int64_t>(1, (1 << 18) / std::max<int64_t>(1, d1 * d2)));
-      ParallelFor(0, static_cast<size_t>(d0),
-                  [&](size_t i0) { outer_slice(static_cast<int64_t>(i0)); },
-                  grain);
-    } else {
-      for (int64_t i0 = 0; i0 < d0; ++i0) outer_slice(i0);
     }
     return out;
   }
@@ -171,9 +140,8 @@ Tensor UnaryOp(const Tensor& a, UnaryFn fn) {
   Tensor out(a.shape());
   const float* pa = a.data();
   float* po = out.data();
-  ForEachFlat(a.numel(), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) po[i] = fn(pa[i]);
-  });
+  const int64_t n = a.numel();
+  for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i]);
   return out;
 }
 
@@ -281,10 +249,7 @@ Tensor Elu(const Tensor& a, float alpha) {
   Tensor out(a.shape());
   const float* pa = a.data();
   float* po = out.data();
-  const auto& kt = simd::ActiveKernels();
-  ForEachFlat(a.numel(), [&](int64_t lo, int64_t hi) {
-    kt.elu(pa + lo, po + lo, hi - lo, alpha);
-  });
+  simd::ActiveKernels().elu(pa, po, a.numel(), alpha);
   return out;
 }
 Tensor Sigmoid(const Tensor& a) {
@@ -323,17 +288,6 @@ inline void MatMulTransBKernel(const float* a, const float* b, float* c,
   simd::ActiveKernels().matmul_trans_b(a, b, c, m, n, k);
 }
 
-/// Elements below which batch-axis kernels run serially — the thread-pool
-/// dispatch costs more than the copy for small tensors.
-constexpr int64_t kParallelWorkThreshold = 1 << 18;
-
-/// Grain so each parallel chunk carries meaningful work.
-size_t BatchGrain(int64_t batch, int64_t per_batch_elements) {
-  if (per_batch_elements <= 0) return static_cast<size_t>(batch);
-  const int64_t per_chunk = kParallelWorkThreshold / 4 / per_batch_elements;
-  return static_cast<size_t>(std::max<int64_t>(1, per_chunk));
-}
-
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -341,21 +295,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
     DQUAG_CHECK_EQ(k, b.dim(0));
     Tensor out({m, n});
-    // Only parallelize when the arithmetic clearly outweighs the pool
-    // dispatch overhead (~0.5 ms on this class of machine): a serial
-    // 1536x64x64 multiply takes ~0.36 ms, so small-batch training products
-    // run serially and only Phase-2 inference chunks fan out.
-    if (m >= 1024 && m * k * n >= (int64_t{32} << 20)) {
-      ParallelForChunked(0, static_cast<size_t>(m),
-                         [&](size_t lo, size_t hi) {
-                           MatMulKernel(a.data() + lo * k, b.data(),
-                                        out.data() + lo * n,
-                                        static_cast<int64_t>(hi - lo), k, n);
-                         },
-                         /*min_chunk=*/16);
-    } else {
-      MatMulKernel(a.data(), b.data(), out.data(), m, k, n);
-    }
+    MatMulKernel(a.data(), b.data(), out.data(), m, k, n);
     return out;
   }
   if (a.ndim() == 3 && b.ndim() == 2) {
@@ -365,17 +305,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     // copies — row-major layout makes the flattening free).
     const int64_t rows = batch * m;
     Tensor out({batch, m, n});
-    if (rows >= 1024 && rows * k * n >= (int64_t{32} << 20)) {
-      ParallelForChunked(0, static_cast<size_t>(rows),
-                         [&](size_t lo, size_t hi) {
-                           MatMulKernel(a.data() + lo * k, b.data(),
-                                        out.data() + lo * n,
-                                        static_cast<int64_t>(hi - lo), k, n);
-                         },
-                         /*min_chunk=*/64);
-    } else {
-      MatMulKernel(a.data(), b.data(), out.data(), rows, k, n);
-    }
+    MatMulKernel(a.data(), b.data(), out.data(), rows, k, n);
     return out;
   }
   if (a.ndim() == 3 && b.ndim() == 3) {
@@ -383,12 +313,10 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     DQUAG_CHECK_EQ(batch, b.dim(0));
     DQUAG_CHECK_EQ(k, b.dim(1));
     Tensor out({batch, m, n});
-    ParallelFor(0, static_cast<size_t>(batch),
-                [&](size_t bi) {
-                  MatMulKernel(a.data() + bi * m * k, b.data() + bi * k * n,
-                               out.data() + bi * m * n, m, k, n);
-                },
-                /*grain=*/1);
+    for (int64_t bi = 0; bi < batch; ++bi) {
+      MatMulKernel(a.data() + bi * m * k, b.data() + bi * k * n,
+                   out.data() + bi * m * n, m, k, n);
+    }
     return out;
   }
   DQUAG_CHECK(false);  // unsupported rank combination
@@ -636,21 +564,15 @@ Tensor GatherAxis1(const Tensor& t, const std::vector<int32_t>& indices) {
   Tensor out(was_2d ? Shape{num, cols} : Shape{batch, num, cols});
   const float* pt = t.data();
   float* po = out.data();
-  auto kernel = [&](size_t b) {
-    const float* src = pt + static_cast<int64_t>(b) * rows * cols;
-    float* dst = po + static_cast<int64_t>(b) * num * cols;
+  for (int64_t b = 0; b < batch; ++b) {
+    const float* src = pt + b * rows * cols;
+    float* dst = po + b * num * cols;
     for (int64_t e = 0; e < num; ++e) {
       const int32_t idx = indices[static_cast<size_t>(e)];
       DQUAG_CHECK_GE(idx, 0);
       DQUAG_CHECK_LT(idx, rows);
       std::copy(src + idx * cols, src + (idx + 1) * cols, dst + e * cols);
     }
-  };
-  if (out.numel() < kParallelWorkThreshold) {
-    for (int64_t b = 0; b < batch; ++b) kernel(static_cast<size_t>(b));
-  } else {
-    ParallelFor(0, static_cast<size_t>(batch), kernel,
-                BatchGrain(batch, num * cols));
   }
   return out;
 }
@@ -663,9 +585,9 @@ Tensor ScatterAddAxis1(const Tensor& src, const std::vector<int32_t>& indices,
   Tensor out(was_2d ? Shape{num_rows, cols} : Shape{batch, num_rows, cols});
   const float* ps = src.data();
   float* po = out.data();
-  auto kernel = [&](size_t b) {
-    const float* from = ps + static_cast<int64_t>(b) * num * cols;
-    float* to = po + static_cast<int64_t>(b) * num_rows * cols;
+  for (int64_t b = 0; b < batch; ++b) {
+    const float* from = ps + b * num * cols;
+    float* to = po + b * num_rows * cols;
     for (int64_t e = 0; e < num; ++e) {
       const int32_t idx = indices[static_cast<size_t>(e)];
       DQUAG_CHECK_GE(idx, 0);
@@ -674,12 +596,6 @@ Tensor ScatterAddAxis1(const Tensor& src, const std::vector<int32_t>& indices,
       float* acc = to + idx * cols;
       for (int64_t c = 0; c < cols; ++c) acc[c] += row[c];
     }
-  };
-  if (src.numel() < kParallelWorkThreshold) {
-    for (int64_t b = 0; b < batch; ++b) kernel(static_cast<size_t>(b));
-  } else {
-    ParallelFor(0, static_cast<size_t>(batch), kernel,
-                BatchGrain(batch, num * cols));
   }
   return out;
 }
@@ -704,9 +620,9 @@ Tensor SegmentSoftmaxAxis1(const Tensor& scores,
   Tensor out(input.shape());
   const float* ps = input.data();
   float* po = out.data();
-  auto kernel = [&](size_t b) {
-    const float* row = ps + static_cast<int64_t>(b) * num;
-    float* dst = po + static_cast<int64_t>(b) * num;
+  for (int64_t b = 0; b < batch; ++b) {
+    const float* row = ps + b * num;
+    float* dst = po + b * num;
     std::vector<float> seg_max(static_cast<size_t>(num_segments),
                                -std::numeric_limits<float>::infinity());
     std::vector<float> seg_sum(static_cast<size_t>(num_segments), 0.0f);
@@ -726,12 +642,6 @@ Tensor SegmentSoftmaxAxis1(const Tensor& scores,
       const int32_t s = segments[static_cast<size_t>(e)];
       dst[e] /= seg_sum[static_cast<size_t>(s)];
     }
-  };
-  if (input.numel() < kParallelWorkThreshold) {
-    for (int64_t b = 0; b < batch; ++b) kernel(static_cast<size_t>(b));
-  } else {
-    ParallelFor(0, static_cast<size_t>(batch), kernel,
-                BatchGrain(batch, num));
   }
   return was_1d ? out.Reshape({num}) : out;
 }
@@ -780,28 +690,13 @@ void LinearInto(const Tensor& x, const Tensor& w, const Tensor* bias,
   if (bias != nullptr) DQUAG_CHECK_EQ(bias->numel(), n);
 
   const float* pb = bias != nullptr ? bias->data() : nullptr;
-  // Seeding each chunk with the bias (or zero) right before its multiply
-  // keeps the output rows cache-hot for the accumulating kernel.
-  auto run = [&](size_t lo, size_t hi) {
-    const int64_t m = static_cast<int64_t>(hi - lo);
-    float* po = out.data() + static_cast<int64_t>(lo) * n;
-    if (pb != nullptr) {
-      for (int64_t r = 0; r < m; ++r) {
-        std::copy(pb, pb + n, po + r * n);
-      }
-    } else {
-      std::fill(po, po + m * n, 0.0f);
-    }
-    MatMulKernel(x.data() + static_cast<int64_t>(lo) * k, w.data(), po, m, k,
-                 n);
-  };
-  // Same dispatch heuristic as MatMul: only fan out when the arithmetic
-  // clearly outweighs pool dispatch.
-  if (rows >= 1024 && rows * k * n >= (int64_t{32} << 20)) {
-    ParallelForChunked(0, static_cast<size_t>(rows), run, /*min_chunk=*/64);
+  float* po = out.data();
+  if (pb != nullptr) {
+    for (int64_t r = 0; r < rows; ++r) std::copy(pb, pb + n, po + r * n);
   } else {
-    run(0, static_cast<size_t>(rows));
+    std::fill(po, po + rows * n, 0.0f);
   }
+  MatMulKernel(x.data(), w.data(), po, rows, k, n);
 }
 
 void DualMatVecInto(const Tensor& x, const Tensor& w1, const Tensor& w2,
@@ -832,9 +727,8 @@ void ScaleInto(const Tensor& x, float s, Tensor& out) {
   DQUAG_CHECK_EQ(x.numel(), out.numel());
   const float* px = x.data();
   float* po = out.data();
-  ForEachFlat(x.numel(), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) po[i] = s * px[i];
-  });
+  const int64_t n = x.numel();
+  for (int64_t i = 0; i < n; ++i) po[i] = s * px[i];
 }
 
 void GatherScaleScatterAddInto(const Tensor& x,
@@ -859,9 +753,9 @@ void GatherScaleScatterAddInto(const Tensor& x,
   }
   const float* px = x.data();
   float* po = out.data();
-  auto kernel = [&](size_t b) {
-    const float* from = px + static_cast<int64_t>(b) * rows * cols;
-    float* to = po + static_cast<int64_t>(b) * out_rows * cols;
+  for (int64_t b = 0; b < batch; ++b) {
+    const float* from = px + b * rows * cols;
+    float* to = po + b * out_rows * cols;
     for (int64_t e = 0; e < num_arcs; ++e) {
       const int32_t s = src[static_cast<size_t>(e)];
       const int32_t d = dst[static_cast<size_t>(e)];
@@ -870,12 +764,6 @@ void GatherScaleScatterAddInto(const Tensor& x,
       float* to_row = to + d * cols;
       for (int64_t c = 0; c < cols; ++c) to_row[c] += scale * from_row[c];
     }
-  };
-  if (batch * num_arcs * cols < kParallelWorkThreshold) {
-    for (int64_t b = 0; b < batch; ++b) kernel(static_cast<size_t>(b));
-  } else {
-    ParallelFor(0, static_cast<size_t>(batch), kernel,
-                BatchGrain(batch, num_arcs * cols));
   }
 }
 
@@ -893,21 +781,15 @@ void ArcScoreInto(const Tensor& logit_src, const Tensor& logit_dst,
   const float* pls = logit_src.data();
   const float* pld = logit_dst.data();
   float* po = out.data();
-  auto kernel = [&](size_t b) {
-    const float* ls = pls + static_cast<int64_t>(b) * nodes;
-    const float* ld = pld + static_cast<int64_t>(b) * nodes;
-    float* o = po + static_cast<int64_t>(b) * num_arcs;
+  for (int64_t b = 0; b < batch; ++b) {
+    const float* ls = pls + b * nodes;
+    const float* ld = pld + b * nodes;
+    float* o = po + b * num_arcs;
     for (int64_t e = 0; e < num_arcs; ++e) {
       const float v = ls[src[static_cast<size_t>(e)]] +
                       ld[dst[static_cast<size_t>(e)]];
       o[e] = v > 0.0f ? v : negative_slope * v;
     }
-  };
-  if (out.numel() < kParallelWorkThreshold) {
-    for (int64_t b = 0; b < batch; ++b) kernel(static_cast<size_t>(b));
-  } else {
-    ParallelFor(0, static_cast<size_t>(batch), kernel,
-                BatchGrain(batch, num_arcs));
   }
 }
 
@@ -922,15 +804,9 @@ void SegmentSoftmaxCsrInPlace(Tensor& scores,
   const size_t num_segments = offsets.size() - 1;
   float* ps = scores.data();
   const auto& kt = simd::ActiveKernels();
-  auto kernel = [&](size_t b) {
-    kt.segment_softmax_csr(ps + static_cast<int64_t>(b) * num_entries,
-                           offsets.data(), num_segments, order.data());
-  };
-  if (scores.numel() < kParallelWorkThreshold) {
-    for (int64_t b = 0; b < batch; ++b) kernel(static_cast<size_t>(b));
-  } else {
-    ParallelFor(0, static_cast<size_t>(batch), kernel,
-                BatchGrain(batch, num_entries));
+  for (int64_t b = 0; b < batch; ++b) {
+    kt.segment_softmax_csr(ps + b * num_entries, offsets.data(), num_segments,
+                           order.data());
   }
 }
 
@@ -958,10 +834,10 @@ void AttentionScatterAddInto(const Tensor& x, const Tensor& alpha,
   const float* px = x.data();
   const float* pa = alpha.data();
   float* po = out.data();
-  auto kernel = [&](size_t b) {
-    const float* from = px + static_cast<int64_t>(b) * rows * cols;
-    const float* a = pa + static_cast<int64_t>(b) * num_arcs;
-    float* to = po + static_cast<int64_t>(b) * out_rows * out_cols;
+  for (int64_t b = 0; b < batch; ++b) {
+    const float* from = px + b * rows * cols;
+    const float* a = pa + b * num_arcs;
+    float* to = po + b * out_rows * out_cols;
     for (int64_t e = 0; e < num_arcs; ++e) {
       const int32_t s = src[static_cast<size_t>(e)];
       const int32_t d = dst[static_cast<size_t>(e)];
@@ -970,12 +846,6 @@ void AttentionScatterAddInto(const Tensor& x, const Tensor& alpha,
       float* to_row = to + d * out_cols + col_offset;
       for (int64_t c = 0; c < cols; ++c) to_row[c] += w * from_row[c];
     }
-  };
-  if (batch * num_arcs * cols < kParallelWorkThreshold) {
-    for (int64_t b = 0; b < batch; ++b) kernel(static_cast<size_t>(b));
-  } else {
-    ParallelFor(0, static_cast<size_t>(batch), kernel,
-                BatchGrain(batch, num_arcs * cols));
   }
 }
 

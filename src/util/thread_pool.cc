@@ -1,15 +1,14 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "util/failpoint.h"
 
 namespace dquag {
 
 namespace {
-// Set while a pool worker is running a task, so nested ParallelFor calls
-// degrade to serial execution instead of deadlocking on the shared pool.
+// Set on pool worker threads, so nested fan-out degrades to serial
+// execution instead of deadlocking on the shared pool.
 thread_local bool inside_pool_worker = false;
 }  // namespace
 
@@ -39,14 +38,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   task_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -62,10 +55,6 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 
@@ -76,29 +65,6 @@ ThreadPool& GlobalThreadPool() {
   // outlive all static destructors (Google style: no non-trivial globals).
   static ThreadPool& pool = *new ThreadPool();
   return pool;
-}
-
-void ParallelFor(size_t begin, size_t end,
-                 const std::function<void(size_t)>& fn, size_t grain) {
-  if (begin >= end) return;
-  const size_t n = end - begin;
-  ThreadPool& pool = GlobalThreadPool();
-  if (inside_pool_worker || n < grain || pool.num_threads() <= 1) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  const size_t num_chunks =
-      std::min(pool.num_threads() * 4, (n + grain - 1) / grain);
-  const size_t chunk = (n + num_chunks - 1) / num_chunks;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t lo = begin + c * chunk;
-    const size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    pool.Submit([lo, hi, &fn] {
-      for (size_t i = lo; i < hi; ++i) fn(i);
-    });
-  }
-  pool.Wait();
 }
 
 void RunTasksAndWait(ThreadPool& pool, int64_t count,
@@ -119,27 +85,6 @@ void RunTasksAndWait(ThreadPool& pool, int64_t count,
   }
   std::unique_lock<std::mutex> lock(mutex);
   done.wait(lock, [&] { return remaining == 0; });
-}
-
-void ParallelForChunked(size_t begin, size_t end,
-                        const std::function<void(size_t, size_t)>& fn,
-                        size_t min_chunk) {
-  if (begin >= end) return;
-  const size_t n = end - begin;
-  ThreadPool& pool = GlobalThreadPool();
-  if (inside_pool_worker || pool.num_threads() <= 1 || n <= min_chunk) {
-    fn(begin, end);
-    return;
-  }
-  const size_t num_chunks = std::min(pool.num_threads(), n / min_chunk + 1);
-  const size_t chunk = (n + num_chunks - 1) / num_chunks;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t lo = begin + c * chunk;
-    const size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    pool.Submit([lo, hi, &fn] { fn(lo, hi); });
-  }
-  pool.Wait();
 }
 
 }  // namespace dquag

@@ -1,8 +1,12 @@
-// Fixed-size thread pool plus a blocking ParallelFor helper.
+// Fixed-size worker pool and the one fan-out primitive built on it.
 //
-// Used to parallelize batched tensor kernels and Phase-2 validation over
-// instances. The pool is created once per process (GlobalThreadPool) so
-// repeated ParallelFor calls do not pay thread start-up cost.
+// Parallelism lives at the row level only: callers that own many
+// independent units of work (stream chunks, validation micro-batches,
+// trainer shards, calibration and drift-profile row chunks, Adam
+// parameters) split them into tasks and run them with RunTasksAndWait, or,
+// for StreamingValidator's bounded slot loop, Submit directly. Tensor kernels never fan out; they run serially on
+// whichever thread calls them. The pool is created once per process
+// (GlobalThreadPool) so fan-out does not pay thread start-up cost.
 
 #ifndef DQUAG_UTIL_THREAD_POOL_H_
 #define DQUAG_UTIL_THREAD_POOL_H_
@@ -18,7 +22,9 @@
 
 namespace dquag {
 
-/// A minimal fixed-size worker pool.
+/// A minimal fixed-size worker pool. It has no pool-wide "wait until idle":
+/// every caller waits on its own completion latch, so one caller's tasks
+/// never hold up another's.
 class ThreadPool {
  public:
   /// Creates `num_threads` workers; 0 means hardware concurrency.
@@ -31,9 +37,6 @@ class ThreadPool {
   /// Enqueues a task for asynchronous execution.
   void Submit(std::function<void()> task);
 
-  /// Blocks until all submitted tasks have completed.
-  void Wait();
-
   size_t num_threads() const { return workers_.size(); }
 
  private:
@@ -43,37 +46,22 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  size_t in_flight_ = 0;
   bool shutting_down_ = false;
 };
 
-/// Process-wide pool shared by all parallel kernels.
+/// Process-wide pool shared by all row-level fan-out.
 ThreadPool& GlobalThreadPool();
 
-/// True when the calling thread is a GlobalThreadPool worker executing a
-/// task. Fan-out code uses this to degrade to serial execution instead of
-/// submitting nested work and waiting on the pool from inside it.
+/// True when the calling thread is a pool worker executing a task. Fan-out
+/// code uses this to degrade to serial execution instead of submitting
+/// nested work and waiting on the pool from inside it.
 bool InsidePoolWorker();
 
-/// Runs fn(i) for i in [begin, end), splitting the range into contiguous
-/// chunks across the global pool. Falls back to serial execution for small
-/// ranges (< grain) or when called from inside a pool worker.
-void ParallelFor(size_t begin, size_t end,
-                 const std::function<void(size_t)>& fn, size_t grain = 256);
-
-/// Chunked variant: fn(chunk_begin, chunk_end) per worker chunk. Useful when
-/// per-iteration dispatch would dominate.
-void ParallelForChunked(size_t begin, size_t end,
-                        const std::function<void(size_t, size_t)>& fn,
-                        size_t min_chunk = 1);
-
 /// Runs fn(i) for i in [0, count) as `count` tasks on `pool` and waits on a
-/// PRIVATE latch — unlike ParallelFor/pool.Wait(), completion never depends
-/// on other submitters' in-flight work, so concurrent pool users cannot
-/// stall the caller. Degrades to inline execution when count <= 1, the pool
-/// has a single thread, or the caller is itself a pool worker (nested
-/// fan-out would wait on the pool from inside it).
+/// private latch, so completion never depends on other submitters' work.
+/// Runs inline when count <= 1, the pool has a single thread, or the caller
+/// is itself a pool worker (nested fan-out would wait on the pool from
+/// inside it).
 void RunTasksAndWait(ThreadPool& pool, int64_t count,
                      const std::function<void(int64_t)>& fn);
 

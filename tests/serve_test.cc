@@ -3,18 +3,24 @@
 // garbage/truncation fuzz — no malformed payload may do worse than return
 // an error Status), and the multi-tenant model registry (lazy loads, LRU
 // eviction under capacity pressure, duplicate-load suppression under a
-// thundering herd, atomic hot-swap mid-traffic, bounded admission). The
-// threaded cases run under the CI ThreadSanitizer job.
+// thundering herd, atomic hot-swap mid-traffic, bounded admission), plus
+// the daemon's per-tenant dirty-batch accounting and a guard that service
+// calls never wait on unrelated pool work. The threaded cases run under
+// the CI ThreadSanitizer job.
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <map>
+#include <mutex>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,12 +30,17 @@
 
 #include "core/pipeline.h"
 #include "core/validation_service.h"
+#include "data/error_injector.h"
 #include "data/generators.h"
+#include "serve/client.h"
 #include "serve/model_registry.h"
 #include "serve/percentile_counter.h"
+#include "serve/server.h"
 #include "serve/wire.h"
 #include "util/binary_io.h"
+#include "util/csv.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dquag {
 namespace {
@@ -572,6 +583,91 @@ TEST(ModelRegistryTest, AdmissionBudgetRejectsGracefully) {
   *first = ModelRegistry::AdmitTicket();
   auto fourth = registry.Admit("alpha");
   EXPECT_TRUE(fourth.ok());
+}
+
+// ------------------------------------------------------------ ServeDaemon
+
+TEST(ServeDaemonTest, RepairOfDirtyBatchCountsAsDirty) {
+  ServeOptions options;
+  options.registry = SmallRegistryOptions();
+  ServeDaemon daemon(options);
+  ASSERT_TRUE(daemon.Start().ok());
+  ASSERT_TRUE(daemon.registry().Deploy("acme", CheckpointForSeed(42)).ok());
+  auto client = ServeClient::Connect("127.0.0.1", daemon.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  ErrorInjector injector(5);
+  const Table dirty =
+      injector.InjectNumericAnomalies(FreshBatch(3, /*rows=*/64),
+                                      {"fare_amount", "trip_distance"}, 0.5)
+          .table;
+  const std::string csv = WriteCsvString(dirty.ToCsv());
+  auto verdict = client->Validate("acme", csv);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  ASSERT_TRUE(verdict->is_dirty);
+
+  auto repair = client->Repair("acme", csv);
+  ASSERT_TRUE(repair.ok()) << repair.status().ToString();
+  auto stats = client->Stats("acme");
+  ASSERT_TRUE(stats.ok());
+  ASSERT_EQ(stats->size(), 1u);
+  EXPECT_EQ((*stats)[0].requests_ok, 2);
+  EXPECT_EQ((*stats)[0].dirty_batches, 2);  // the validate and the repair
+  daemon.Stop();
+}
+
+// ------------------------------------------------------ pool independence
+
+TEST(ValidationServiceTest, ValidateNeverWaitsOnUnrelatedPoolWork) {
+  // Default encoder on the 18-column taxi table: 256 rows through its
+  // message-passing layers is big enough that a kernel which fanned out and
+  // then waited for the whole shared pool to go idle would wait here.
+  Rng rng(17);
+  DquagPipelineOptions options;
+  options.config.epochs = 1;
+  options.config.seed = 17;
+  DquagPipeline pipeline(std::move(options));
+  ASSERT_TRUE(pipeline.Fit(datasets::GenerateNyTaxi(600, rng)).ok());
+  const std::string path =
+      ::testing::TempDir() + "serve_test_pool_independence.bin";
+  ASSERT_TRUE(pipeline.Save(path).ok());
+  auto service = ValidationService::FromCheckpoint(path);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const Table batch = datasets::GenerateNyTaxi(256, rng);
+
+  // An unrelated pool task that stays blocked until released.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool started = false;
+  bool release = false;
+  bool done = false;
+  GlobalThreadPool().Submit([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    started = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+    done = true;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return started; });
+  }
+
+  auto pending = std::async(std::launch::async,
+                            [&] { return (*service)->TryValidate(batch); });
+  const bool finished = pending.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  // Release before asserting, so a failure reports instead of hanging.
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    release = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return done; });
+  }
+  EXPECT_TRUE(finished) << "TryValidate waited on an unrelated pool task";
+  EXPECT_TRUE(pending.get().ok());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -278,36 +280,48 @@ TEST(CsvStreamParserTest, UnterminatedQuoteNamesItsLine) {
 
 // ---- ThreadPool ------------------------------------------------------------
 
-TEST(ThreadPoolTest, ParallelForCoversRange) {
+TEST(ThreadPoolTest, RunTasksAndWaitRunsEveryIndexExactlyOnce) {
+  ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(0, 1000, [&](size_t i) { hits[i].fetch_add(1); },
-              /*grain=*/8);
+  RunTasksAndWait(pool, 1000, [&](int64_t i) {
+    hits[static_cast<size_t>(i)].fetch_add(1);
+  });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, ParallelForChunkedCoversRange) {
-  std::atomic<int64_t> total{0};
-  ParallelForChunked(0, 10000, [&](size_t lo, size_t hi) {
-    int64_t local = 0;
-    for (size_t i = lo; i < hi; ++i) local += static_cast<int64_t>(i);
-    total.fetch_add(local);
-  });
-  EXPECT_EQ(total.load(), 10000LL * 9999 / 2);
-}
-
-TEST(ThreadPoolTest, NestedParallelForFallsBackToSerial) {
-  std::atomic<int> count{0};
-  ParallelFor(0, 512, [&](size_t) {
-    // Nested call must not deadlock.
-    ParallelFor(0, 4, [&](size_t) { count.fetch_add(1); }, 1);
-  }, 1);
-  EXPECT_EQ(count.load(), 512 * 4);
-}
-
-TEST(ThreadPoolTest, EmptyRangeIsNoop) {
+TEST(ThreadPoolTest, RunTasksAndWaitZeroIsNoopAndOneRunsInline) {
+  ThreadPool pool(4);
   bool touched = false;
-  ParallelFor(5, 5, [&](size_t) { touched = true; });
+  RunTasksAndWait(pool, 0, [&](int64_t) { touched = true; });
   EXPECT_FALSE(touched);
+
+  std::thread::id ran_on;
+  int64_t index = -1;
+  RunTasksAndWait(pool, 1, [&](int64_t i) {
+    ran_on = std::this_thread::get_id();
+    index = i;
+  });
+  EXPECT_EQ(index, 0);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPoolTest, NestedRunTasksAndWaitRunsInlineWithoutDeadlock) {
+  // Every outer task occupies a worker; a nested fan-out that queued onto
+  // the same pool and waited would deadlock once all workers are busy.
+  ThreadPool pool(2);
+  std::atomic<int> count{0};
+  std::atomic<int> ran_elsewhere{0};
+  RunTasksAndWait(pool, 64, [&](int64_t) {
+    EXPECT_TRUE(InsidePoolWorker());
+    const std::thread::id outer = std::this_thread::get_id();
+    RunTasksAndWait(pool, 4, [&](int64_t) {
+      if (std::this_thread::get_id() != outer) ran_elsewhere.fetch_add(1);
+      count.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(count.load(), 64 * 4);
+  EXPECT_EQ(ran_elsewhere.load(), 0);
+  EXPECT_FALSE(InsidePoolWorker());
 }
 
 // ---- Stopwatch ---------------------------------------------------------------
