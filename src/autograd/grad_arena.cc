@@ -30,7 +30,7 @@ void GradArena::ResetTouched() {
 }
 
 GradArenaScope::GradArenaScope(GradArena& arena)
-    : previous_(g_active_arena), pool_scope_(&arena.pool()) {
+    : previous_(g_active_arena) {
   g_active_arena = &arena;
 }
 

@@ -1,20 +1,13 @@
-// Per-shard training arena: recycled tensor storage + gradient sinks.
+// Per-shard training arena: gradient sinks.
 //
 // The data-parallel trainer (core/trainer.h) runs forward/backward for
-// several mini-batch shards concurrently against ONE shared model. Two
-// problems follow:
-//
-//   1. The autograd tape allocates a payload per op output and per node
-//      gradient, every step. GradArena owns a TensorStoragePool and
-//      activates it for the duration of a shard's forward/backward, so
-//      steady-state steps reuse yesterday's buffers instead of the heap.
-//   2. Parameter gradients must not race: every shard accumulates into its
-//      own gradient buffers. GradArena carries a map from parameter
-//      Variable to that shard's sink tensor; Variable::grad_ref() consults
-//      the thread's active arena and redirects leaf accumulation there.
-//      The trainer then combines the per-shard sinks with a fixed-order
-//      tree reduction, which is what makes training results independent of
-//      the thread count.
+// several mini-batch shards concurrently against ONE shared model, so
+// parameter gradients must not race: every shard accumulates into its own
+// gradient buffers. GradArena carries a map from parameter Variable to that
+// shard's sink tensor; Variable::grad_ref() consults the thread's active
+// arena and redirects leaf accumulation there. The trainer then combines
+// the per-shard sinks with a fixed-order tree reduction, which is what
+// makes training results independent of the thread count.
 //
 // An arena belongs to one shard, not one thread: the pool-worker that runs
 // a shard's forward and the one that runs its backward may differ, but the
@@ -27,7 +20,6 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "tensor/tensor_pool.h"
 #include "tensor/tensor.h"
 
 namespace dquag {
@@ -55,22 +47,17 @@ class GradArena {
   bool touched(const Variable* param) const;
   void ResetTouched();
 
-  /// Storage pool activated alongside the arena (see GradArenaScope).
-  TensorStoragePool& pool() { return pool_; }
-  const TensorStoragePool& pool() const { return pool_; }
-
  private:
   struct Sink {
     Tensor* tensor = nullptr;
     bool touched = false;
   };
 
-  TensorStoragePool pool_;
   std::unordered_map<const Variable*, Sink> sinks_;
 };
 
 /// RAII: makes `arena` the calling thread's active arena (consulted by
-/// Variable::grad_ref) and activates its storage pool for Tensor payloads.
+/// Variable::grad_ref).
 class GradArenaScope {
  public:
   explicit GradArenaScope(GradArena& arena);
@@ -80,7 +67,6 @@ class GradArenaScope {
 
  private:
   GradArena* previous_;
-  TensorPoolScope pool_scope_;
 };
 
 /// The arena active on this thread, or nullptr.

@@ -47,7 +47,9 @@ class Variable {
   /// a grad-requiring leaf (a model parameter) with an active GradArena
   /// (autograd/grad_arena.h) it is the arena's per-shard sink. Backward
   /// closures must write through this so data-parallel training never
-  /// races on shared parameter gradients.
+  /// races on shared parameter gradients. Every training step runs under
+  /// shard arenas, so a parameter's own grad() is filled only by the
+  /// trainer's shard reduction.
   Tensor& grad_ref();
 
   /// Adds `g` (same shape as value) into grad_ref().

@@ -59,7 +59,8 @@ struct DquagConfig {
   /// layout depends only on the batch size — never on the thread count —
   /// so a given seed reproduces identical losses and thresholds on any
   /// thread count for a given build (FP codegen still varies across ISAs
-  /// under -march=native). 1 disables sharding (single-tape path).
+  /// under -march=native). 1 runs the whole batch as one shard through
+  /// the same step.
   int64_t train_shards = 8;
 
   uint64_t seed = 42;

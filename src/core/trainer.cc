@@ -12,23 +12,18 @@ namespace dquag {
 
 namespace {
 
-/// Shards smaller than this run serially — the tape dispatch per shard
-/// outweighs the arithmetic. Part of the determinism contract: the shard
-/// count derives from the batch size through this constant only.
+/// No shard is smaller than this (batches under twice this size take one
+/// shard) — the tape dispatch per shard outweighs the arithmetic. Part of
+/// the determinism contract: the shard count derives from the batch size
+/// through this constant only.
 constexpr int64_t kMinShardRows = 16;
-
-/// Below this total parameter count the pool dispatch costs more than the
-/// Adam update itself; paper-scale models sit near the boundary, wide ones
-/// gain.
-constexpr int64_t kParallelAdamThreshold = int64_t{1} << 16;
 
 }  // namespace
 
 Trainer::Trainer(DquagModel* model, const DquagConfig& config)
     : model_(model),
       config_(config),
-      optimizer_(model->Parameters(),
-                 AdamOptions{.learning_rate = config.learning_rate}),
+      optimizer_(model->Parameters(), config.learning_rate),
       rng_(config.seed ^ 0x7261696e65720000ULL),
       parameters_(model->Parameters()) {}
 
@@ -86,76 +81,13 @@ void Trainer::EnsureShardState(int64_t num_shards) {
   }
 }
 
-void Trainer::RunShardTasks(int64_t count,
-                            const std::function<void(int64_t)>& fn) const {
-  RunTasksAndWait(pool(), count, fn);
-}
-
-void Trainer::StepOptimizer() {
-  if (optimizer_.total_numel() < kParallelAdamThreshold) {
-    optimizer_.Step();
-    return;
-  }
-  // Parameters update independently, so the fan-out cannot change results.
-  optimizer_.Step([this](int64_t count,
-                         const std::function<void(int64_t)>& fn) {
-    RunShardTasks(count, fn);
-  });
-}
-
 double Trainer::Step(const Tensor& batch) {
   DQUAG_CHECK_EQ(batch.ndim(), 2);
   DQUAG_CHECK_EQ(batch.dim(1), model_->num_features());
   ApplyDenoiseMask(batch);
-  const int64_t num_shards = ShardCountForRows(batch.dim(0));
-  if (num_shards <= 1) return StepSerial(batch);
-  return StepParallel(batch, num_shards);
-}
-
-double Trainer::StepSerial(const Tensor& batch) {
   const int64_t rows = batch.dim(0);
   const int64_t d = batch.dim(1);
-  double loss_value = 0.0;
-  {
-    // The serial arena has no gradient sinks: parameter gradients
-    // accumulate in place, exactly the original single-tape path, but the
-    // tape's payloads still recycle through the arena pool.
-    GradArenaScope scope(serial_arena_);
-    Tensor input_copy({rows, d});
-    std::copy(masked_buffer_.data(), masked_buffer_.data() + rows * d,
-              input_copy.data());
-    Tensor target_copy({rows, d});
-    std::copy(batch.data(), batch.data() + rows * d, target_copy.data());
-    VarPtr input = MakeVar(std::move(input_copy));
-    VarPtr target = MakeVar(std::move(target_copy));
-    DquagForward out = model_->Forward(input);
-
-    // Per-sample weights from detached validation errors (§3.1.2). The
-    // ablation switch falls back to uniform weights (plain MSE).
-    VarPtr validation_loss;
-    if (config_.disable_loss_weighting) {
-      validation_loss = MseLoss(out.validation, target);
-    } else {
-      Tensor errors = PerSampleErrors(out.validation->value(),
-                                      target->value());
-      Tensor weights = ErrorsToWeights(errors);
-      validation_loss = WeightedMseLoss(out.validation, target, weights);
-    }
-    VarPtr repair_loss = MseLoss(out.repair, target);
-    VarPtr total = ag::Add(ag::MulScalar(validation_loss, config_.alpha),
-                           ag::MulScalar(repair_loss, config_.beta));
-
-    optimizer_.ZeroGrad();
-    Backward(total);
-    loss_value = total->value()[0];
-  }  // tape destroyed inside the scope: payloads return to the pool
-  StepOptimizer();
-  return loss_value;
-}
-
-double Trainer::StepParallel(const Tensor& batch, int64_t num_shards) {
-  const int64_t rows = batch.dim(0);
-  const int64_t d = batch.dim(1);
+  const int64_t num_shards = ShardCountForRows(rows);
   EnsureShardState(num_shards);
 
   // Fixed shard layout: a pure function of the row count.
@@ -180,7 +112,7 @@ double Trainer::StepParallel(const Tensor& batch, int64_t num_shards) {
   // Phase 1 — tape forward per shard (shared weights, thread-confined
   // tapes) plus per-row validation errors for the weight schedule.
   const bool weighted = !config_.disable_loss_weighting;
-  RunShardTasks(num_shards, [&](int64_t s) {
+  RunTasksAndWait(pool(), num_shards, [&](int64_t s) {
     ShardState& st = shard_states_[static_cast<size_t>(s)];
     if (st.begin >= st.end) {
       st.loss = 0.0;
@@ -214,14 +146,15 @@ double Trainer::StepParallel(const Tensor& batch, int64_t num_shards) {
   }
 
   // Phase 2 — per-shard partial losses, backward into the shard's sinks.
-  // Each shard's loss is an un-normalized sum; the global normalizers fold
-  // into the scale so sum_shards(loss) == the serial mean-form loss up to
-  // float reassociation.
+  // Each shard's loss is an un-normalized sum; the global batch normalizers
+  // fold into the scale, so sum_shards(loss) is the whole batch's
+  // alpha * L_validation + beta * L_repair (both means) whatever the shard
+  // count, up to float reassociation.
   const float val_scale =
       weighted ? config_.alpha / static_cast<float>(rows)
                : config_.alpha / static_cast<float>(rows * d);
   const float rep_scale = config_.beta / static_cast<float>(rows * d);
-  RunShardTasks(num_shards, [&](int64_t s) {
+  RunTasksAndWait(pool(), num_shards, [&](int64_t s) {
     ShardState& st = shard_states_[static_cast<size_t>(s)];
     if (st.begin >= st.end) return;
     GradArenaScope scope(*shard_arenas_[static_cast<size_t>(s)]);
@@ -241,8 +174,7 @@ double Trainer::StepParallel(const Tensor& batch, int64_t num_shards) {
                            ag::MulScalar(repair_sum, rep_scale));
     Backward(total);
     st.loss = total->value()[0];
-    // Drop the shard's tape inside the scope so its payloads recycle into
-    // this shard's pool regardless of which worker ran which phase.
+    // Nothing reads the shard's tape after backward; free it now.
     st.input.reset();
     st.target.reset();
     st.out = DquagForward{};
@@ -258,7 +190,8 @@ double Trainer::StepParallel(const Tensor& batch, int64_t num_shards) {
   // every thread count), then one Adam step on the combined gradient. Runs
   // through the private-latch fan-out so a busy shared pool cannot stall
   // the step and an injected pool is honored.
-  RunShardTasks(static_cast<int64_t>(parameters_.size()), [&](int64_t pi) {
+  const int64_t num_params = static_cast<int64_t>(parameters_.size());
+  RunTasksAndWait(pool(), num_params, [&](int64_t pi) {
     const size_t p = static_cast<size_t>(pi);
     bool touched = false;
     for (int64_t s = 0; s < num_shards; ++s) {
@@ -277,7 +210,7 @@ double Trainer::StepParallel(const Tensor& batch, int64_t num_shards) {
     std::copy(reduced.data(), reduced.data() + reduced.numel(), grad.data());
   });
 
-  StepOptimizer();
+  optimizer_.Step();
   return loss_value;
 }
 
@@ -403,7 +336,7 @@ std::vector<double> Trainer::ComputeErrors(const Tensor& matrix) const {
   // Tape-free engine path, fanned across the pool: each worker stages the
   // chunk into its thread-local workspace (one preallocated slice buffer
   // reused across chunks) and reads the reconstruction back row by row.
-  RunShardTasks(num_chunks, [&](int64_t c) {
+  RunTasksAndWait(pool(), num_chunks, [&](int64_t c) {
     const int64_t start = c * chunk;
     const int64_t end = std::min(rows, start + chunk);
     InferenceContext& ctx = InferenceContext::ThreadLocal();
@@ -420,22 +353,6 @@ std::vector<double> Trainer::ComputeErrors(const Tensor& matrix) const {
     }
   });
   return errors;
-}
-
-int64_t Trainer::arena_allocations() const {
-  int64_t total = serial_arena_.pool().allocations();
-  for (const auto& arena : shard_arenas_) {
-    total += arena->pool().allocations();
-  }
-  return total;
-}
-
-int64_t Trainer::arena_allocated_floats() const {
-  int64_t total = serial_arena_.pool().allocated_floats();
-  for (const auto& arena : shard_arenas_) {
-    total += arena->pool().allocated_floats();
-  }
-  return total;
 }
 
 }  // namespace dquag

@@ -4,7 +4,6 @@
 #define DQUAG_CORE_TRAINER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -57,15 +56,13 @@ class TrainingRowSource {
 /// (smaller error -> larger weight); inputs are denoise-masked with
 /// probability `input_mask_prob` while targets stay clean.
 ///
-/// Training fast path: with config.train_shards > 1 each mini-batch is
-/// split into shards whose tape forward/backward run concurrently on the
+/// Every step is sharded: each mini-batch splits into up to
+/// config.train_shards shards (one for batches under 32 rows or
+/// train_shards = 1) whose tape forward/backward run concurrently on the
 /// worker pool against shared weights. Every shard accumulates into its own
 /// gradient buffers (autograd/grad_arena.h sinks), combined by a
 /// fixed-order tree reduction before one Adam step — so a given seed
 /// produces identical epoch losses and threshold on 1, 2, or N threads.
-/// Tape payloads (op outputs, node gradients, backward scratch) recycle
-/// through per-shard arenas: steady-state steps perform no tensor
-/// allocations (see arena_allocations()).
 class Trainer {
  public:
   Trainer(DquagModel* model, const DquagConfig& config);
@@ -92,23 +89,14 @@ class Trainer {
   /// Public so benches and tests can drive steady-state stepping directly.
   double Step(const Tensor& batch);
 
-  /// Overrides the pool used for shard fan-out and the optimizer's
-  /// parameter fan-out (nullptr = the process-wide pool). Tests drive
-  /// 1/2/8-thread pools through this; results are identical by
-  /// construction.
+  /// Overrides the pool used for shard, gradient-reduction and calibration
+  /// fan-out (nullptr = the process-wide pool). Tests drive 1/2/8-thread
+  /// pools through this; results are identical by construction.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-
-  /// Payload allocations performed by the training arenas so far, summed
-  /// over the serial arena and every shard arena. Stable across steps after
-  /// warm-up == the hot path stopped allocating.
-  int64_t arena_allocations() const;
-
-  /// Total floats those allocations created (the arenas' high-water mark).
-  int64_t arena_allocated_floats() const;
 
  private:
   /// Per-shard training state, alive between the forward and backward
-  /// phases of one parallel step.
+  /// phases of one step.
   struct ShardState {
     VarPtr input;
     VarPtr target;
@@ -134,18 +122,6 @@ class Trainer {
     return pool_ != nullptr ? *pool_ : GlobalThreadPool();
   }
 
-  /// Runs fn(0..count) on the shard pool behind a private completion latch
-  /// (degrades to inline execution for 1-thread pools or nested calls).
-  void RunShardTasks(int64_t count,
-                     const std::function<void(int64_t)>& fn) const;
-
-  double StepSerial(const Tensor& batch);
-  double StepParallel(const Tensor& batch, int64_t num_shards);
-
-  /// One Adam step, its parameters fanned out over the shard pool when the
-  /// model is large enough to pay for the dispatch.
-  void StepOptimizer();
-
   DquagModel* model_;
   DquagConfig config_;
   Adam optimizer_;
@@ -153,7 +129,6 @@ class Trainer {
   ThreadPool* pool_ = nullptr;
 
   std::vector<VarPtr> parameters_;
-  GradArena serial_arena_;  // no sinks: gradients land in the parameters
   std::vector<std::unique_ptr<GradArena>> shard_arenas_;
   std::vector<std::vector<Tensor>> shard_grads_;  // [shard][param]
   std::vector<ShardState> shard_states_;

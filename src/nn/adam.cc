@@ -4,68 +4,50 @@
 
 namespace dquag {
 
-Adam::Adam(std::vector<VarPtr> parameters, AdamOptions options)
-    : parameters_(std::move(parameters)), options_(options) {
+namespace {
+
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEpsilon = 1e-8f;
+
+}  // namespace
+
+Adam::Adam(std::vector<VarPtr> parameters, float learning_rate)
+    : parameters_(std::move(parameters)), learning_rate_(learning_rate) {
   first_moment_.reserve(parameters_.size());
   second_moment_.reserve(parameters_.size());
   for (const VarPtr& p : parameters_) {
     first_moment_.push_back(Tensor::Zeros(p->value().shape()));
     second_moment_.push_back(Tensor::Zeros(p->value().shape()));
-    total_numel_ += p->value().numel();
   }
 }
 
-void Adam::Step(const ParameterRunner& run) {
+void Adam::Step() {
   ++step_count_;
-  const float b1 = options_.beta1;
-  const float b2 = options_.beta2;
-  const float one_minus_b1 = 1.0f - b1;
-  const float one_minus_b2 = 1.0f - b2;
+  const float one_minus_b1 = 1.0f - kBeta1;
+  const float one_minus_b2 = 1.0f - kBeta2;
   // Bias corrections hoisted out of the inner loops: one divide per step
   // instead of two per element.
   const float inv_bias1 =
-      1.0f / (1.0f - std::pow(b1, static_cast<float>(step_count_)));
+      1.0f / (1.0f - std::pow(kBeta1, static_cast<float>(step_count_)));
   const float inv_bias2 =
-      1.0f / (1.0f - std::pow(b2, static_cast<float>(step_count_)));
-  const float lr = options_.learning_rate;
-  const float eps = options_.epsilon;
-  const float decay = options_.weight_decay;
+      1.0f / (1.0f - std::pow(kBeta2, static_cast<float>(step_count_)));
+  const float lr = learning_rate_;
 
-  const auto update_param = [&](int64_t i) {
-    const size_t pi = static_cast<size_t>(i);
-    Variable& p = *parameters_[pi];
-    if (!p.has_grad()) return;
+  for (size_t i = 0; i < parameters_.size(); ++i) {
+    Variable& p = *parameters_[i];
+    if (!p.has_grad()) continue;
     float* w = p.mutable_value().data();
     const float* g = p.grad().data();
-    float* m = first_moment_[pi].data();
-    float* v = second_moment_[pi].data();
+    float* m = first_moment_[i].data();
+    float* v = second_moment_[i].data();
     const int64_t n = p.value().numel();
-    // The decay test is loop-invariant; two specialized loops keep the hot
-    // (decay-free) path branchless and vectorizable.
-    if (decay > 0.0f) {
-      for (int64_t j = 0; j < n; ++j) {
-        const float gj = g[j] + decay * w[j];
-        m[j] = b1 * m[j] + one_minus_b1 * gj;
-        v[j] = b2 * v[j] + one_minus_b2 * gj * gj;
-        w[j] -= lr * m[j] * inv_bias1 /
-                (std::sqrt(v[j] * inv_bias2) + eps);
-      }
-    } else {
-      for (int64_t j = 0; j < n; ++j) {
-        const float gj = g[j];
-        m[j] = b1 * m[j] + one_minus_b1 * gj;
-        v[j] = b2 * v[j] + one_minus_b2 * gj * gj;
-        w[j] -= lr * m[j] * inv_bias1 /
-                (std::sqrt(v[j] * inv_bias2) + eps);
-      }
+    for (int64_t j = 0; j < n; ++j) {
+      const float gj = g[j];
+      m[j] = kBeta1 * m[j] + one_minus_b1 * gj;
+      v[j] = kBeta2 * v[j] + one_minus_b2 * gj * gj;
+      w[j] -= lr * m[j] * inv_bias1 / (std::sqrt(v[j] * inv_bias2) + kEpsilon);
     }
-  };
-
-  const int64_t count = static_cast<int64_t>(parameters_.size());
-  if (run) {
-    run(count, update_param);
-  } else {
-    for (int64_t i = 0; i < count; ++i) update_param(i);
   }
 }
 

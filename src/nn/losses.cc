@@ -30,31 +30,6 @@ Tensor AsMatrixTensor(const Tensor& x) {
 
 }  // namespace
 
-VarPtr MseLoss(const VarPtr& pred, const VarPtr& target) {
-  VarPtr diff = ag::Sub(pred, target);
-  return ag::MeanAll(ag::Square(diff));
-}
-
-VarPtr WeightedMseLoss(const VarPtr& pred, const VarPtr& target,
-                       const Tensor& weights) {
-  VarPtr p = AsMatrix(pred);
-  VarPtr t = AsMatrix(target);
-  const int64_t batch = p->value().dim(0);
-  DQUAG_CHECK_EQ(weights.numel(), batch);
-  VarPtr sq = ag::Square(ag::Sub(p, t));
-  VarPtr per_sample = ag::Mean(sq, /*axis=*/1);           // [B]
-  VarPtr w = MakeVar(weights.Reshape({batch}));           // detached
-  return ag::MeanAll(ag::Mul(per_sample, w));
-}
-
-Tensor PerSampleErrors(const Tensor& pred, const Tensor& target) {
-  Tensor p = AsMatrixTensor(pred);
-  Tensor t = AsMatrixTensor(target);
-  DQUAG_CHECK(p.shape() == t.shape());
-  Tensor sq = Square(Sub(p, t));
-  return Mean(sq, /*axis=*/1);
-}
-
 float PerSampleError(const float* pred, const float* target, int64_t d) {
   float acc = 0.0f;
   for (int64_t c = 0; c < d; ++c) {
@@ -71,39 +46,23 @@ Tensor PerFeatureErrors(const Tensor& pred, const Tensor& target) {
   return Square(Sub(p, t));
 }
 
-namespace {
-
-/// Shared weight-schedule kernel. Uses the same accumulation scheme as
-/// MeanAll (double sum, float result) so the sharded trainer reproduces the
-/// serial weights bit-for-bit.
-void FillWeights(const float* errors, int64_t batch, float* weights) {
+void ErrorsToWeightsInto(const float* errors, int64_t batch, Tensor& weights) {
   DQUAG_CHECK_GT(batch, 0);
+  weights.ResizeInPlace({batch});
+  float* w = weights.data();
+  // Double accumulation, float result (the MeanAll scheme).
   double error_sum = 0.0;
   for (int64_t i = 0; i < batch; ++i) error_sum += errors[i];
   const float tau =
       static_cast<float>(error_sum) / static_cast<float>(batch) + 1e-8f;
   double total = 0.0;
   for (int64_t i = 0; i < batch; ++i) {
-    weights[i] = std::exp(-errors[i] / tau);
-    total += weights[i];
+    w[i] = std::exp(-errors[i] / tau);
+    total += w[i];
   }
   DQUAG_CHECK_GT(total, 0.0);
   const float scale = static_cast<float>(batch) / static_cast<float>(total);
-  for (int64_t i = 0; i < batch; ++i) weights[i] *= scale;
-}
-
-}  // namespace
-
-Tensor ErrorsToWeights(const Tensor& per_sample_errors) {
-  const int64_t batch = per_sample_errors.numel();
-  Tensor weights({batch});  // pool-eligible under an active arena scope
-  FillWeights(per_sample_errors.data(), batch, weights.data());
-  return weights;
-}
-
-void ErrorsToWeightsInto(const float* errors, int64_t batch, Tensor& weights) {
-  weights.ResizeInPlace({batch});
-  FillWeights(errors, batch, weights.data());
+  for (int64_t i = 0; i < batch; ++i) w[i] *= scale;
 }
 
 VarPtr SquaredErrorSum(const VarPtr& pred, const VarPtr& target) {

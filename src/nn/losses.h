@@ -7,47 +7,30 @@
 
 namespace dquag {
 
-/// Plain mean-squared-error over all elements:
-/// L = mean((pred - target)^2). Used by the repair decoder.
-VarPtr MseLoss(const VarPtr& pred, const VarPtr& target);
-
-/// Sample-weighted MSE over [B, d] (or [B, d, 1]) reconstructions:
-/// L = (1/B) * sum_i w_i * ||pred_i - target_i||^2 / d.
-/// `weights` is a detached [B] tensor. Used by the validation decoder, which
-/// up-weights samples that already reconstruct well (paper §3.1.2).
-VarPtr WeightedMseLoss(const VarPtr& pred, const VarPtr& target,
-                       const Tensor& weights);
-
-/// Per-sample reconstruction errors (mean squared error per row): [B].
-/// Pure tensor computation, no tape.
-Tensor PerSampleErrors(const Tensor& pred, const Tensor& target);
-
-/// One row of PerSampleErrors over raw pointers: mean_d((pred - target)^2)
-/// with the same accumulation order and float scale. The sharded trainer
-/// and the engine-backed calibration path both use this so their errors
-/// stay bit-compatible with the tensor form.
+/// One row's reconstruction error, mean_d((pred - target)^2), over raw
+/// pointers. The trainer's weight schedule and the engine-backed
+/// calibration path both use it, so their errors are computed alike.
 float PerSampleError(const float* pred, const float* target, int64_t d);
 
 /// Per-sample-per-feature squared errors: [B, d].
 Tensor PerFeatureErrors(const Tensor& pred, const Tensor& target);
 
-/// Turns per-sample errors into validation-loss weights:
+/// Turns `batch` per-sample errors into validation-loss weights, written
+/// into a caller-owned tensor (resized in place, so a persistent buffer
+/// keeps the per-step weight computation allocation-free):
 /// w_i = B * exp(-e_i / tau) / sum_j exp(-e_j / tau), tau = mean(e) + eps.
 /// Smaller error => larger weight; weights average to 1.
-Tensor ErrorsToWeights(const Tensor& per_sample_errors);
-
-/// ErrorsToWeights into a caller-owned tensor (resized in place, so a
-/// persistent buffer makes the per-step weight computation allocation-free
-/// — the data-parallel trainer's path).
 void ErrorsToWeightsInto(const float* errors, int64_t batch, Tensor& weights);
 
-// ---- Sum-form partial losses (data-parallel training) ----------------------
+// ---- Sum-form partial losses ----------------------------------------------
 //
-// The sharded trainer computes each shard's un-normalized loss sum and
-// scales by the global batch normalizer when combining, so the total
-// matches the mean-form losses above up to float reassociation:
-//   MseLoss           == sum_shards SquaredErrorSum / (B * d)
-//   WeightedMseLoss   == sum_shards WeightedPerSampleErrorSum / B
+// The trainer computes each shard's un-normalized loss sum and scales by the
+// global batch normalizer when combining, so the total is the batch's mean
+// loss whatever the shard count (up to float reassociation):
+//   mean squared error       == sum_shards SquaredErrorSum / (B * d)
+//   weighted validation loss == sum_shards WeightedPerSampleErrorSum / B,
+// the validation decoder's loss, which up-weights samples that already
+// reconstruct well (paper §3.1.2).
 
 /// sum((pred - target)^2) over all elements, as a [1] tape node.
 VarPtr SquaredErrorSum(const VarPtr& pred, const VarPtr& target);

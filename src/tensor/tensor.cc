@@ -8,7 +8,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "tensor/tensor_pool.h"
 #include "util/rng.h"
 
 namespace dquag {
@@ -52,54 +51,9 @@ std::string ShapeToString(const Shape& shape) {
   return out.str();
 }
 
-Tensor::Tensor(Shape shape) : shape_(std::move(shape)) {
-  const size_t numel = static_cast<size_t>(ShapeNumel(shape_));
-  if (TensorStoragePool* pool = ActiveTensorPool()) {
-    data_ = pool->Acquire(numel);
-  } else {
-    data_.assign(numel, 0.0f);
-  }
-}
-
-Tensor::~Tensor() {
-  if (TensorStoragePool* pool = ActiveTensorPool()) {
-    pool->Release(std::move(data_));
-  }
-}
-
-Tensor::Tensor(const Tensor& other) : shape_(other.shape_) {
-  if (TensorStoragePool* pool = ActiveTensorPool()) {
-    data_ = pool->AcquireCopy(other.data_.data(), other.data_.size());
-  } else {
-    data_ = other.data_;
-  }
-}
-
-Tensor& Tensor::operator=(const Tensor& other) {
-  if (this == &other) return *this;
-  shape_ = other.shape_;
-  if (TensorStoragePool* pool = ActiveTensorPool()) {
-    if (data_.capacity() < other.data_.size()) {
-      pool->Release(std::move(data_));
-      data_ = pool->AcquireCopy(other.data_.data(), other.data_.size());
-    } else {
-      data_.assign(other.data_.begin(), other.data_.end());
-    }
-  } else {
-    data_ = other.data_;
-  }
-  return *this;
-}
-
-Tensor& Tensor::operator=(Tensor&& other) {
-  if (this == &other) return *this;
-  if (TensorStoragePool* pool = ActiveTensorPool()) {
-    pool->Release(std::move(data_));
-  }
-  shape_ = std::move(other.shape_);
-  data_ = std::move(other.data_);
-  return *this;
-}
+Tensor::Tensor(Shape shape)
+    : shape_(std::move(shape)),
+      data_(static_cast<size_t>(ShapeNumel(shape_)), 0.0f) {}
 
 Tensor::Tensor(Shape shape, std::vector<float> data)
     : shape_(std::move(shape)), data_(std::move(data)) {

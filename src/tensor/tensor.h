@@ -34,28 +34,11 @@ class Tensor {
   /// and a single implicit scalar slot is NOT allocated; use Scalar()).
   Tensor() = default;
 
-  /// Allocates a zero-initialized tensor of the given shape. While a
-  /// TensorPoolScope (tensor/tensor_pool.h) is active on the calling
-  /// thread, the buffer is drawn from the scope's recycling pool instead of
-  /// the heap — the training fast path's allocation-stability primitive.
+  /// Allocates a zero-initialized tensor of the given shape.
   explicit Tensor(Shape shape);
 
   /// Tensor adopting an existing flat buffer. data.size() must match shape.
   Tensor(Shape shape, std::vector<float> data);
-
-  /// Returns the payload to the active pool (when one is in scope);
-  /// otherwise frees it normally.
-  ~Tensor();
-
-  // Copy and assignment are pool-aware: with a scope active, copies draw
-  // their buffer from the pool and assignment releases the replaced buffer
-  // back instead of freeing it through the raw vector (which would bleed
-  // one buffer out of circulation per assignment — e.g. the reduction loop
-  // in ReduceToShape). The move constructor just steals storage.
-  Tensor(const Tensor& other);
-  Tensor& operator=(const Tensor& other);
-  Tensor(Tensor&&) noexcept = default;
-  Tensor& operator=(Tensor&& other);
 
   // ---- Factories -----------------------------------------------------------
 

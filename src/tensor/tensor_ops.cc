@@ -11,6 +11,19 @@ namespace dquag {
 
 namespace {
 
+/// NumPy broadcast of two shapes; checked failure if incompatible.
+Shape BroadcastShapes(const Shape& a, const Shape& b) {
+  const size_t rank = std::max(a.size(), b.size());
+  Shape out(rank, 1);
+  for (size_t i = 0; i < rank; ++i) {
+    const int64_t da = i < rank - a.size() ? 1 : a[i - (rank - a.size())];
+    const int64_t db = i < rank - b.size() ? 1 : b[i - (rank - b.size())];
+    DQUAG_CHECK(da == db || da == 1 || db == 1);
+    out[i] = std::max(da, db);
+  }
+  return out;
+}
+
 /// Row-major strides for a shape.
 std::vector<int64_t> StridesFor(const Shape& shape) {
   std::vector<int64_t> strides(shape.size(), 1);
@@ -154,24 +167,11 @@ int64_t NormalizeAxis(int64_t axis, int64_t ndim) {
 
 }  // namespace
 
-Shape BroadcastShapes(const Shape& a, const Shape& b) {
-  const size_t rank = std::max(a.size(), b.size());
-  Shape out(rank, 1);
-  for (size_t i = 0; i < rank; ++i) {
-    const int64_t da = i < rank - a.size() ? 1 : a[i - (rank - a.size())];
-    const int64_t db = i < rank - b.size() ? 1 : b[i - (rank - b.size())];
-    DQUAG_CHECK(da == db || da == 1 || db == 1);
-    out[i] = std::max(da, db);
-  }
-  return out;
-}
-
 Tensor ReduceToShape(const Tensor& t, const Shape& target) {
   if (t.shape() == target) return t;
   // Sum over leading extra axes, then over axes where target has size 1.
   // `src` tracks the live input so the first reduction reads `t` directly
-  // (no upfront copy); later reassignments release their old buffer into
-  // the active tensor pool via the pool-aware move assignment.
+  // (no upfront copy).
   Tensor current;
   const Tensor* src = &t;
   while (src->ndim() > static_cast<int64_t>(target.size())) {
@@ -201,12 +201,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 Tensor Div(const Tensor& a, const Tensor& b) {
   return BinaryOp(a, b, [](float x, float y) { return x / y; });
 }
-Tensor Maximum(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, [](float x, float y) { return std::max(x, y); });
-}
-Tensor Minimum(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, [](float x, float y) { return std::min(x, y); });
-}
 
 Tensor AddScalar(const Tensor& a, float s) {
   return UnaryOp(a, [s](float x) { return x + s; });
@@ -215,17 +209,8 @@ Tensor MulScalar(const Tensor& a, float s) {
   return UnaryOp(a, [s](float x) { return x * s; });
 }
 
-Tensor Neg(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return -x; });
-}
 Tensor Exp(const Tensor& a) {
   return UnaryOp(a, [](float x) { return std::exp(x); });
-}
-Tensor Log(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return std::log(x); });
-}
-Tensor Sqrt(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return std::sqrt(x); });
 }
 Tensor Abs(const Tensor& a) {
   return UnaryOp(a, [](float x) { return std::abs(x); });
@@ -257,10 +242,6 @@ Tensor Sigmoid(const Tensor& a) {
 }
 Tensor Tanh(const Tensor& a) {
   return UnaryOp(a, [](float x) { return std::tanh(x); });
-}
-
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn) {
-  return UnaryOp(a, [&fn](float x) { return fn(x); });
 }
 
 namespace {

@@ -11,7 +11,6 @@
 #define DQUAG_TENSOR_TENSOR_OPS_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -19,9 +18,6 @@
 namespace dquag {
 
 // ---- Broadcasting ----------------------------------------------------------
-
-/// NumPy broadcast of two shapes; checked failure if incompatible.
-Shape BroadcastShapes(const Shape& a, const Shape& b);
 
 /// Sums `t` down to `target` shape (inverse of broadcasting); used by
 /// autograd to reduce gradients of broadcast operands.
@@ -33,18 +29,13 @@ Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 Tensor Div(const Tensor& a, const Tensor& b);
-Tensor Maximum(const Tensor& a, const Tensor& b);
-Tensor Minimum(const Tensor& a, const Tensor& b);
 
 Tensor AddScalar(const Tensor& a, float s);
 Tensor MulScalar(const Tensor& a, float s);
 
 // ---- Elementwise unary -----------------------------------------------------
 
-Tensor Neg(const Tensor& a);
 Tensor Exp(const Tensor& a);
-Tensor Log(const Tensor& a);
-Tensor Sqrt(const Tensor& a);
 Tensor Abs(const Tensor& a);
 Tensor Square(const Tensor& a);
 Tensor Clamp(const Tensor& a, float lo, float hi);
@@ -54,9 +45,6 @@ Tensor LeakyRelu(const Tensor& a, float negative_slope = 0.2f);
 Tensor Elu(const Tensor& a, float alpha = 1.0f);
 Tensor Sigmoid(const Tensor& a);
 Tensor Tanh(const Tensor& a);
-
-/// Applies an arbitrary scalar function (testing / prototyping helper).
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn);
 
 // ---- Matrix multiplication -------------------------------------------------
 

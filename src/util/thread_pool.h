@@ -2,10 +2,11 @@
 //
 // Parallelism lives at the row level only: callers that own many
 // independent units of work (stream chunks, validation micro-batches,
-// trainer shards, calibration and drift-profile row chunks, Adam
-// parameters) split them into tasks and run them with RunTasksAndWait, or,
-// for StreamingValidator's bounded slot loop, Submit directly. Tensor kernels never fan out; they run serially on
-// whichever thread calls them. The pool is created once per process
+// trainer shards and their per-parameter gradient reduction, calibration
+// and drift-profile row chunks) split them into tasks and run them with
+// RunTasksAndWait, or, for StreamingValidator's bounded slot loop, Submit
+// directly. Tensor kernels never fan out; they run serially on whichever
+// thread calls them. The pool is created once per process
 // (GlobalThreadPool) so fan-out does not pay thread start-up cost.
 
 #ifndef DQUAG_UTIL_THREAD_POOL_H_

@@ -122,7 +122,7 @@ TEST(GinLayerTest, EpsilonIsLearnable) {
   GinLayer layer(TestGraph(), 4, 4, rng);
   EXPECT_FLOAT_EQ(layer.epsilon(), 0.0f);
   VarPtr h = MakeVar(Tensor::Randn({2, 4, 4}, rng));
-  Adam adam(layer.Parameters(), AdamOptions{.learning_rate = 0.05f});
+  Adam adam(layer.Parameters(), /*learning_rate=*/0.05f);
   for (int i = 0; i < 5; ++i) {
     adam.ZeroGrad();
     Backward(ag::SumAll(ag::Square(layer.Forward(h))));

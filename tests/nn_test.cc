@@ -79,7 +79,7 @@ TEST(AdamTest, ConvergesOnLeastSquares) {
   Rng rng(7);
   VarPtr w = MakeVar(Tensor::Scalar(0.0f), true);
   VarPtr b = MakeVar(Tensor::Scalar(0.0f), true);
-  Adam adam({w, b}, AdamOptions{.learning_rate = 0.05f});
+  Adam adam({w, b}, /*learning_rate=*/0.05f);
   Tensor xs({16});
   Tensor ys({16});
   for (int64_t i = 0; i < 16; ++i) {
@@ -108,46 +108,41 @@ TEST(AdamTest, StepCountAndZeroGrad) {
   EXPECT_FLOAT_EQ(w->grad()[0], 0.0f);
 }
 
-TEST(AdamTest, WeightDecayShrinksWeights) {
-  VarPtr w = MakeVar(Tensor::Scalar(5.0f), true);
-  Adam adam({w}, AdamOptions{.learning_rate = 0.1f, .weight_decay = 1.0f});
-  for (int i = 0; i < 50; ++i) {
-    adam.ZeroGrad();
-    w->grad();  // zero gradient; only decay acts
-    adam.Step();
-  }
-  EXPECT_LT(std::abs(w->value()[0]), 5.0f);
-}
-
-TEST(LossTest, MseLossValue) {
+TEST(LossTest, SquaredErrorSumValue) {
+  // Squared errors 1 and 4: their mean over B * d = 2 elements is 2.5.
   VarPtr pred = MakeVar(Tensor({1, 2}, {1.0f, 3.0f}));
   VarPtr target = MakeVar(Tensor({1, 2}, {0.0f, 1.0f}));
-  EXPECT_FLOAT_EQ(MseLoss(pred, target)->value()[0], (1.0f + 4.0f) / 2.0f);
+  EXPECT_FLOAT_EQ(SquaredErrorSum(pred, target)->value()[0], 1.0f + 4.0f);
 }
 
-TEST(LossTest, WeightedMseRespectsWeights) {
-  // Two samples with per-sample errors 1 and 4.
+TEST(LossTest, WeightedPerSampleErrorSumRespectsWeights) {
+  // Two samples with per-sample errors 1 and 4; B = 2, so each sum is the
+  // weighted mean (2.5 uniform, 1.0 skewed) times 2.
   VarPtr pred = MakeVar(Tensor({2, 1}, {1.0f, 2.0f}));
   VarPtr target = MakeVar(Tensor({2, 1}, {0.0f, 0.0f}));
   Tensor uniform({2}, {1.0f, 1.0f});
-  EXPECT_FLOAT_EQ(WeightedMseLoss(pred, target, uniform)->value()[0], 2.5f);
+  EXPECT_FLOAT_EQ(
+      WeightedPerSampleErrorSum(pred, target, uniform)->value()[0], 5.0f);
   Tensor skewed({2}, {2.0f, 0.0f});
-  EXPECT_FLOAT_EQ(WeightedMseLoss(pred, target, skewed)->value()[0], 1.0f);
+  EXPECT_FLOAT_EQ(
+      WeightedPerSampleErrorSum(pred, target, skewed)->value()[0], 2.0f);
 }
 
 TEST(LossTest, PerSampleAndPerFeatureErrors) {
   Tensor pred({2, 2}, {1, 1, 3, 3});
   Tensor target({2, 2}, {0, 0, 0, 0});
-  Tensor per_sample = PerSampleErrors(pred, target);
-  EXPECT_FLOAT_EQ(per_sample[0], 1.0f);
-  EXPECT_FLOAT_EQ(per_sample[1], 9.0f);
+  EXPECT_FLOAT_EQ(PerSampleError(pred.data(), target.data(), 2), 1.0f);
+  EXPECT_FLOAT_EQ(PerSampleError(pred.data() + 2, target.data() + 2, 2),
+                  9.0f);
   Tensor per_feature = PerFeatureErrors(pred, target);
   EXPECT_FLOAT_EQ(per_feature(1, 1), 9.0f);
 }
 
 TEST(LossTest, ErrorsToWeightsFavoursSmallErrors) {
-  Tensor errors({3}, {0.01f, 0.01f, 10.0f});
-  Tensor weights = ErrorsToWeights(errors);
+  const float errors[] = {0.01f, 0.01f, 10.0f};
+  Tensor weights;
+  ErrorsToWeightsInto(errors, 3, weights);
+  ASSERT_EQ(weights.shape(), Shape({3}));
   EXPECT_GT(weights[0], weights[2]);
   // Weights average to 1.
   EXPECT_NEAR((weights[0] + weights[1] + weights[2]) / 3.0f, 1.0f, 1e-4f);
