@@ -4,7 +4,7 @@
 // A model is trained per dimensionality (5, 10, 18 columns) on a modest
 // clean sample; Phase-2 validation is then timed on datasets of increasing
 // size, running through the ValidationService — the deployed configuration:
-// micro-batched tape-free inference fanned across the thread pool. The
+// tape-free inference, one thread-pool task per 256-row model block. The
 // expected result is LINEAR growth in rows (and roughly linear in
 // dimensionality). Absolute times reflect this CPU substrate, not the
 // paper's A100 — the shape is the reproduction target.

@@ -81,8 +81,8 @@ int RunAll() {
               static_cast<long long>(model.encoder().config().hidden_dim));
   std::printf("%10s  %14s  %14s  %8s\n", "batch", "tape rows/s",
               "engine rows/s", "speedup");
-  // 512 is the service micro-batch default, 2048 the validator chunk
-  // default, 8192 a large request.
+  // Request sizes of two, eight and 32 model row blocks
+  // (DquagModel::kRowBlock); the engine walks each in 256-row blocks.
   for (const int64_t batch : {512LL, 2048LL, 8192LL}) {
     auto run_chunks = [&](auto&& body) {
       for (int64_t start = 0; start < eval_rows; start += batch) {

@@ -49,10 +49,6 @@ struct DquagConfig {
   /// `k` in the per-instance mu + k*sigma feature flagging rule.
   double feature_sigma_k = 3.0;
 
-  /// Rows processed per inference chunk in Phase 2 (memory/parallelism
-  /// trade-off; results are chunk-size independent).
-  int64_t inference_chunk_rows = 2048;
-
   /// Data-parallel training: each mini-batch is split into up to this many
   /// shards whose forward/backward run concurrently against per-shard
   /// gradient buffers, combined by a fixed-order tree reduction. The shard

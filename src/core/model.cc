@@ -95,15 +95,12 @@ const Tensor& DquagModel::InferReconstruction(
   DQUAG_CHECK_EQ(x.ndim(), 2);
   DQUAG_CHECK_EQ(x.dim(1), num_features_);
   const int64_t rows = x.dim(0);
-  // Rows are independent along the batch axis, so batches run in fixed
-  // blocks whose workspaces ([block, d, h] intermediates) stay
-  // cache-resident — the preallocated arena makes per-block dispatch free,
-  // which the allocating tape path could not afford. Small batches take the
-  // same path as one block, so every arena slot holds the same role at any
-  // batch size: a context that forwards a chunk and then a few of its rows
-  // (validation, then repair) does not grow past one forward's high-water
-  // mark.
-  constexpr int64_t kRowBlock = 256;
+  // Batches run in kRowBlock-row blocks: the preallocated arena makes
+  // per-block dispatch free, which the allocating tape path could not
+  // afford. Small batches take the same path as one block, so every arena
+  // slot holds the same role at any batch size: a context that forwards a
+  // chunk and then a few of its rows (validation, then repair) does not
+  // grow past one forward's high-water mark.
   // Graph2Vec consumes the raw rows directly; skip the (discarded)
   // tokenizer pass for it.
   const bool tokenize =

@@ -82,6 +82,13 @@ class DquagModel : public Module {
   // per thread (InferenceContext::ThreadLocal()) makes concurrent
   // inference on a shared fitted model race-free.
 
+  /// Rows per engine forward block. The Infer* methods walk any batch in
+  /// blocks of this many rows so every [block, d, h] workspace stays
+  /// cache-resident, and every inference pass above the model (validator,
+  /// repairer, calibration errors) partitions its rows by the same unit.
+  /// Rows are independent, so the partition never changes a result.
+  static constexpr int64_t kRowBlock = 256;
+
   /// Engine forward of the validation head: [B, d] -> [B, d].
   const Tensor& InferValidation(const Tensor& x, InferenceContext& ctx) const;
 
@@ -102,9 +109,7 @@ class DquagModel : public Module {
   const GnnEncoder& encoder() const { return *encoder_; }
 
  private:
-  /// Engine forward of one decoder head, cache-blocked: large batches run
-  /// in fixed row blocks so every workspace stays cache-resident (rows are
-  /// independent, so blocking does not change results).
+  /// Engine forward of one decoder head in kRowBlock-row blocks.
   const Tensor& InferReconstruction(const Tensor& x, InferenceContext& ctx,
                                     const ReconstructionDecoder& decoder) const;
 

@@ -85,11 +85,9 @@ Status DquagPipeline::Fit(const Table& clean) {
                   << report_.error_statistics.threshold;
 
   // 4. Phase-2 components.
-  validator_ = std::make_unique<Validator>(model_.get(), preprocessor_.get(),
-                                           report_.error_statistics.threshold,
-                                           options_.config);
-  repairer_ = std::make_unique<Repairer>(model_.get(), preprocessor_.get(),
-                                         options_.config);
+  validator_ = std::make_unique<Validator>(
+      model_.get(), report_.error_statistics.threshold, options_.config);
+  repairer_ = std::make_unique<Repairer>(model_.get(), preprocessor_.get());
 
   // 5. Drift profile: per-column suspect rates on the (known-clean)
   //    training data, the monitor's per-column drift baseline.
@@ -105,15 +103,10 @@ void DquagPipeline::ComputeDriftProfile(const Table& clean) {
                                      : Table();
   const Table& sample = sample_rows < clean.num_rows() ? sliced : clean;
 
-  // Kernels never fan out, so spread the sample's rows evenly over the
-  // pool here (Fit runs on the caller's thread).
-  ThreadPool& pool = GlobalThreadPool();
-  const int64_t threads = static_cast<int64_t>(pool.num_threads());
-  const int64_t chunk_rows =
-      std::max<int64_t>(1, std::min(options_.config.inference_chunk_rows,
-                                    (sample_rows + threads - 1) / threads));
+  // Kernels never fan out, so the sample's row blocks go to the pool here
+  // (Fit runs on the caller's thread).
   const BatchVerdict verdict = validator_->ValidateMatrixOn(
-      pool, preprocessor_->Transform(sample), chunk_rows);
+      GlobalThreadPool(), preprocessor_->Transform(sample));
   const int64_t columns = preprocessor_->schema().num_columns();
   report_.column_clean_suspect_rate.assign(static_cast<size_t>(columns), 0.0);
   for (size_t row : verdict.flagged_rows) {
@@ -180,18 +173,16 @@ Status DquagPipeline::FineTune(const Table& clean,
   model_->CollectQuantizedSlots(slots);
   for (const QuantizedSlot& slot : slots) slot.cache->Reset();
 
-  validator_ = std::make_unique<Validator>(model_.get(), preprocessor_.get(),
-                                           report_.error_statistics.threshold,
-                                           options_.config);
-  repairer_ = std::make_unique<Repairer>(model_.get(), preprocessor_.get(),
-                                         options_.config);
+  validator_ = std::make_unique<Validator>(
+      model_.get(), report_.error_statistics.threshold, options_.config);
+  repairer_ = std::make_unique<Repairer>(model_.get(), preprocessor_.get());
   ComputeDriftProfile(clean);
   return Status::Ok();
 }
 
 BatchVerdict DquagPipeline::Validate(const Table& batch) const {
   DQUAG_CHECK(fitted());
-  return validator_->Validate(batch);
+  return validator_->ValidateMatrix(preprocessor_->Transform(batch));
 }
 
 RepairResult DquagPipeline::Repair(const Table& batch,

@@ -8,21 +8,20 @@
 namespace dquag {
 
 Repairer::Repairer(const DquagModel* model,
-                   const TablePreprocessor* preprocessor,
-                   const DquagConfig& config)
-    : model_(model), preprocessor_(preprocessor), config_(config) {
+                   const TablePreprocessor* preprocessor)
+    : model_(model), preprocessor_(preprocessor) {
   DQUAG_CHECK(model_ != nullptr);
 }
 
 namespace {
 
 /// Forwards the flagged rows of `matrix` through the repair head, gathered
-/// in blocks of `block_rows`, and calls set(row, column, suggestion) for
-/// every suspect cell in row order. Returns the number of cells visited.
+/// in DquagModel::kRowBlock-row blocks, and calls set(row, column,
+/// suggestion) for every suspect cell in row order. Returns the number of
+/// cells visited.
 template <typename SetCell>
-int64_t ForEachRepairedCell(const DquagModel& model, int64_t block_rows,
-                            const Tensor& matrix, const BatchVerdict& verdict,
-                            SetCell&& set) {
+int64_t ForEachRepairedCell(const DquagModel& model, const Tensor& matrix,
+                            const BatchVerdict& verdict, SetCell&& set) {
   DQUAG_CHECK_EQ(matrix.ndim(), 2);
   const int64_t d = matrix.dim(1);
   DQUAG_CHECK_EQ(static_cast<int64_t>(verdict.instances.size()),
@@ -41,8 +40,8 @@ int64_t ForEachRepairedCell(const DquagModel& model, int64_t block_rows,
   int64_t cells = 0;
   InferenceContext& ctx = InferenceContext::ThreadLocal();
   const int64_t total = static_cast<int64_t>(targets.size());
-  for (int64_t start = 0; start < total; start += block_rows) {
-    const int64_t n = std::min(total, start + block_rows) - start;
+  for (int64_t start = 0; start < total; start += DquagModel::kRowBlock) {
+    const int64_t n = std::min(total, start + DquagModel::kRowBlock) - start;
     ctx.Rewind();
     Tensor& gathered = ctx.Acquire({n, d});
     for (int64_t i = 0; i < n; ++i) {
@@ -69,8 +68,7 @@ Tensor Repairer::RepairMatrix(const Tensor& matrix,
                               int64_t* cells_repaired) const {
   Tensor repaired = matrix;
   const int64_t cells = ForEachRepairedCell(
-      *model_, config_.inference_chunk_rows, matrix, verdict,
-      [&](int64_t r, int64_t c, float value) {
+      *model_, matrix, verdict, [&](int64_t r, int64_t c, float value) {
         repaired(r, c) = value;
       });
   if (cells_repaired) *cells_repaired = cells;
@@ -94,8 +92,7 @@ RepairResult Repairer::Repair(const Table& batch, const Tensor& matrix,
   result.repaired = batch;
   int64_t last_row = -1;
   result.cells_repaired = ForEachRepairedCell(
-      *model_, config_.inference_chunk_rows, matrix, verdict,
-      [&](int64_t r, int64_t c, float value) {
+      *model_, matrix, verdict, [&](int64_t r, int64_t c, float value) {
         const size_t row = static_cast<size_t>(r);
         if (batch.schema().column(c).type == ColumnType::kNumeric) {
           result.repaired.Numeric(c)[row] =

@@ -3,8 +3,8 @@
 // The repair decoder suggests a repaired feature vector per instance, and
 // repairs are applied selectively — only to the (instance, feature) pairs
 // flagged by the validator. Only the flagged rows are forwarded: they are
-// gathered into one matrix (in blocks of inference_chunk_rows) and run
-// through the encoder and repair decoder, and the suspect cells are
+// gathered in DquagModel::kRowBlock-row blocks on the calling thread and
+// run through the encoder and repair decoder, and the suspect cells are
 // scattered back. Rows are independent along the batch axis and every
 // kernel is row-position independent (tensor/simd.h), so the gathered
 // forward is bit-identical to forwarding the whole batch. Categorical
@@ -17,6 +17,7 @@
 #include <cstdint>
 
 #include "core/validator.h"
+#include "data/preprocessor.h"
 
 namespace dquag {
 
@@ -32,8 +33,8 @@ struct RepairResult {
 
 class Repairer {
  public:
-  Repairer(const DquagModel* model, const TablePreprocessor* preprocessor,
-           const DquagConfig& config);
+  /// `model` and `preprocessor` must outlive the repairer.
+  Repairer(const DquagModel* model, const TablePreprocessor* preprocessor);
 
   /// Repairs the flagged cells of `batch` according to `verdict` (which must
   /// come from validating the same batch).
@@ -53,7 +54,6 @@ class Repairer {
  private:
   const DquagModel* model_;
   const TablePreprocessor* preprocessor_;
-  DquagConfig config_;
 };
 
 }  // namespace dquag

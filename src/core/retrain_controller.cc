@@ -27,15 +27,28 @@ std::string RetrainCheckpointPath(const std::string& source,
   return base + ".gen" + std::to_string(generation);
 }
 
+Status ValidateRetrainOptions(const RetrainOptions& options) {
+  if (options.min_buffer_rows < 1) {
+    return Status::InvalidArgument("retrain: min_buffer_rows must be >= 1");
+  }
+  if (options.max_buffer_rows < options.min_buffer_rows) {
+    return Status::InvalidArgument(
+        "retrain: max_buffer_rows must be >= min_buffer_rows");
+  }
+  if (options.trigger_observations < 1) {
+    return Status::InvalidArgument(
+        "retrain: trigger_observations must be >= 1");
+  }
+  return Status::Ok();
+}
+
 RetrainController::RetrainController(std::string checkpoint_path,
                                      RetrainOptions options, SwapFn swap)
     : options_(options),
       swap_(std::move(swap)),
       checkpoint_path_(std::move(checkpoint_path)) {
   DQUAG_CHECK(swap_ != nullptr);
-  DQUAG_CHECK_GT(options_.min_buffer_rows, 0);
-  DQUAG_CHECK_GE(options_.max_buffer_rows, options_.min_buffer_rows);
-  DQUAG_CHECK_GT(options_.trigger_observations, 0);
+  DQUAG_CHECK(ValidateRetrainOptions(options_).ok());
 }
 
 void RetrainController::ObserveBatch(const Table& batch,

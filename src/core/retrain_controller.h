@@ -37,6 +37,7 @@
 
 #include "core/monitor.h"
 #include "data/table.h"
+#include "util/status.h"
 
 namespace dquag {
 
@@ -60,6 +61,12 @@ struct RetrainOptions {
   uint64_t seed = 0;
 };
 
+/// InvalidArgument unless `options` can drive a controller: at least one
+/// buffered row and one trigger observation, and a buffer cap no smaller
+/// than the rows a retrain needs. Callers that take options from outside
+/// check this up front; the controller's constructor requires it.
+Status ValidateRetrainOptions(const RetrainOptions& options);
+
 class RetrainController {
  public:
   /// Deploys `checkpoint_path` fresh via `swap` on every successful
@@ -68,6 +75,7 @@ class RetrainController {
   /// "old model still serving".
   using SwapFn = std::function<Status(const std::string& checkpoint_path)>;
 
+  /// `options` must pass ValidateRetrainOptions (checked).
   RetrainController(std::string checkpoint_path, RetrainOptions options,
                     SwapFn swap);
 

@@ -36,6 +36,10 @@ constexpr uint64_t kQuantSectionMagic = 0x3851514400000001ULL;
 // "DQDP" + version 1: start of the optional drift-profile section (the
 // monitor's per-column clean suspect-rate baseline).
 constexpr uint64_t kDriftSectionMagic = 0x5044514400000001ULL;
+// Written to the config slot that once held the inference chunk size, so
+// the v1 layout and a default-config checkpoint's bytes are unchanged.
+// Load rejects a value below 1 as corrupt and otherwise ignores it.
+constexpr int64_t kRetiredChunkRows = 2048;
 
 void WriteConfig(BinaryWriter& w, const DquagConfig& config) {
   w.WriteI64(static_cast<int64_t>(config.encoder.kind));
@@ -54,7 +58,7 @@ void WriteConfig(BinaryWriter& w, const DquagConfig& config) {
   w.WriteDouble(config.calibration_fraction);
   w.WriteDouble(config.batch_flag_multiplier);
   w.WriteDouble(config.feature_sigma_k);
-  w.WriteI64(config.inference_chunk_rows);
+  w.WriteI64(kRetiredChunkRows);
   w.WriteU64(config.seed);
 }
 
@@ -82,7 +86,10 @@ Status ReadConfig(BinaryReader& r, DquagConfig& config) {
   DQUAG_ASSIGN_OR_RETURN(config.calibration_fraction, r.ReadDouble());
   DQUAG_ASSIGN_OR_RETURN(config.batch_flag_multiplier, r.ReadDouble());
   DQUAG_ASSIGN_OR_RETURN(config.feature_sigma_k, r.ReadDouble());
-  DQUAG_ASSIGN_OR_RETURN(config.inference_chunk_rows, r.ReadI64());
+  DQUAG_ASSIGN_OR_RETURN(int64_t retired_chunk_rows, r.ReadI64());
+  if (retired_chunk_rows < 1) {
+    return Status::InvalidArgument("config: invalid inference chunk slot");
+  }
   DQUAG_ASSIGN_OR_RETURN(config.seed, r.ReadU64());
   return Status::Ok();
 }
@@ -112,9 +119,6 @@ Status ValidateConfig(const DquagConfig& config) {
   }
   if (config.batch_size < 1) {
     return Status::InvalidArgument("config: invalid batch_size");
-  }
-  if (config.inference_chunk_rows < 1) {
-    return Status::InvalidArgument("config: invalid inference_chunk_rows");
   }
   return Status::Ok();
 }
@@ -422,11 +426,9 @@ StatusOr<DquagPipeline> DquagPipeline::LoadFromBuffer(std::string buffer) {
 
   pipeline.report_.error_statistics = stats;
   pipeline.validator_ = std::make_unique<Validator>(
-      pipeline.model_.get(), pipeline.preprocessor_.get(), stats.threshold,
-      pipeline.options_.config);
+      pipeline.model_.get(), stats.threshold, pipeline.options_.config);
   pipeline.repairer_ = std::make_unique<Repairer>(
-      pipeline.model_.get(), pipeline.preprocessor_.get(),
-      pipeline.options_.config);
+      pipeline.model_.get(), pipeline.preprocessor_.get());
   return pipeline;
 }
 

@@ -327,18 +327,13 @@ std::vector<double> Trainer::ComputeErrors(const Tensor& matrix) const {
   const int64_t rows = matrix.dim(0);
   const int64_t d = matrix.dim(1);
   std::vector<double> errors(static_cast<size_t>(rows));
-  // Rows spread evenly over the pool, at most inference_chunk_rows a chunk.
-  const int64_t threads = static_cast<int64_t>(pool().num_threads());
-  const int64_t chunk =
-      std::max<int64_t>(1, std::min(config_.inference_chunk_rows,
-                                    (rows + threads - 1) / threads));
-  const int64_t num_chunks = (rows + chunk - 1) / chunk;
-  // Tape-free engine path, fanned across the pool: each worker stages the
-  // chunk into its thread-local workspace (one preallocated slice buffer
-  // reused across chunks) and reads the reconstruction back row by row.
-  RunTasksAndWait(pool(), num_chunks, [&](int64_t c) {
-    const int64_t start = c * chunk;
-    const int64_t end = std::min(rows, start + chunk);
+  // Tape-free engine path, one pool task per model row block: each worker
+  // stages its block into its thread-local workspace and reads the
+  // reconstruction back row by row.
+  const int64_t block = DquagModel::kRowBlock;
+  RunTasksAndWait(pool(), (rows + block - 1) / block, [&](int64_t b) {
+    const int64_t start = b * block;
+    const int64_t end = std::min(rows, start + block);
     InferenceContext& ctx = InferenceContext::ThreadLocal();
     ctx.Rewind();
     Tensor& slice = ctx.Acquire({end - start, d});

@@ -82,7 +82,8 @@ class Trainer {
   StatusOr<TrainingReport> Fit(TrainingRowSource& source);
 
   /// Per-instance validation-head errors on a matrix (no masking). Runs on
-  /// the tape-free inference engine, chunked across the worker pool.
+  /// the tape-free inference engine, one worker-pool task per
+  /// DquagModel::kRowBlock rows.
   std::vector<double> ComputeErrors(const Tensor& matrix) const;
 
   /// One optimization step over a batch; returns the total loss value.

@@ -10,7 +10,6 @@ ValidationService::ValidationService(DquagPipeline pipeline,
       options_(options),
       monitor_(&pipeline_, options.monitor) {
   DQUAG_CHECK(pipeline_.fitted());
-  DQUAG_CHECK_GT(options_.micro_batch_rows, 0);
 }
 
 StatusOr<std::unique_ptr<ValidationService>> ValidationService::FromCheckpoint(
@@ -26,11 +25,10 @@ BatchVerdict ValidationService::Validate(const Table& batch) const {
 }
 
 BatchVerdict ValidationService::ValidateMatrix(const Tensor& matrix) const {
-  // Micro-batches share the process-wide pool; each call waits on its own
-  // latch, so concurrent callers never wait on each other's chunks.
-  return pipeline_.validator().ValidateMatrixOn(
-      GlobalThreadPool(), matrix, options_.micro_batch_rows,
-      validation_mode());
+  // Row blocks share the process-wide pool; each call waits on its own
+  // latch, so concurrent callers never wait on each other's blocks.
+  return pipeline_.validator().ValidateMatrixOn(GlobalThreadPool(), matrix,
+                                                validation_mode());
 }
 
 Status ValidationService::CheckSchema(const Table& batch) const {

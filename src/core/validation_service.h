@@ -2,10 +2,11 @@
 //
 // A ValidationService owns a fitted (typically checkpoint-loaded) pipeline
 // and exposes thread-safe Validate / stream / monitor entry points for
-// serving many concurrent callers. Incoming batches are micro-batched: rows
-// split into fixed-size chunks that fan out across the process-wide
-// ThreadPool, each chunk running the tape-free inference engine with its
-// worker thread's private workspace. Chunk workers write into disjoint
+// serving many concurrent callers. Incoming batches split into the model's
+// row blocks (DquagModel::kRowBlock rows) that fan out across the
+// process-wide ThreadPool, each block running the tape-free inference
+// engine with its worker thread's private workspace; a batch of one block
+// runs inline on the caller's thread. Block tasks write into disjoint
 // slices of the verdict, so they never contend; and because instances are
 // independent along the batch axis, the parallel verdict is identical to
 // serial validation.
@@ -32,10 +33,6 @@
 namespace dquag {
 
 struct ValidationServiceOptions {
-  /// Rows per fan-out chunk. Smaller chunks parallelize better and stay
-  /// cache-resident; larger chunks amortize dispatch. 512 rows of a
-  /// hidden-64 model keep every workspace comfortably inside L2.
-  int64_t micro_batch_rows = 512;
   /// Stream-monitoring knobs for ObserveVerdict() / ObserveStream().
   MonitorOptions monitor;
   /// Serve validation on the int8 quantized engine (see ValidationMode).

@@ -8,25 +8,15 @@
 
 namespace dquag {
 
-Validator::Validator(const DquagModel* model,
-                     const TablePreprocessor* preprocessor, double threshold,
+Validator::Validator(const DquagModel* model, double threshold,
                      const DquagConfig& config)
-    : model_(model),
-      preprocessor_(preprocessor),
-      threshold_(threshold),
-      config_(config) {
+    : model_(model), threshold_(threshold), config_(config) {
   DQUAG_CHECK(model_ != nullptr);
 }
 
 double Validator::batch_cutoff() const {
   return (1.0 - config_.threshold_percentile) *
          config_.batch_flag_multiplier;
-}
-
-BatchVerdict Validator::Validate(const Table& batch,
-                                 const ValidationMode& mode) const {
-  DQUAG_CHECK(preprocessor_ != nullptr);
-  return ValidateMatrix(preprocessor_->Transform(batch), mode);
 }
 
 void Validator::ValidateRowsInto(const Tensor& matrix, int64_t start,
@@ -152,6 +142,17 @@ void Validator::FinalizeVerdict(BatchVerdict& verdict) const {
 
 BatchVerdict Validator::ValidateMatrix(const Tensor& matrix,
                                        const ValidationMode& mode) const {
+  return ValidateBlocks(nullptr, matrix, mode);
+}
+
+BatchVerdict Validator::ValidateMatrixOn(ThreadPool& pool,
+                                         const Tensor& matrix,
+                                         const ValidationMode& mode) const {
+  return ValidateBlocks(&pool, matrix, mode);
+}
+
+BatchVerdict Validator::ValidateBlocks(ThreadPool* pool, const Tensor& matrix,
+                                       const ValidationMode& mode) const {
   DQUAG_CHECK_EQ(matrix.ndim(), 2);
   DQUAG_CHECK_EQ(matrix.dim(1), model_->num_features());
   const int64_t rows = matrix.dim(0);
@@ -159,35 +160,19 @@ BatchVerdict Validator::ValidateMatrix(const Tensor& matrix,
   BatchVerdict verdict;
   verdict.threshold = threshold_;
   verdict.instances.resize(static_cast<size_t>(rows));
-
-  InferenceContext& ctx = InferenceContext::ThreadLocal();
-  const int64_t chunk = config_.inference_chunk_rows;
-  for (int64_t start = 0; start < rows; start += chunk) {
-    const int64_t end = std::min(rows, start + chunk);
-    ValidateRowsInto(matrix, start, end, ctx,
-                     verdict.instances.data() + start, mode);
-  }
-  FinalizeVerdict(verdict);
-  return verdict;
-}
-
-BatchVerdict Validator::ValidateMatrixOn(ThreadPool& pool,
-                                         const Tensor& matrix,
-                                         int64_t chunk_rows,
-                                         const ValidationMode& mode) const {
-  DQUAG_CHECK_EQ(matrix.ndim(), 2);
-  DQUAG_CHECK_GT(chunk_rows, 0);
-  const int64_t rows = matrix.dim(0);
-
-  BatchVerdict verdict;
-  verdict.threshold = threshold_;
-  verdict.instances.resize(static_cast<size_t>(rows));
-  RunTasksAndWait(pool, (rows + chunk_rows - 1) / chunk_rows, [&](int64_t c) {
-    const int64_t start = c * chunk_rows;
-    const int64_t end = std::min(rows, start + chunk_rows);
+  const int64_t block = DquagModel::kRowBlock;
+  const auto run_block = [&](int64_t b) {
+    const int64_t start = b * block;
+    const int64_t end = std::min(rows, start + block);
     ValidateRowsInto(matrix, start, end, InferenceContext::ThreadLocal(),
                      verdict.instances.data() + start, mode);
-  });
+  };
+  const int64_t blocks = (rows + block - 1) / block;
+  if (pool == nullptr) {
+    for (int64_t b = 0; b < blocks; ++b) run_block(b);
+  } else {
+    RunTasksAndWait(*pool, blocks, run_block);
+  }
   FinalizeVerdict(verdict);
   return verdict;
 }

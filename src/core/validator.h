@@ -6,9 +6,10 @@
 //   * batch flagged      <=> flagged fraction > 5% * n  (n = 1.2)
 //   * feature flagged    <=> its error > mu_i + k * sigma_i within the
 //                            flagged instance
-// Validation runs on the tape-free inference engine in fixed-size chunks;
-// rows are independent along the batch axis, so any chunking (serial or
-// fanned out over a pool by ValidateMatrixOn) produces identical verdicts.
+// Validation runs on the tape-free inference engine one model row block
+// (DquagModel::kRowBlock rows) at a time, on the calling thread or as one
+// pool task per block (ValidateMatrixOn). Rows are independent along the
+// batch axis, so any row partition produces identical verdicts.
 
 #ifndef DQUAG_CORE_VALIDATOR_H_
 #define DQUAG_CORE_VALIDATOR_H_
@@ -18,7 +19,6 @@
 
 #include "core/error_stats.h"
 #include "core/model.h"
-#include "data/preprocessor.h"
 #include "engine/inference_context.h"
 
 namespace dquag {
@@ -61,24 +61,20 @@ struct BatchVerdict {
 
 class Validator {
  public:
-  /// `model` and `preprocessor` must outlive the validator. `threshold` is
-  /// the e_threshold collected in Phase 1.
-  Validator(const DquagModel* model, const TablePreprocessor* preprocessor,
-            double threshold, const DquagConfig& config);
+  /// `model` must outlive the validator. `threshold` is the e_threshold
+  /// collected in Phase 1.
+  Validator(const DquagModel* model, double threshold,
+            const DquagConfig& config);
 
-  /// Validates a table (preprocess + reconstruct + threshold).
-  BatchVerdict Validate(const Table& batch,
-                        const ValidationMode& mode = {}) const;
-
-  /// Validates an already-preprocessed matrix [B, d].
+  /// Validates an already-preprocessed matrix [B, d] on the calling
+  /// thread, one DquagModel::kRowBlock-row block at a time.
   BatchVerdict ValidateMatrix(const Tensor& matrix,
                               const ValidationMode& mode = {}) const;
 
-  /// ValidateMatrix fanned out over `pool`: one task per `chunk_rows` rows,
-  /// waited on through a private latch (inline when called from a pool
+  /// ValidateMatrix with one `pool` task per row block, waited on through a
+  /// private latch (inline for a single block or when called from a pool
   /// worker). Rows are independent, so the verdict equals ValidateMatrix's.
   BatchVerdict ValidateMatrixOn(ThreadPool& pool, const Tensor& matrix,
-                                int64_t chunk_rows,
                                 const ValidationMode& mode = {}) const;
 
   /// Engine-path validation of rows [start, end) of `matrix`, writing the
@@ -93,9 +89,9 @@ class Validator {
                         const ValidationMode& mode = {}) const;
 
   /// Derives the batch-level verdict fields (flagged_rows, fraction,
-  /// is_dirty) from already-filled per-instance verdicts. Shared by serial
-  /// validation and the ValidationService's parallel path so the
-  /// dirty-batch rule lives in exactly one place.
+  /// is_dirty) from already-filled per-instance verdicts, so a caller that
+  /// fills them through ValidateRowsInto applies ValidateMatrix's
+  /// dirty-batch rule.
   void FinalizeVerdict(BatchVerdict& verdict) const;
 
   double threshold() const { return threshold_; }
@@ -103,6 +99,11 @@ class Validator {
   double batch_cutoff() const;
 
  private:
+  /// The body of ValidateMatrix (pool == nullptr: blocks run in order on
+  /// the calling thread) and ValidateMatrixOn.
+  BatchVerdict ValidateBlocks(ThreadPool* pool, const Tensor& matrix,
+                              const ValidationMode& mode) const;
+
   /// Scores `rows` reconstructed rows against their inputs: per-instance
   /// error, flag, suspect features. Shared by the float and quantized
   /// passes so the decision rule lives in one place.
@@ -110,7 +111,6 @@ class Validator {
                      InstanceVerdict* out) const;
 
   const DquagModel* model_;
-  const TablePreprocessor* preprocessor_;
   double threshold_;
   DquagConfig config_;
 };

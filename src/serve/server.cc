@@ -83,6 +83,11 @@ Status ServeDaemon::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("daemon already running");
   }
+  // Bad retrain knobs must fail here, not abort the process when the first
+  // request builds a tenant's controller.
+  if (options_.auto_retrain) {
+    DQUAG_RETURN_IF_ERROR(ValidateRetrainOptions(options_.retrain));
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     return Status::IoError(std::string("socket failed: ") +

@@ -111,7 +111,6 @@ class ChaosTest : public ::testing::Test {
 
 TEST_F(ChaosTest, EverySiteUnderConcurrentTrafficNeverKillsTheDaemon) {
   ServeOptions options;
-  options.registry.service.micro_batch_rows = 16;
   options.io_timeout_ms = 5000;
   ServeDaemon daemon(options);
   ASSERT_TRUE(daemon.Start().ok());
@@ -233,7 +232,6 @@ TEST_F(ChaosTest, EverySiteUnderConcurrentTrafficNeverKillsTheDaemon) {
 
 TEST_F(ChaosTest, TornCheckpointNeverServesWhileHealthyTenantsContinue) {
   ServeOptions options;
-  options.registry.service.micro_batch_rows = 16;
   ServeDaemon daemon(options);
   ASSERT_TRUE(daemon.Start().ok());
   ASSERT_TRUE(daemon.registry()
@@ -266,7 +264,6 @@ TEST_F(ChaosTest, TornCheckpointNeverServesWhileHealthyTenantsContinue) {
 
 TEST_F(ChaosTest, ExpiredDeadlineIsTypedAndBurnsNoAdmission) {
   ServeOptions options;
-  options.registry.service.micro_batch_rows = 16;
   options.registry.max_inflight_per_tenant = 1;
   ServeDaemon daemon(options);
   ASSERT_TRUE(daemon.Start().ok());
@@ -309,7 +306,6 @@ TEST_F(ChaosTest, ExpiredDeadlineIsTypedAndBurnsNoAdmission) {
 
 TEST_F(ChaosTest, RetryWithBackoffRecoversFromTransientLoadFailure) {
   ServeOptions options;
-  options.registry.service.micro_batch_rows = 16;
   ServeDaemon daemon(options);
   ASSERT_TRUE(daemon.Start().ok());
 

@@ -3,12 +3,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
 #include "data/error_injector.h"
 #include "data/generators.h"
+#include "util/thread_pool.h"
 
 namespace dquag {
 namespace {
@@ -148,7 +151,7 @@ TEST(ValidatorTest, BatchRuleUsesMultiplier) {
   Rng rng(8);
   DquagConfig config = SmallConfig();
   DquagModel model(SmallGraph(), config, rng);
-  Validator validator(&model, nullptr, /*threshold=*/0.5, config);
+  Validator validator(&model, /*threshold=*/0.5, config);
   // cutoff = (1 - 0.95) * 1.2 = 6%.
   EXPECT_NEAR(validator.batch_cutoff(), 0.06, 1e-9);
 }
@@ -161,8 +164,7 @@ TEST(ValidatorTest, FlagsInstancesAboveThreshold) {
   Trainer trainer(&model, config);
   Tensor data = Tensor::RandUniform({300, 4}, rng, 0.3f, 0.7f);
   TrainingReport report = trainer.Fit(data);
-  Validator validator(&model, nullptr, report.error_statistics.threshold,
-                      config);
+  Validator validator(&model, report.error_statistics.threshold, config);
   // A matrix with obviously out-of-range cells must flag those rows.
   Tensor probe = Tensor::RandUniform({50, 4}, rng, 0.3f, 0.7f);
   for (int64_t r = 0; r < 20; ++r) probe(r, 2) = 5.0f;
@@ -183,8 +185,7 @@ TEST(ValidatorTest, SuspectFeaturesPointAtCorruptedColumn) {
   Trainer trainer(&model, config);
   Tensor data = Tensor::RandUniform({300, 4}, rng, 0.3f, 0.7f);
   TrainingReport report = trainer.Fit(data);
-  Validator validator(&model, nullptr, report.error_statistics.threshold,
-                      config);
+  Validator validator(&model, report.error_statistics.threshold, config);
   Tensor probe = Tensor::RandUniform({20, 4}, rng, 0.3f, 0.7f);
   for (int64_t r = 0; r < 20; ++r) probe(r, 1) = 6.0f;
   BatchVerdict verdict = validator.ValidateMatrix(probe);
@@ -201,17 +202,55 @@ TEST(ValidatorTest, EmptyAndChunkedValidationAgree) {
   Rng rng(11);
   DquagConfig config = SmallConfig();
   DquagModel model(SmallGraph(), config, rng);
-  Validator validator(&model, nullptr, 0.5, config);
-  Tensor probe = Tensor::RandUniform({100, 4}, rng, 0.0f, 1.0f);
-  BatchVerdict one = validator.ValidateMatrix(probe);
-  DquagConfig chunked = config;
-  chunked.inference_chunk_rows = 7;  // force many chunks
-  Validator validator2(&model, nullptr, 0.5, chunked);
-  BatchVerdict two = validator2.ValidateMatrix(probe);
-  ASSERT_EQ(one.instances.size(), two.instances.size());
-  for (size_t i = 0; i < one.instances.size(); ++i) {
-    EXPECT_NEAR(one.instances[i].error, two.instances[i].error, 1e-6);
+  // Two full model row blocks and a partial last one.
+  const int64_t rows = 600;
+  Tensor probe = Tensor::RandUniform({rows, 4}, rng, 0.0f, 1.0f);
+  // Threshold at the median error, so about half the rows are flagged and
+  // carry suspect features.
+  std::vector<double> errors;
+  for (const InstanceVerdict& inst :
+       Validator(&model, 0.0, config).ValidateMatrix(probe).instances) {
+    errors.push_back(inst.error);
   }
+  std::nth_element(errors.begin(), errors.begin() + rows / 2, errors.end());
+  const Validator validator(&model, errors[rows / 2], config);
+  const BatchVerdict serial = validator.ValidateMatrix(probe);
+  ASSERT_EQ(serial.instances.size(), static_cast<size_t>(rows));
+  ASSERT_FALSE(serial.flagged_rows.empty());
+
+  const auto expect_same = [&](const std::vector<InstanceVerdict>& got,
+                               const std::string& label) {
+    ASSERT_EQ(got.size(), serial.instances.size()) << label;
+    for (size_t i = 0; i < got.size(); ++i) {
+      const InstanceVerdict& want = serial.instances[i];
+      EXPECT_EQ(got[i].error, want.error) << label << " row " << i;
+      EXPECT_EQ(got[i].flagged, want.flagged) << label << " row " << i;
+      EXPECT_EQ(got[i].suspect_features, want.suspect_features)
+          << label << " row " << i;
+    }
+  };
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ThreadPool pool(threads);
+    const std::string label = std::to_string(threads) + "-thread pool";
+    const BatchVerdict fanned = validator.ValidateMatrixOn(pool, probe);
+    expect_same(fanned.instances, label);
+    EXPECT_EQ(fanned.flagged_rows, serial.flagged_rows) << label;
+    EXPECT_EQ(fanned.is_dirty, serial.is_dirty) << label;
+    const BatchVerdict empty =
+        validator.ValidateMatrixOn(pool, Tensor::Zeros({0, 4}));
+    EXPECT_TRUE(empty.instances.empty()) << label;
+    EXPECT_FALSE(empty.is_dirty) << label;
+  }
+  std::vector<InstanceVerdict> ranged(static_cast<size_t>(rows));
+  InferenceContext& ctx = InferenceContext::ThreadLocal();
+  for (int64_t start = 0; start < rows; start += 7) {
+    validator.ValidateRowsInto(probe, start, std::min(rows, start + 7), ctx,
+                               ranged.data() + start);
+  }
+  expect_same(ranged, "7-row ranges");
+  const BatchVerdict empty = validator.ValidateMatrix(Tensor::Zeros({0, 4}));
+  EXPECT_TRUE(empty.instances.empty());
+  EXPECT_FALSE(empty.is_dirty);
 }
 
 // ---- Repairer ------------------------------------------------------------------
@@ -224,9 +263,8 @@ TEST(RepairerTest, OnlyFlaggedCellsChange) {
   Trainer trainer(&model, config);
   Tensor data = Tensor::RandUniform({300, 4}, rng, 0.3f, 0.7f);
   TrainingReport report = trainer.Fit(data);
-  Validator validator(&model, nullptr, report.error_statistics.threshold,
-                      config);
-  Repairer repairer(&model, nullptr, config);
+  Validator validator(&model, report.error_statistics.threshold, config);
+  Repairer repairer(&model, nullptr);
 
   Tensor probe = Tensor::RandUniform({30, 4}, rng, 0.3f, 0.7f);
   for (int64_t r = 0; r < 10; ++r) probe(r, 3) = 4.0f;
@@ -258,9 +296,8 @@ TEST(RepairerTest, RepairMovesCellsTowardCleanRange) {
   Trainer trainer(&model, config);
   Tensor data = Tensor::RandUniform({400, 4}, rng, 0.3f, 0.7f);
   TrainingReport report = trainer.Fit(data);
-  Validator validator(&model, nullptr, report.error_statistics.threshold,
-                      config);
-  Repairer repairer(&model, nullptr, config);
+  Validator validator(&model, report.error_statistics.threshold, config);
+  Repairer repairer(&model, nullptr);
 
   Tensor probe = Tensor::RandUniform({40, 4}, rng, 0.3f, 0.7f);
   for (int64_t r = 0; r < 15; ++r) probe(r, 0) = 5.0f;
@@ -287,8 +324,8 @@ TEST(RepairerTest, GatheredForwardIsBitIdenticalToWholeBatch) {
   Tensor probe = Tensor::RandUniform({rows, 4}, rng, -0.5f, 1.5f);
   const Tensor reference = model.ReconstructRepair(probe);
 
-  // 420 non-contiguous flagged rows: more than one 256-row forward block,
-  // and several inference chunks once the chunk size drops to 100.
+  // 420 non-contiguous flagged rows: the gather spans two model row
+  // blocks, the second one partial.
   BatchVerdict verdict;
   verdict.instances.resize(static_cast<size_t>(rows));
   int64_t expected_cells = 0;
@@ -301,23 +338,19 @@ TEST(RepairerTest, GatheredForwardIsBitIdenticalToWholeBatch) {
     expected_cells += static_cast<int64_t>(inst.suspect_features.size());
   }
 
-  for (int64_t chunk_rows : {config.inference_chunk_rows, int64_t{100}}) {
-    DquagConfig chunked = config;
-    chunked.inference_chunk_rows = chunk_rows;
-    Repairer repairer(&model, nullptr, chunked);
-    int64_t cells = 0;
-    const Tensor repaired = repairer.RepairMatrix(probe, verdict, &cells);
-    EXPECT_EQ(cells, expected_cells) << "chunk " << chunk_rows;
-    for (int64_t r = 0; r < rows; ++r) {
-      const InstanceVerdict& inst = verdict.instances[static_cast<size_t>(r)];
-      for (int64_t c = 0; c < 4; ++c) {
-        const bool suspect =
-            std::find(inst.suspect_features.begin(),
-                      inst.suspect_features.end(),
-                      c) != inst.suspect_features.end();
-        EXPECT_EQ(repaired(r, c), suspect ? reference(r, c) : probe(r, c))
-            << "chunk " << chunk_rows << " row " << r << " col " << c;
-      }
+  Repairer repairer(&model, nullptr);
+  int64_t cells = 0;
+  const Tensor repaired = repairer.RepairMatrix(probe, verdict, &cells);
+  EXPECT_EQ(cells, expected_cells);
+  for (int64_t r = 0; r < rows; ++r) {
+    const InstanceVerdict& inst = verdict.instances[static_cast<size_t>(r)];
+    for (int64_t c = 0; c < 4; ++c) {
+      const bool suspect =
+          std::find(inst.suspect_features.begin(),
+                    inst.suspect_features.end(),
+                    c) != inst.suspect_features.end();
+      EXPECT_EQ(repaired(r, c), suspect ? reference(r, c) : probe(r, c))
+          << "row " << r << " col " << c;
     }
   }
 }
@@ -329,7 +362,7 @@ TEST(RepairerTest, NothingFlaggedReturnsAnIdenticalCopy) {
   Tensor probe = Tensor::RandUniform({300, 4}, rng, 0.0f, 1.0f);
   BatchVerdict verdict;
   verdict.instances.resize(300);
-  Repairer repairer(&model, nullptr, config);
+  Repairer repairer(&model, nullptr);
   int64_t cells = -1;
   const Tensor repaired = repairer.RepairMatrix(probe, verdict, &cells);
   EXPECT_EQ(cells, 0);
@@ -383,15 +416,15 @@ TEST(PipelineTest, EmptyCleanIsError) {
 TEST(PipelineTest, FitRejectsConfigThatLoadRejects) {
   Rng rng(19);
   Table clean = datasets::GenerateCreditCard(50, rng);
-  // A zero chunk would never advance the validator's chunk loop; a
-  // negative one would abort on its range check. Both must fail up front.
-  for (int64_t chunk_rows : {int64_t{0}, int64_t{-1}}) {
+  // Load rejects a batch size below 1 as a corrupt config, so Fit must
+  // reject it too, before any training.
+  for (int64_t batch_size : {int64_t{0}, int64_t{-1}}) {
     DquagPipelineOptions options;
     options.config = SmallConfig();
-    options.config.inference_chunk_rows = chunk_rows;
+    options.config.batch_size = batch_size;
     DquagPipeline pipeline(std::move(options));
     EXPECT_EQ(pipeline.Fit(clean).code(), StatusCode::kInvalidArgument)
-        << "inference_chunk_rows " << chunk_rows;
+        << "batch_size " << batch_size;
     EXPECT_FALSE(pipeline.fitted());
   }
 }

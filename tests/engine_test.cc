@@ -187,27 +187,24 @@ TEST(EngineTest, ScalarAndDispatchedVerdictsAreByteIdentical) {
   }
 }
 
-TEST(ValidationServiceTest, MicroBatchedVerdictMatchesPipeline) {
+TEST(ValidationServiceTest, FannedOutVerdictMatchesPipeline) {
   DquagPipeline pipeline = FitPipeline(EncoderKind::kGatGin, /*rows=*/200,
                                        /*epochs=*/3);
   Rng rng(19);
+  // One more row than a model row block: the service fans out two blocks.
   Table batch = datasets::GenerateNyTaxi(257, rng, /*dims=*/10);
   const BatchVerdict expected = pipeline.Validate(batch);
 
-  ValidationServiceOptions options;
-  options.micro_batch_rows = 32;  // force many chunks
-  ValidationService service(std::move(pipeline), options);
+  ValidationService service(std::move(pipeline));
   ExpectSameVerdict(expected, service.Validate(batch));
 }
 
 TEST(ValidationServiceTest, ConcurrentClientsSeeIdenticalVerdicts) {
-  ValidationServiceOptions options;
-  options.micro_batch_rows = 64;
   ValidationService service(FitPipeline(EncoderKind::kGcnGin, /*rows=*/200,
-                                        /*epochs=*/3),
-                            options);
+                                        /*epochs=*/3));
   Rng rng(23);
-  Table batch = datasets::GenerateNyTaxi(256, rng, /*dims=*/10);
+  // Three model row blocks, so every client's call fans out on the pool.
+  Table batch = datasets::GenerateNyTaxi(600, rng, /*dims=*/10);
   const BatchVerdict serial = service.Validate(batch);
 
   constexpr int kClients = 6;

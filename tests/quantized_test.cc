@@ -103,7 +103,8 @@ TEST_P(QuantizedGeneratorTest, QuantizedVerdictsMatchFloat) {
 
   const Table fresh = item.fresh(400, rng);
   const BatchVerdict flt = pipeline.Validate(fresh);
-  const BatchVerdict qnt = pipeline.validator().Validate(fresh, quantized);
+  const BatchVerdict qnt = pipeline.validator().ValidateMatrix(
+      pipeline.preprocessor().Transform(fresh), quantized);
   const int64_t flips = CountFlips(flt, qnt);
   EXPECT_LE(flips, fresh.num_rows() / 200)  // 0.5%
       << item.name << ": " << flips << " verdict flips on " << fresh.num_rows()
@@ -111,8 +112,8 @@ TEST_P(QuantizedGeneratorTest, QuantizedVerdictsMatchFloat) {
 
   const Table clean_eval = item.clean(200, rng);
   const BatchVerdict clean_flt = pipeline.Validate(clean_eval);
-  const BatchVerdict clean_qnt =
-      pipeline.validator().Validate(clean_eval, quantized);
+  const BatchVerdict clean_qnt = pipeline.validator().ValidateMatrix(
+      pipeline.preprocessor().Transform(clean_eval), quantized);
   EXPECT_EQ(0, CountFlips(clean_flt, clean_qnt))
       << item.name << ": quantized flips on clean data";
   EXPECT_EQ(clean_flt.is_dirty, clean_qnt.is_dirty) << item.name;
@@ -174,10 +175,11 @@ TEST_F(QuantizedCheckpointTest, StoredWeightsMatchDerived) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   const ValidationMode quantized{true, 0.25};
+  const Tensor matrix = pipeline_->preprocessor().Transform(*fresh_);
   const BatchVerdict in_memory =
-      pipeline_->validator().Validate(*fresh_, quantized);
+      pipeline_->validator().ValidateMatrix(matrix, quantized);
   const BatchVerdict from_disk =
-      loaded->validator().Validate(*fresh_, quantized);
+      loaded->validator().ValidateMatrix(matrix, quantized);
   ExpectVerdictsIdentical(in_memory, from_disk);
   std::remove(path.c_str());
 }
@@ -220,25 +222,27 @@ TEST_F(QuantizedCheckpointTest, LegacyCheckpointWithoutSectionLoads) {
   // ...and the quantized path is identical whether the int8 weights came
   // from the file or were derived on first use.
   const ValidationMode quantized{true, 0.25};
-  ExpectVerdictsIdentical(full->validator().Validate(*fresh_, quantized),
-                          legacy->validator().Validate(*fresh_, quantized));
+  const Tensor matrix = full->preprocessor().Transform(*fresh_);
+  ExpectVerdictsIdentical(full->validator().ValidateMatrix(matrix, quantized),
+                          legacy->validator().ValidateMatrix(matrix,
+                                                             quantized));
   std::remove(path.c_str());
   std::remove(legacy_path.c_str());
 }
 
 // The service's quantized option routes its parallel fan-out through the
-// same mode; micro-batched parallel validation equals the serial verdict.
+// same mode; the 300-row batch fans out as two row blocks, and the result
+// equals the serial verdict.
 TEST_F(QuantizedCheckpointTest, ServiceQuantizedOptionMatchesValidator) {
   const std::string path = "/tmp/dquag_quantized_service.bin";
   ASSERT_TRUE(pipeline_->Save(path).ok());
   ValidationServiceOptions options;
   options.quantized = true;
-  options.micro_batch_rows = 32;  // force an actual fan-out on 300 rows
   auto service = ValidationService::FromCheckpoint(path, options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
-  const BatchVerdict serial =
-      pipeline_->validator().Validate(*fresh_, ValidationMode{true, 0.25});
+  const BatchVerdict serial = pipeline_->validator().ValidateMatrix(
+      pipeline_->preprocessor().Transform(*fresh_), ValidationMode{true, 0.25});
   const BatchVerdict served = (*service)->Validate(*fresh_);
   ExpectVerdictsIdentical(serial, served);
   std::remove(path.c_str());

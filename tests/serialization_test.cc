@@ -1,6 +1,10 @@
 // Tests for binary I/O primitives and pipeline checkpointing.
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -132,6 +136,80 @@ TEST_F(CheckpointTest, LoadedPipelineCanRepair) {
           .table;
   RepairResult repair = loaded->Repair(dirty, loaded->Validate(dirty));
   EXPECT_GT(repair.cells_repaired, 0);
+  std::remove(path.c_str());
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+// Byte offset of the config slot that once held the inference chunk size:
+// the magic, then sixteen 8-byte config fields before it.
+constexpr size_t kRetiredChunkSlot = 136;
+
+int64_t ReadSlot(const std::string& bytes) {
+  uint64_t value = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    value |= static_cast<uint64_t>(
+                 static_cast<unsigned char>(bytes[kRetiredChunkSlot + i]))
+             << (8 * i);
+  }
+  return static_cast<int64_t>(value);
+}
+
+std::string PatchSlot(std::string bytes, int64_t value) {
+  for (size_t i = 0; i < 8; ++i) {
+    bytes[kRetiredChunkSlot + i] =
+        static_cast<char>((static_cast<uint64_t>(value) >> (8 * i)) & 0xff);
+  }
+  return bytes;
+}
+
+TEST_F(CheckpointTest, RetiredChunkSlotIsCheckedThenIgnored) {
+  const std::string path = "/tmp/dquag_checkpoint_slot_test.bin";
+  ASSERT_TRUE(pipeline_->Save(path).ok());
+  const std::string saved = ReadBytes(path);
+  ASSERT_GT(saved.size(), kRetiredChunkSlot + 8);
+  // The slot keeps the value older readers expect.
+  EXPECT_EQ(ReadSlot(saved), 2048);
+
+  // Any positive value loads, and inference does not depend on it.
+  WriteBytes(path, PatchSlot(saved, 7));
+  auto loaded = DquagPipeline::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Rng rng(93);
+  Table probe = datasets::GenerateCreditCard(600, rng);
+  Table dirty = ErrorInjector(94).InjectCreditIncomeConflict(probe, 0.2).table;
+  const BatchVerdict original = pipeline_->Validate(dirty);
+  const BatchVerdict restored = loaded->Validate(dirty);
+  EXPECT_EQ(original.is_dirty, restored.is_dirty);
+  EXPECT_EQ(original.flagged_rows, restored.flagged_rows);
+  ASSERT_EQ(original.instances.size(), restored.instances.size());
+  for (size_t i = 0; i < original.instances.size(); ++i) {
+    EXPECT_EQ(original.instances[i].error, restored.instances[i].error)
+        << "row " << i;
+    EXPECT_EQ(original.instances[i].flagged, restored.instances[i].flagged)
+        << "row " << i;
+    EXPECT_EQ(original.instances[i].suspect_features,
+              restored.instances[i].suspect_features)
+        << "row " << i;
+  }
+
+  // Checkpoints are outside input: a value below 1 is corrupt.
+  for (int64_t corrupt : {int64_t{0}, int64_t{-1}}) {
+    WriteBytes(path, PatchSlot(saved, corrupt));
+    EXPECT_EQ(DquagPipeline::Load(path).status().code(),
+              StatusCode::kInvalidArgument)
+        << "slot " << corrupt;
+  }
   std::remove(path.c_str());
 }
 

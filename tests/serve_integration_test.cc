@@ -132,16 +132,10 @@ int RawConnect(int port) {
   return fd;
 }
 
-ServeOptions FastServeOptions() {
-  ServeOptions options;
-  options.registry.service.micro_batch_rows = 16;
-  return options;
-}
-
 // ----------------------------------------------------------------- basics
 
 TEST(ServeIntegrationTest, PingDeployValidateOverSocket) {
-  ServeDaemon daemon(FastServeOptions());
+  ServeDaemon daemon;
   ASSERT_TRUE(daemon.Start().ok());
   ASSERT_GT(daemon.port(), 0);
 
@@ -173,7 +167,7 @@ TEST(ServeIntegrationTest, PingDeployValidateOverSocket) {
 }
 
 TEST(ServeIntegrationTest, RepairOverSocketMatchesLocalRepair) {
-  ServeDaemon daemon(FastServeOptions());
+  ServeDaemon daemon;
   ASSERT_TRUE(daemon.Start().ok());
   const std::string checkpoint = Checkpoint(Dataset::kNyTaxi, 42);
   auto local = ValidationService::FromCheckpoint(checkpoint);
@@ -183,7 +177,8 @@ TEST(ServeIntegrationTest, RepairOverSocketMatchesLocalRepair) {
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client->Deploy("acme", checkpoint).ok());
 
-  const std::string csv = BatchCsv(Dataset::kNyTaxi, 11, 48);
+  // Two model row blocks: both sides validate on the pool.
+  const std::string csv = BatchCsv(Dataset::kNyTaxi, 11, 300);
   auto remote = client->Repair("acme", csv);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
 
@@ -213,7 +208,7 @@ TEST(ServeIntegrationTest, ConcurrentClientsAcrossTenantsMatchLocal) {
       {"hotel/prod", Dataset::kHotel, 44},
   };
 
-  ServeOptions options = FastServeOptions();
+  ServeOptions options;
   options.registry.max_resident = 2;  // forces evictions under traffic
   ServeDaemon daemon(options);
   ASSERT_TRUE(daemon.Start().ok());
@@ -226,10 +221,7 @@ TEST(ServeIntegrationTest, ConcurrentClientsAcrossTenantsMatchLocal) {
     for (const Tenant& tenant : tenants) {
       const std::string path = Checkpoint(tenant.dataset, tenant.train_seed);
       ASSERT_TRUE(deployer->Deploy(tenant.name, path).ok());
-      ValidationServiceOptions service_options;
-      service_options.micro_batch_rows = 16;
-      auto baseline =
-          ValidationService::FromCheckpoint(path, service_options);
+      auto baseline = ValidationService::FromCheckpoint(path);
       ASSERT_TRUE(baseline.ok());
       baselines[tenant.name] = std::move(*baseline);
     }
@@ -237,6 +229,9 @@ TEST(ServeIntegrationTest, ConcurrentClientsAcrossTenantsMatchLocal) {
 
   constexpr int kClients = 4;
   constexpr int kRounds = 3;
+  // Two model row blocks per request, so every verdict fans out on the
+  // daemon's pool and the baseline's.
+  constexpr int64_t kBatchRows = 300;
   std::atomic<int> mismatches{0};
   std::atomic<int> transport_failures{0};
   std::vector<std::string> first_mismatch(kClients);
@@ -254,7 +249,8 @@ TEST(ServeIntegrationTest, ConcurrentClientsAcrossTenantsMatchLocal) {
           const Tenant& tenant = tenants[t];
           const uint64_t batch_seed =
               1000 + static_cast<uint64_t>(c * 100 + round * 10 + t);
-          const std::string csv = BatchCsv(tenant.dataset, batch_seed, 24);
+          const std::string csv = BatchCsv(tenant.dataset, batch_seed,
+                                           kBatchRows);
           auto remote = client->Validate(tenant.name, csv);
           if (!remote.ok()) {
             transport_failures.fetch_add(1);
@@ -299,7 +295,7 @@ TEST(ServeIntegrationTest, ConcurrentClientsAcrossTenantsMatchLocal) {
   for (const TenantStatsSnapshot& snapshot : *stats) {
     EXPECT_EQ(snapshot.requests_ok, kClients * kRounds);
     EXPECT_EQ(snapshot.requests_failed, 0);
-    EXPECT_EQ(snapshot.rows_validated, kClients * kRounds * 24);
+    EXPECT_EQ(snapshot.rows_validated, kClients * kRounds * kBatchRows);
     EXPECT_EQ(snapshot.latency.count, kClients * kRounds);
     EXPECT_LE(snapshot.latency.p50_us, snapshot.latency.p99_us);
     evictions += snapshot.evictions;
@@ -311,7 +307,7 @@ TEST(ServeIntegrationTest, ConcurrentClientsAcrossTenantsMatchLocal) {
 // ------------------------------------------------------------- overloads
 
 TEST(ServeIntegrationTest, TenantOverloadRejectsGracefully) {
-  ServeOptions options = FastServeOptions();
+  ServeOptions options;
   options.registry.max_inflight_per_tenant = 1;
   ServeDaemon daemon(options);
   ASSERT_TRUE(daemon.Start().ok());
@@ -341,7 +337,7 @@ TEST(ServeIntegrationTest, TenantOverloadRejectsGracefully) {
 }
 
 TEST(ServeIntegrationTest, ConnectionLimitAnswersOverloadedFrame) {
-  ServeOptions options = FastServeOptions();
+  ServeOptions options;
   options.max_connections = 1;
   ServeDaemon daemon(options);
   ASSERT_TRUE(daemon.Start().ok());
@@ -367,7 +363,7 @@ TEST(ServeIntegrationTest, ConnectionLimitAnswersOverloadedFrame) {
 // -------------------------------------------------------------- hot swap
 
 TEST(ServeIntegrationTest, HotSwapOverSocketDropsNothing) {
-  ServeDaemon daemon(FastServeOptions());
+  ServeDaemon daemon;
   ASSERT_TRUE(daemon.Start().ok());
   const std::string v1 = Checkpoint(Dataset::kNyTaxi, 42);
   const std::string v2 = Checkpoint(Dataset::kNyTaxi, 43);
@@ -429,7 +425,7 @@ TEST(ServeIntegrationTest, HotSwapOverSocketDropsNothing) {
 // ------------------------------------------------- malformed-input safety
 
 TEST(ServeIntegrationTest, GarbageBytesGetBadRequestAndDaemonSurvives) {
-  ServeDaemon daemon(FastServeOptions());
+  ServeDaemon daemon;
   ASSERT_TRUE(daemon.Start().ok());
 
   // Unframeable garbage: the daemon answers once, then hangs up.
@@ -477,7 +473,7 @@ TEST(ServeIntegrationTest, GarbageBytesGetBadRequestAndDaemonSurvives) {
 }
 
 TEST(ServeIntegrationTest, BadBatchesAreBadRequestsNotAborts) {
-  ServeDaemon daemon(FastServeOptions());
+  ServeDaemon daemon;
   ASSERT_TRUE(daemon.Start().ok());
   auto client = ServeClient::Connect(kHost, daemon.port());
   ASSERT_TRUE(client.ok());
@@ -519,7 +515,7 @@ TEST(ServeIntegrationTest, BadBatchesAreBadRequestsNotAborts) {
 // -------------------------------------------------------------- shutdown
 
 TEST(ServeIntegrationTest, RemoteShutdownFlagsTheOwner) {
-  ServeDaemon daemon(FastServeOptions());
+  ServeDaemon daemon;
   ASSERT_TRUE(daemon.Start().ok());
   EXPECT_FALSE(daemon.shutdown_requested());
 

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <map>
 #include <mutex>
@@ -349,7 +350,6 @@ ModelRegistryOptions SmallRegistryOptions(int64_t max_resident = 4,
   ModelRegistryOptions options;
   options.max_resident = max_resident;
   options.max_inflight_per_tenant = max_inflight;
-  options.service.micro_batch_rows = 16;
   return options;
 }
 
@@ -427,9 +427,9 @@ TEST(ModelRegistryTest, EvictedServiceSurvivesForHolders) {
   ASSERT_TRUE(held.ok());
   ASSERT_TRUE(registry.Acquire("t2").ok());  // evicts t1 from the registry
   EXPECT_EQ(registry.resident_count(), 1);
-  // The held reference still serves requests; memory is reclaimed only
-  // when the last holder lets go.
-  Table batch = FreshBatch(7);
+  // The held reference still serves requests, fanning its two row blocks
+  // out on the pool; memory is reclaimed only when the last holder lets go.
+  Table batch = FreshBatch(7, /*rows=*/300);
   auto verdict = (*held)->TryValidate(batch);
   EXPECT_TRUE(verdict.ok());
 }
@@ -614,6 +614,37 @@ TEST(ServeDaemonTest, RepairOfDirtyBatchCountsAsDirty) {
   EXPECT_EQ((*stats)[0].requests_ok, 2);
   EXPECT_EQ((*stats)[0].dirty_batches, 2);  // the validate and the repair
   daemon.Stop();
+}
+
+/// Starts an auto-retrain daemon whose retrain options `edit` broke. Such
+/// options would abort the process when the first request built a tenant's
+/// controller, so Start() must refuse them and leave nothing running.
+void ExpectStartRejectsRetrainOptions(
+    const std::function<void(RetrainOptions&)>& edit) {
+  ServeOptions options;
+  options.auto_retrain = true;
+  edit(options.retrain);
+  ServeDaemon daemon(options);
+  const Status status = daemon.Start();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_FALSE(daemon.running());
+}
+
+TEST(ServeDaemonTest, StartRejectsZeroRetrainMinRows) {
+  ExpectStartRejectsRetrainOptions(
+      [](RetrainOptions& retrain) { retrain.min_buffer_rows = 0; });
+}
+
+TEST(ServeDaemonTest, StartRejectsRetrainBufferBelowMinRows) {
+  ExpectStartRejectsRetrainOptions([](RetrainOptions& retrain) {
+    retrain.min_buffer_rows = 256;
+    retrain.max_buffer_rows = 255;
+  });
+}
+
+TEST(ServeDaemonTest, StartRejectsZeroRetrainTriggers) {
+  ExpectStartRejectsRetrainOptions(
+      [](RetrainOptions& retrain) { retrain.trigger_observations = 0; });
 }
 
 // ------------------------------------------------------ pool independence

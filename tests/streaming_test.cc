@@ -356,11 +356,13 @@ TEST(StreamingRepairTest, ChunkRepairsConcatenateToBatchRepair) {
   const Table fresh = DirtyTaxi(300);
   ThreadPool pool1(1);
   ThreadPool pool4(4);
-  const BatchVerdict float_batch = pipeline.validator().Validate(fresh);
+  const Tensor matrix = pipeline.preprocessor().Transform(fresh);
+  const BatchVerdict float_batch = pipeline.validator().ValidateMatrix(matrix);
 
   for (bool quantized : {false, true}) {
     const ValidationMode mode{quantized, 0.25};
-    const BatchVerdict batch = pipeline.validator().Validate(fresh, mode);
+    const BatchVerdict batch =
+        pipeline.validator().ValidateMatrix(matrix, mode);
     const RepairResult whole = pipeline.Repair(fresh, batch);
     ASSERT_GT(whole.cells_repaired, 0);
 

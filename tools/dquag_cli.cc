@@ -13,7 +13,7 @@
 //   dquag serve-sim --model model.ckpt --data new.csv [--threads T]
 //                   [--rounds R] [--chunk-rows N]    (concurrent serving sim)
 //   dquag serve     --port P [--host H] [--capacity N] [--max-inflight K]
-//                   [--max-connections C] [--micro-batch M]
+//                   [--max-connections C]
 //                   [--io-timeout-ms MS]  (disconnect stalled peers; 0=off)
 //                   [--deploy tenant=model.ckpt[,t2=m2.ckpt...]]
 //                     (append @quantized to a checkpoint for int8 serving)
@@ -473,8 +473,6 @@ int CmdServe(const Args& args) {
   options.io_timeout_ms = args.GetInt("io-timeout-ms", 30000);
   options.registry.max_resident = args.GetInt("capacity", 4);
   options.registry.max_inflight_per_tenant = args.GetInt("max-inflight", 32);
-  options.registry.service.micro_batch_rows =
-      args.GetInt("micro-batch", 512);
   options.auto_retrain = args.Has("auto-retrain");
   options.retrain.finetune_epochs = args.GetInt("retrain-epochs", 5);
   options.retrain.min_buffer_rows = args.GetInt("retrain-min-rows", 256);
