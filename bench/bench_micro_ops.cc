@@ -87,7 +87,7 @@ void BM_LayerForward(benchmark::State& state) {
   std::unique_ptr<GnnLayer> layer;
   switch (kind) {
     case 0: layer = std::make_unique<GcnLayer>(graph, 64, 64, rng); break;
-    case 1: layer = std::make_unique<GatLayer>(graph, 64, 64, 1, rng); break;
+    case 1: layer = std::make_unique<GatLayer>(graph, 64, 64, rng); break;
     default: layer = std::make_unique<GinLayer>(graph, 64, 64, rng); break;
   }
   for (auto _ : state) {

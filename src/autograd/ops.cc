@@ -1,6 +1,5 @@
 #include "autograd/ops.h"
 
-#include <cmath>
 #include <utility>
 
 namespace dquag {
@@ -81,21 +80,6 @@ VarPtr Mul(const VarPtr& a, const VarPtr& b) {
       });
 }
 
-VarPtr Div(const VarPtr& a, const VarPtr& b) {
-  return MakeOp(
-      dquag::Div(a->value(), b->value()), {a, b},
-      [a, b](Variable& out) {
-        if (a->requires_grad()) {
-          AccumulateScaled(a, dquag::Div(out.grad(), b->value()));
-        }
-        if (!b->requires_grad()) return;
-        // d/db (a/b) = -a / b^2
-        Tensor b2 = dquag::Mul(b->value(), b->value());
-        Tensor gb = dquag::Div(dquag::Mul(out.grad(), a->value()), b2);
-        AccumulateScaled(b, gb, -1.0f);
-      });
-}
-
 VarPtr AddScalar(const VarPtr& a, float s) {
   return MakeOp(dquag::AddScalar(a->value(), s), {a},
                 [a](Variable& out) { AccumulateScaled(a, out.grad()); });
@@ -106,13 +90,6 @@ VarPtr MulScalar(const VarPtr& a, float s) {
                 [a, s](Variable& out) {
                   AccumulateScaled(a, out.grad(), s);
                 });
-}
-
-VarPtr Relu(const VarPtr& a) {
-  return MakeOp(dquag::Relu(a->value()), {a}, [a](Variable& out) {
-    if (!a->requires_grad()) return;
-    ReluBackwardInto(a->value(), out.grad(), a->grad_ref());
-  });
 }
 
 VarPtr LeakyRelu(const VarPtr& a, float negative_slope) {
@@ -130,30 +107,6 @@ VarPtr Elu(const VarPtr& a, float alpha) {
     if (!a->requires_grad()) return;
     EluBackwardInto(a->value(), out.value(), alpha, out.grad(),
                     a->grad_ref());
-  });
-}
-
-VarPtr Sigmoid(const VarPtr& a) {
-  Tensor y = dquag::Sigmoid(a->value());
-  return MakeOp(std::move(y), {a}, [a](Variable& out) {
-    if (!a->requires_grad()) return;
-    SigmoidBackwardInto(out.value(), out.grad(), a->grad_ref());
-  });
-}
-
-VarPtr Tanh(const VarPtr& a) {
-  Tensor y = dquag::Tanh(a->value());
-  return MakeOp(std::move(y), {a}, [a](Variable& out) {
-    if (!a->requires_grad()) return;
-    TanhBackwardInto(out.value(), out.grad(), a->grad_ref());
-  });
-}
-
-VarPtr Exp(const VarPtr& a) {
-  Tensor y = dquag::Exp(a->value());
-  return MakeOp(std::move(y), {a}, [a](Variable& out) {
-    if (!a->requires_grad()) return;
-    AddProductInto(out.grad(), out.value(), 1.0f, a->grad_ref());
   });
 }
 
@@ -199,62 +152,6 @@ VarPtr Reshape(const VarPtr& a, Shape new_shape) {
   });
 }
 
-VarPtr Concat(const std::vector<VarPtr>& parts, int64_t axis) {
-  std::vector<Tensor> values;
-  values.reserve(parts.size());
-  for (const VarPtr& p : parts) values.push_back(p->value());
-  Tensor y = dquag::Concat(values, axis);
-  const int64_t norm_axis = axis < 0 ? axis + parts[0]->value().ndim() : axis;
-  return MakeOp(std::move(y), parts, [parts, norm_axis](Variable& out) {
-    const Tensor& g = out.grad();
-    int64_t outer = 1, inner = 1;
-    for (int64_t i = 0; i < norm_axis; ++i) outer *= g.dim(i);
-    for (int64_t i = norm_axis + 1; i < g.ndim(); ++i) inner *= g.dim(i);
-    const int64_t g_axis = g.dim(norm_axis);
-    const float* src = g.data();
-    int64_t offset = 0;
-    for (const VarPtr& p : parts) {
-      const int64_t extent = p->value().dim(norm_axis);
-      if (p->requires_grad()) {
-        // Accumulate the part's stripe of g in place of a Slice copy.
-        float* dst = p->grad_ref().data();
-        for (int64_t o = 0; o < outer; ++o) {
-          const float* from = src + (o * g_axis + offset) * inner;
-          float* to = dst + o * extent * inner;
-          const int64_t span = extent * inner;
-          for (int64_t i = 0; i < span; ++i) to[i] += from[i];
-        }
-      }
-      offset += extent;
-    }
-  });
-}
-
-VarPtr Slice(const VarPtr& a, int64_t axis, int64_t start, int64_t end) {
-  const int64_t norm_axis = axis < 0 ? axis + a->value().ndim() : axis;
-  Tensor y = dquag::Slice(a->value(), norm_axis, start, end);
-  return MakeOp(std::move(y), {a}, [a, norm_axis, start](Variable& out) {
-    if (!a->requires_grad()) return;
-    // Accumulate g straight into the sliced region of a's gradient — no
-    // zero-padded temporary.
-    Tensor& dst = a->grad_ref();
-    const Tensor& g = out.grad();
-    int64_t outer = 1, inner = 1;
-    for (int64_t i = 0; i < norm_axis; ++i) outer *= dst.dim(i);
-    for (int64_t i = norm_axis + 1; i < dst.ndim(); ++i) inner *= dst.dim(i);
-    const int64_t in_axis = dst.dim(norm_axis);
-    const int64_t out_axis = g.dim(norm_axis);
-    const float* src = g.data();
-    float* pd = dst.data();
-    for (int64_t o = 0; o < outer; ++o) {
-      const float* from = src + o * out_axis * inner;
-      float* to = pd + (o * in_axis + start) * inner;
-      const int64_t span = out_axis * inner;
-      for (int64_t i = 0; i < span; ++i) to[i] += from[i];
-    }
-  });
-}
-
 VarPtr Sum(const VarPtr& a, int64_t axis, bool keepdims) {
   const int64_t norm_axis = axis < 0 ? axis + a->value().ndim() : axis;
   Tensor y = dquag::Sum(a->value(), norm_axis, keepdims);
@@ -293,11 +190,6 @@ VarPtr SumAll(const VarPtr& a) {
     if (!a->requires_grad()) return;
     BroadcastAddInto(out.grad(), a->grad_ref());
   });
-}
-
-VarPtr MeanAll(const VarPtr& a) {
-  const float scale = 1.0f / static_cast<float>(a->value().numel());
-  return MulScalar(SumAll(a), scale);
 }
 
 VarPtr GatherAxis1(const VarPtr& t, std::vector<int32_t> indices) {

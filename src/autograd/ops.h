@@ -23,19 +23,14 @@ namespace ag {
 VarPtr Add(const VarPtr& a, const VarPtr& b);
 VarPtr Sub(const VarPtr& a, const VarPtr& b);
 VarPtr Mul(const VarPtr& a, const VarPtr& b);
-VarPtr Div(const VarPtr& a, const VarPtr& b);
 
 VarPtr AddScalar(const VarPtr& a, float s);
 VarPtr MulScalar(const VarPtr& a, float s);
 
 // ---- Elementwise unary -----------------------------------------------------
 
-VarPtr Relu(const VarPtr& a);
 VarPtr LeakyRelu(const VarPtr& a, float negative_slope = 0.2f);
 VarPtr Elu(const VarPtr& a, float alpha = 1.0f);
-VarPtr Sigmoid(const VarPtr& a);
-VarPtr Tanh(const VarPtr& a);
-VarPtr Exp(const VarPtr& a);
 VarPtr Square(const VarPtr& a);
 
 // ---- Linear algebra --------------------------------------------------------
@@ -46,8 +41,6 @@ VarPtr MatMul(const VarPtr& a, const VarPtr& b);
 // ---- Structure -------------------------------------------------------------
 
 VarPtr Reshape(const VarPtr& a, Shape new_shape);
-VarPtr Concat(const std::vector<VarPtr>& parts, int64_t axis);
-VarPtr Slice(const VarPtr& a, int64_t axis, int64_t start, int64_t end);
 
 // ---- Reductions ------------------------------------------------------------
 
@@ -55,7 +48,6 @@ VarPtr Sum(const VarPtr& a, int64_t axis, bool keepdims = false);
 VarPtr Mean(const VarPtr& a, int64_t axis, bool keepdims = false);
 /// Full reduction to a [1] tensor.
 VarPtr SumAll(const VarPtr& a);
-VarPtr MeanAll(const VarPtr& a);
 
 // ---- Graph kernels ---------------------------------------------------------
 

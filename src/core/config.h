@@ -5,7 +5,9 @@
 // reconstruction errors (§3.1.4); a batch is dirty when more than 5% * n of
 // its instances exceed the threshold, n = 1.2 (§3.2.1); per-instance feature
 // flagging at mu + k * sigma (§3.2.1 — the paper uses k = 5, see DESIGN.md
-// for why the default here is 3).
+// for why the default here is 3). The rest of the model's shape is fixed,
+// not configured: ELU between layers and one attention head per GAT layer
+// (§3.1.2).
 
 #ifndef DQUAG_CORE_CONFIG_H_
 #define DQUAG_CORE_CONFIG_H_

@@ -50,15 +50,12 @@ InstanceExplanation Explainer::Explain(const Table& batch, size_t row) const {
   for (const auto& layer_attention : recorded) {
     const auto& src = layer_attention.layer->arc_src();
     const auto& dst = layer_attention.layer->arc_dst();
-    for (const auto& head : layer_attention.heads) {
-      for (size_t e = 0; e < src.size(); ++e) {
-        attention_in[dst[e]][src[e]] += head[e];
-      }
+    for (size_t e = 0; e < src.size(); ++e) {
+      attention_in[dst[e]][src[e]] += layer_attention.alpha[e];
     }
   }
   const double norm =
-      std::max<size_t>(1, recorded.size()) *
-      std::max<size_t>(1, recorded.empty() ? 1 : recorded[0].heads.size());
+      static_cast<double>(std::max<size_t>(1, recorded.size()));
 
   for (int64_t c : inst.suspect_features) {
     FeatureExplanation fe;
@@ -71,7 +68,7 @@ InstanceExplanation Explainer::Explain(const Table& batch, size_t row) const {
     auto it = attention_in.find(c);
     if (it != attention_in.end()) {
       for (const auto& [from, weight] : it->second) {
-        fe.influences.push_back({from, weight / static_cast<double>(norm)});
+        fe.influences.push_back({from, weight / norm});
       }
       std::sort(fe.influences.begin(), fe.influences.end(),
                 [](const AttentionEdge& a, const AttentionEdge& b) {

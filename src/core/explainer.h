@@ -23,7 +23,7 @@ namespace dquag {
 /// Attention edge into a suspect feature.
 struct AttentionEdge {
   int64_t from_feature = 0;
-  double weight = 0.0;  // averaged over GAT layers and heads
+  double weight = 0.0;  // averaged over GAT layers
 };
 
 struct FeatureExplanation {

@@ -25,11 +25,9 @@ VarPtr FeatureDetokenizer::Forward(const VarPtr& z) const {
 }
 
 ReconstructionDecoder::ReconstructionDecoder(int64_t num_features,
-                                             int64_t hidden_dim, Rng& rng,
-                                             Activation activation) {
-  mlp_ = std::make_unique<Mlp>(
-      std::vector<int64_t>{hidden_dim, hidden_dim}, activation, rng,
-      /*activate_last=*/true);
+                                             int64_t hidden_dim, Rng& rng) {
+  mlp_ = std::make_unique<Mlp>(std::vector<int64_t>{hidden_dim, hidden_dim},
+                               rng, /*activate_last=*/true);
   readout_ = std::make_unique<FeatureDetokenizer>(num_features, hidden_dim,
                                                   rng);
   RegisterModule(mlp_.get());
@@ -66,10 +64,10 @@ DquagModel::DquagModel(const FeatureGraph& graph, const DquagConfig& config,
   const int64_t h = config.encoder.hidden_dim;
   tokenizer_ = std::make_unique<FeatureTokenizer>(num_features_, h, rng);
   encoder_ = std::make_unique<GnnEncoder>(graph, config.encoder, rng);
-  validation_decoder_ = std::make_unique<ReconstructionDecoder>(
-      num_features_, h, rng, config.encoder.activation);
-  repair_decoder_ = std::make_unique<ReconstructionDecoder>(
-      num_features_, h, rng, config.encoder.activation);
+  validation_decoder_ =
+      std::make_unique<ReconstructionDecoder>(num_features_, h, rng);
+  repair_decoder_ =
+      std::make_unique<ReconstructionDecoder>(num_features_, h, rng);
   RegisterModule(tokenizer_.get());
   RegisterModule(encoder_.get());
   RegisterModule(validation_decoder_.get());

@@ -40,11 +40,10 @@ class FeatureDetokenizer : public Module {
   VarPtr bias_;    // [d] (stored as [d, 1]-free vector)
 };
 
-/// One decoder head: shared MLP over embeddings, then per-feature read-out.
+/// One decoder head: Linear + ELU over embeddings, then per-feature read-out.
 class ReconstructionDecoder : public Module {
  public:
-  ReconstructionDecoder(int64_t num_features, int64_t hidden_dim, Rng& rng,
-                        Activation activation);
+  ReconstructionDecoder(int64_t num_features, int64_t hidden_dim, Rng& rng);
 
   /// z: [B, d, h] -> [B, d].
   VarPtr Forward(const VarPtr& z) const;

@@ -38,8 +38,8 @@ std::vector<MinerColumn> TableToMinerColumns(const Table& table);
 /// Range checks on a config, applied by Fit before any work and by Load
 /// before any model is built from a decoded one. Limits are generous
 /// versus anything the trainer produces but small enough that a bad field
-/// cannot drive pathological allocations, out-of-range enum dispatch or a
-/// chunk loop that never advances.
+/// cannot drive pathological allocations, out-of-range enum dispatch, a
+/// percentile outside [0, 1] or a calibration split larger than the data.
 Status ValidateConfig(const DquagConfig& config);
 
 /// Knobs for DquagPipeline::FineTune.

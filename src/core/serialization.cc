@@ -40,13 +40,19 @@ constexpr uint64_t kDriftSectionMagic = 0x5044514400000001ULL;
 // the v1 layout and a default-config checkpoint's bytes are unchanged.
 // Load rejects a value below 1 as corrupt and otherwise ignores it.
 constexpr int64_t kRetiredChunkRows = 2048;
+// Written to the config slots that once held the GAT head count and the
+// activation enum (3 was ELU). The model now has one head and ELU by
+// construction; Load rejects any other value as a shape this build cannot
+// rebuild.
+constexpr int64_t kSingleHead = 1;
+constexpr int64_t kEluActivation = 3;
 
 void WriteConfig(BinaryWriter& w, const DquagConfig& config) {
   w.WriteI64(static_cast<int64_t>(config.encoder.kind));
   w.WriteI64(config.encoder.num_layers);
   w.WriteI64(config.encoder.hidden_dim);
-  w.WriteI64(config.encoder.num_heads);
-  w.WriteI64(static_cast<int64_t>(config.encoder.activation));
+  w.WriteI64(kSingleHead);
+  w.WriteI64(kEluActivation);
   w.WriteI64(config.batch_size);
   w.WriteDouble(config.learning_rate);
   w.WriteI64(config.epochs);
@@ -67,9 +73,14 @@ Status ReadConfig(BinaryReader& r, DquagConfig& config) {
   config.encoder.kind = static_cast<EncoderKind>(kind);
   DQUAG_ASSIGN_OR_RETURN(config.encoder.num_layers, r.ReadI64());
   DQUAG_ASSIGN_OR_RETURN(config.encoder.hidden_dim, r.ReadI64());
-  DQUAG_ASSIGN_OR_RETURN(config.encoder.num_heads, r.ReadI64());
+  DQUAG_ASSIGN_OR_RETURN(int64_t heads, r.ReadI64());
+  if (heads != kSingleHead) {
+    return Status::InvalidArgument("config: unsupported GAT head count");
+  }
   DQUAG_ASSIGN_OR_RETURN(int64_t activation, r.ReadI64());
-  config.encoder.activation = static_cast<Activation>(activation);
+  if (activation != kEluActivation) {
+    return Status::InvalidArgument("config: unsupported activation");
+  }
   DQUAG_ASSIGN_OR_RETURN(config.batch_size, r.ReadI64());
   DQUAG_ASSIGN_OR_RETURN(double lr, r.ReadDouble());
   config.learning_rate = static_cast<float>(lr);
@@ -102,23 +113,23 @@ Status ValidateConfig(const DquagConfig& config) {
       kind > static_cast<int64_t>(EncoderKind::kGatGin)) {
     return Status::InvalidArgument("config: invalid encoder kind");
   }
-  const auto act = static_cast<int64_t>(config.encoder.activation);
-  if (act < static_cast<int64_t>(Activation::kIdentity) ||
-      act > static_cast<int64_t>(Activation::kTanh)) {
-    return Status::InvalidArgument("config: invalid activation");
-  }
   if (config.encoder.hidden_dim < 1 || config.encoder.hidden_dim > 1024) {
     return Status::InvalidArgument("config: implausible hidden_dim");
   }
   if (config.encoder.num_layers < 1 || config.encoder.num_layers > 32) {
     return Status::InvalidArgument("config: implausible num_layers");
   }
-  if (config.encoder.num_heads < 1 || config.encoder.num_heads > 64 ||
-      config.encoder.hidden_dim % config.encoder.num_heads != 0) {
-    return Status::InvalidArgument("config: invalid num_heads");
-  }
   if (config.batch_size < 1) {
     return Status::InvalidArgument("config: invalid batch_size");
+  }
+  // Negated ranges, so NaN fails them too.
+  if (!(config.threshold_percentile >= 0.0 &&
+        config.threshold_percentile <= 1.0)) {
+    return Status::InvalidArgument("config: threshold_percentile not in [0, 1]");
+  }
+  if (!(config.calibration_fraction >= 0.0 &&
+        config.calibration_fraction < 1.0)) {
+    return Status::InvalidArgument("config: calibration_fraction not in [0, 1)");
   }
   return Status::Ok();
 }

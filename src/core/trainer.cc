@@ -214,50 +214,11 @@ double Trainer::Step(const Tensor& batch) {
   return loss_value;
 }
 
-namespace {
-
-/// Adapts the in-memory clean matrix to the row-source interface. Gathers
-/// are the exact row copies the pre-streaming Fit performed, so the Tensor
-/// overload's results are unchanged bit for bit.
-class TensorRowSource final : public TrainingRowSource {
- public:
-  explicit TensorRowSource(const Tensor& matrix) : matrix_(&matrix) {}
-
-  int64_t num_rows() const override { return matrix_->dim(0); }
-  int64_t num_features() const override { return matrix_->dim(1); }
-
-  Status GatherRows(const size_t* rows, int64_t count,
-                    float* out) override {
-    const size_t d = static_cast<size_t>(matrix_->dim(1));
-    for (int64_t i = 0; i < count; ++i) {
-      const float* src = matrix_->data() + rows[i] * d;
-      std::copy(src, src + d, out + static_cast<size_t>(i) * d);
-    }
-    return Status::Ok();
-  }
-
- private:
-  const Tensor* matrix_;
-};
-
-}  // namespace
-
 TrainingReport Trainer::Fit(const Tensor& clean_matrix) {
   DQUAG_CHECK_EQ(clean_matrix.ndim(), 2);
-  TensorRowSource source(clean_matrix);
-  StatusOr<TrainingReport> report = Fit(source);
-  DQUAG_CHECK(report.ok());  // the in-memory source cannot fail
-  return *std::move(report);
-}
-
-StatusOr<TrainingReport> Trainer::Fit(TrainingRowSource& source) {
-  const int64_t rows = source.num_rows();
-  const int64_t d = source.num_features();
-  if (d != model_->num_features()) {
-    return Status::InvalidArgument(
-        "training source has " + std::to_string(d) + " features, model has " +
-        std::to_string(model_->num_features()));
-  }
+  DQUAG_CHECK_EQ(clean_matrix.dim(1), model_->num_features());
+  const int64_t rows = clean_matrix.dim(0);
+  const int64_t d = clean_matrix.dim(1);
 
   // Hold out a calibration split for the error threshold (config comment
   // explains the deviation from in-sample thresholding).
@@ -268,21 +229,24 @@ StatusOr<TrainingReport> Trainer::Fit(TrainingRowSource& source) {
   for (size_t i = 0; i < permutation.size(); ++i) permutation[i] = i;
   rng_.Shuffle(permutation);
 
+  // Copies `count` matrix rows, picked by `row_ids`, into `out` [count, d].
+  auto gather = [&](const size_t* row_ids, int64_t count, Tensor& out) {
+    out.ResizeInPlace({count, d});
+    for (int64_t i = 0; i < count; ++i) {
+      const float* src = clean_matrix.data() + row_ids[i] * d;
+      std::copy(src, src + d, out.data() + i * d);
+    }
+  };
+
   const int64_t train_rows = rows - calibration_rows;
   // The permutation is contiguous per split, so the calibration matrix is
   // one gather over a permutation span.
-  auto gather_span = [&](int64_t from, int64_t count) -> StatusOr<Tensor> {
-    Tensor block({count, d});
-    DQUAG_RETURN_IF_ERROR(
-        source.GatherRows(permutation.data() + from, count, block.data()));
-    return block;
-  };
   Tensor calibration_matrix;
   if (calibration_rows > 0) {
-    DQUAG_ASSIGN_OR_RETURN(calibration_matrix,
-                           gather_span(train_rows, calibration_rows));
+    gather(permutation.data() + train_rows, calibration_rows,
+           calibration_matrix);
   } else {
-    DQUAG_ASSIGN_OR_RETURN(calibration_matrix, gather_span(0, train_rows));
+    gather(permutation.data(), train_rows, calibration_matrix);
   }
 
   TrainingReport report;
@@ -297,17 +261,14 @@ StatusOr<TrainingReport> Trainer::Fit(TrainingRowSource& source) {
     for (int64_t start = 0; start < train_rows;
          start += config_.batch_size) {
       const int64_t end = std::min(train_rows, start + config_.batch_size);
-      // Mini-batch gathered straight from the source through the composed
-      // permutation — one row copy (or one on-demand decode), never a
-      // train-matrix materialization.
+      // Mini-batch gathered through the composed permutation — one row
+      // copy, never a train-matrix materialization.
       batch_rows.resize(static_cast<size_t>(end - start));
       for (int64_t r = start; r < end; ++r) {
         batch_rows[static_cast<size_t>(r - start)] =
             permutation[order[static_cast<size_t>(r)]];
       }
-      batch_buffer_.ResizeInPlace({end - start, d});
-      DQUAG_RETURN_IF_ERROR(source.GatherRows(
-          batch_rows.data(), end - start, batch_buffer_.data()));
+      gather(batch_rows.data(), end - start, batch_buffer_);
       epoch_loss += Step(batch_buffer_);
       ++num_batches;
     }

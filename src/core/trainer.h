@@ -30,26 +30,6 @@ struct TrainingReport {
   double clean_flag_rate = 0.0;
 };
 
-/// Random-access provider of preprocessed training rows. Fit() never sees
-/// the whole matrix — it asks for one batch of rows at a time (by global
-/// row index, any order), so implementations can stream from disk with
-/// O(batch) memory. The in-memory Tensor overload of Fit() goes through
-/// this same interface; a source that produces the same floats per row
-/// yields bit-identical training (losses, threshold, weights).
-class TrainingRowSource {
- public:
-  virtual ~TrainingRowSource() = default;
-
-  virtual int64_t num_rows() const = 0;
-  virtual int64_t num_features() const = 0;
-
-  /// Writes `count` rows, row-major [count, num_features()], into `out`.
-  /// `rows[i]` are global row indices in [0, num_rows()), any order,
-  /// duplicates allowed.
-  virtual Status GatherRows(const size_t* rows, int64_t count,
-                            float* out) = 0;
-};
-
 /// Minimizes L = alpha * L_validation + beta * L_repair with Adam over the
 /// clean preprocessed matrix [N, d]. The validation loss uses per-sample
 /// weights recomputed each step from detached reconstruction errors
@@ -67,19 +47,12 @@ class Trainer {
  public:
   Trainer(DquagModel* model, const DquagConfig& config);
 
-  /// Trains on `clean_matrix` and collects the final reconstruction-error
-  /// statistics on the unmasked clean data. Mini-batches are gathered
-  /// straight from `clean_matrix` through the composed shuffle permutation
-  /// (one copy per row per epoch).
+  /// Trains on `clean_matrix` [N, d] and collects the final
+  /// reconstruction-error statistics on the unmasked clean data. One
+  /// shuffle permutation splits the rows into the training and calibration
+  /// sets; mini-batches and the calibration matrix are gathered straight
+  /// from `clean_matrix` through it (one copy per row per epoch).
   TrainingReport Fit(const Tensor& clean_matrix);
-
-  /// Out-of-core variant: identical math, but rows are pulled on demand
-  /// from `source` (one batch in memory at a time, plus the calibration
-  /// split). Given a source that reproduces the in-memory rows exactly —
-  /// e.g. ColumnarTrainingSource over a .dqc written from the same table —
-  /// epoch losses and the threshold are bit-identical to the Tensor
-  /// overload.
-  StatusOr<TrainingReport> Fit(TrainingRowSource& source);
 
   /// Per-instance validation-head errors on a matrix (no masking). Runs on
   /// the tape-free inference engine, one worker-pool task per

@@ -6,9 +6,8 @@
 // paths return Status on corrupt input — a hostile .dqc can never reach a
 // DQUAG_CHECK abort or an out-of-bounds read.
 //
-// The reader is a TableChunkReader, so `validate`, `serve-sim`, and
-// out-of-core training consume .dqc files through the same interface as
-// CSV. It additionally exposes zero-copy per-(block, column) views into
+// The reader is a TableChunkReader, so `validate` and `serve-sim` consume
+// .dqc files through the same interface as CSV. It additionally exposes zero-copy per-(block, column) views into
 // the mapping: bitmap + raw values with no copy, valid while the reader is
 // alive. Block payloads are checksum-verified lazily on first touch (and
 // categorical codes range-checked then too), so a reader that only touches
@@ -65,7 +64,6 @@ class ColumnarReader final : public TableChunkReader {
 
   int64_t num_rows() const { return num_rows_; }
   int64_t num_blocks() const { return static_cast<int64_t>(blocks_.size()); }
-  int64_t block_rows() const { return block_rows_; }
 
   /// Rewinds the cursor so Next() streams from row 0 again. Keeps the
   /// checksum-verification cache — re-reads are warm.

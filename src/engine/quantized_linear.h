@@ -23,30 +23,6 @@ void QuantizedLinearInto(const Tensor& x, const QuantizedWeight& qw,
                          const Tensor* bias, InferenceContext& ctx,
                          Tensor& out);
 
-/// A quantized activation staged in the caller's arena: int8 rows padded to
-/// an even trailing dimension plus one symmetric scale per row. Pointers
-/// stay valid until the context rewinds past them.
-struct QuantizedActivation {
-  const int8_t* xq = nullptr;
-  const float* scales = nullptr;
-  int64_t rows = 0;
-  int64_t k_padded = 0;
-};
-
-/// Quantizes x (trailing dimension k) once into ctx scratch. Lets callers
-/// that feed the SAME activation to several weights — a multi-head GAT
-/// projects node_features through every head — pay the quantize pass once
-/// instead of per weight. Bitwise identical to the fused path: quantize_rows
-/// is deterministic per row, so splitting it from the GEMM changes nothing.
-QuantizedActivation QuantizeActivation(const Tensor& x, int64_t k,
-                                       InferenceContext& ctx);
-
-/// The GEMM half of QuantizedLinearInto over a pre-quantized activation.
-/// Same contract: out is fully overwritten, bias may be null.
-void QuantizedGemmInto(const QuantizedActivation& act,
-                       const QuantizedWeight& qw, const Tensor* bias,
-                       Tensor& out);
-
 }  // namespace dquag
 
 #endif  // DQUAG_ENGINE_QUANTIZED_LINEAR_H_

@@ -1,5 +1,6 @@
 #include "gnn/encoder.h"
 
+#include "autograd/ops.h"
 #include "util/string_utils.h"
 
 namespace dquag {
@@ -54,8 +55,7 @@ GnnEncoder::GnnEncoder(const FeatureGraph& graph, GnnEncoderConfig config,
         if (even) {
           layer = std::make_unique<GcnLayer>(looped, h, h, rng);
         } else {
-          layer = std::make_unique<GatLayer>(looped, h, h, config_.num_heads,
-                                             rng);
+          layer = std::make_unique<GatLayer>(looped, h, h, rng);
         }
         break;
       case EncoderKind::kGcnGin:
@@ -67,8 +67,7 @@ GnnEncoder::GnnEncoder(const FeatureGraph& graph, GnnEncoderConfig config,
         break;
       case EncoderKind::kGatGin:
         if (even) {
-          layer = std::make_unique<GatLayer>(looped, h, h, config_.num_heads,
-                                             rng);
+          layer = std::make_unique<GatLayer>(looped, h, h, rng);
         } else {
           layer = std::make_unique<GinLayer>(graph, h, h, rng);
         }
@@ -93,7 +92,7 @@ VarPtr GnnEncoder::Forward(const VarPtr& tokens, const VarPtr& raw_rows,
       h = layers_[i]->Forward(h);
     }
     if (i + 1 < layers_.size()) {
-      h = ApplyActivation(h, config_.activation);
+      h = ag::Elu(h);
     }
   }
   return h;
@@ -107,7 +106,7 @@ Tensor& GnnEncoder::InferForward(const Tensor& tokens, const Tensor& raw_rows,
   for (size_t i = 0; i < layers_.size(); ++i) {
     out = &layers_[i]->InferForward(*h, ctx);
     if (i + 1 < layers_.size()) {
-      ApplyActivationInPlace(*out, config_.activation);
+      EluInPlace(*out);
     }
     h = out;
   }

@@ -1,6 +1,7 @@
 // Configurable GNN encoder stacks (paper §3.1.2, Table 2).
 //
-// The paper's model alternates GAT and GIN layers (GAT-GIN-GAT-GIN). For the
+// The paper's model alternates GAT and GIN layers (GAT-GIN-GAT-GIN) with
+// ELU between layers and one attention head per GAT layer. For the
 // encoder-architecture ablation (Table 2) the same shell also builds pure
 // GCN, GCN+GAT, GCN+GIN stacks and the Graph2Vec baseline. All variants map
 // tokenized node features [B, N, H] to embeddings Z in [B, N, H]; the
@@ -40,8 +41,6 @@ struct GnnEncoderConfig {
   EncoderKind kind = EncoderKind::kGatGin;
   int64_t num_layers = 4;    // paper §4.4
   int64_t hidden_dim = 64;   // paper §4.4
-  int64_t num_heads = 1;
-  Activation activation = Activation::kElu;
 };
 
 class GnnEncoder : public Module {
@@ -55,7 +54,7 @@ class GnnEncoder : public Module {
   VarPtr Forward(const VarPtr& tokens, const VarPtr& raw_rows,
                  AttentionRecorder* recorder = nullptr) const;
 
-  /// Tape-free forward through the stack; activations run in place on the
+  /// Tape-free forward through the stack; ELU runs in place on the
   /// workspace buffers.
   Tensor& InferForward(const Tensor& tokens, const Tensor& raw_rows,
                        InferenceContext& ctx) const;

@@ -14,14 +14,8 @@ AttentionRecorder::LayerAttention& AttentionRecorder::StartLayer(
 }
 
 GatLayer::GatLayer(const FeatureGraph& graph, int64_t in_dim, int64_t out_dim,
-                   int64_t num_heads, Rng& rng, float leaky_slope)
-    : in_dim_(in_dim),
-      out_dim_(out_dim),
-      num_heads_(num_heads),
-      head_dim_(out_dim / num_heads),
-      num_nodes_(graph.num_nodes()),
-      leaky_slope_(leaky_slope) {
-  DQUAG_CHECK_EQ(head_dim_ * num_heads_, out_dim_);
+                   Rng& rng)
+    : in_dim_(in_dim), out_dim_(out_dim), num_nodes_(graph.num_nodes()) {
   // GAT attends over neighbours and the node itself. Reuse the caller's
   // graph (and its cached CSR order) when it is already self-looped.
   auto take = [&](const FeatureGraph& g) {
@@ -38,16 +32,12 @@ GatLayer::GatLayer(const FeatureGraph& graph, int64_t in_dim, int64_t out_dim,
     looped.AddSelfLoops();
     take(looped);
   }
-  for (int64_t k = 0; k < num_heads_; ++k) {
-    const std::string suffix = "_h" + std::to_string(k);
-    head_weights_.push_back(RegisterParameter(
-        "weight" + suffix, XavierUniform(in_dim_, head_dim_, rng)));
-    attn_src_.push_back(RegisterParameter(
-        "attn_src" + suffix, XavierUniform(head_dim_, 1, rng)));
-    attn_dst_.push_back(RegisterParameter(
-        "attn_dst" + suffix, XavierUniform(head_dim_, 1, rng)));
-    head_qcaches_.push_back(std::make_unique<QuantizedWeightCache>());
-  }
+  weight_ =
+      RegisterParameter("weight", XavierUniform(in_dim_, out_dim_, rng));
+  attn_src_ =
+      RegisterParameter("attn_src", XavierUniform(out_dim_, 1, rng));
+  attn_dst_ =
+      RegisterParameter("attn_dst", XavierUniform(out_dim_, 1, rng));
   bias_ = RegisterParameter("bias", Tensor::Zeros({out_dim_}));
 }
 
@@ -62,40 +52,28 @@ VarPtr GatLayer::Forward(const VarPtr& node_features,
   const int64_t batch = batched ? node_features->value().dim(0) : 1;
   const int64_t num_arcs = static_cast<int64_t>(src_.size());
 
-  AttentionRecorder::LayerAttention* snapshot =
-      recorder != nullptr ? &recorder->StartLayer(this) : nullptr;
-  std::vector<VarPtr> head_outputs;
-  head_outputs.reserve(static_cast<size_t>(num_heads_));
-  for (int64_t k = 0; k < num_heads_; ++k) {
-    const size_t ki = static_cast<size_t>(k);
-    VarPtr projected = ag::MatMul(node_features, head_weights_[ki]);
-    // Per-node attention logits a_s.Wh and a_d.Wh: [B, N, 1].
-    VarPtr logit_src = ag::MatMul(projected, attn_src_[ki]);
-    VarPtr logit_dst = ag::MatMul(projected, attn_dst_[ki]);
-    // Move to arcs and combine: e = LeakyReLU(ls[src] + ld[dst]).
-    VarPtr arc_src_logit = ag::GatherAxis1(logit_src, src_);
-    VarPtr arc_dst_logit = ag::GatherAxis1(logit_dst, dst_);
-    VarPtr scores = ag::LeakyRelu(ag::Add(arc_src_logit, arc_dst_logit),
-                                  leaky_slope_);
-    // Softmax over arcs sharing a destination node.
-    Shape flat_shape = batched ? Shape{batch, num_arcs} : Shape{num_arcs};
-    VarPtr alpha = ag::SegmentSoftmaxAxis1(ag::Reshape(scores, flat_shape),
-                                           dst_, num_nodes_);
-    if (snapshot != nullptr) {
-      const float* pa = alpha->value().data();
-      snapshot->heads.emplace_back(pa, pa + num_arcs);
-    }
-    Shape alpha_shape =
-        batched ? Shape{batch, num_arcs, 1} : Shape{num_arcs, 1};
-    VarPtr alpha3 = ag::Reshape(alpha, std::move(alpha_shape));
-    VarPtr messages = ag::GatherAxis1(projected, src_);  // [B, E, head]
-    VarPtr weighted = ag::Mul(messages, alpha3);
-    head_outputs.push_back(ag::ScatterAddAxis1(weighted, dst_, num_nodes_));
+  VarPtr projected = ag::MatMul(node_features, weight_);
+  // Per-node attention logits a_s.Wh and a_d.Wh: [B, N, 1].
+  VarPtr logit_src = ag::MatMul(projected, attn_src_);
+  VarPtr logit_dst = ag::MatMul(projected, attn_dst_);
+  // Move to arcs and combine: e = LeakyReLU(ls[src] + ld[dst]).
+  VarPtr arc_src_logit = ag::GatherAxis1(logit_src, src_);
+  VarPtr arc_dst_logit = ag::GatherAxis1(logit_dst, dst_);
+  VarPtr scores =
+      ag::LeakyRelu(ag::Add(arc_src_logit, arc_dst_logit), kLeakySlope);
+  // Softmax over arcs sharing a destination node.
+  Shape flat_shape = batched ? Shape{batch, num_arcs} : Shape{num_arcs};
+  VarPtr alpha = ag::SegmentSoftmaxAxis1(ag::Reshape(scores, flat_shape),
+                                         dst_, num_nodes_);
+  if (recorder != nullptr) {
+    const float* pa = alpha->value().data();
+    recorder->StartLayer(this).alpha.assign(pa, pa + num_arcs);
   }
-  VarPtr combined = head_outputs.size() == 1
-                        ? head_outputs[0]
-                        : ag::Concat(head_outputs, /*axis=*/-1);
-  return ag::Add(combined, bias_);
+  Shape alpha_shape = batched ? Shape{batch, num_arcs, 1} : Shape{num_arcs, 1};
+  VarPtr alpha3 = ag::Reshape(alpha, std::move(alpha_shape));
+  VarPtr messages = ag::GatherAxis1(projected, src_);  // [B, E, out]
+  VarPtr weighted = ag::Mul(messages, alpha3);
+  return ag::Add(ag::ScatterAddAxis1(weighted, dst_, num_nodes_), bias_);
 }
 
 Tensor& GatLayer::InferForward(const Tensor& node_features,
@@ -107,49 +85,29 @@ Tensor& GatLayer::InferForward(const Tensor& node_features,
 
   Shape out_shape =
       batched ? Shape{batch, num_nodes_, out_dim_} : Shape{num_nodes_, out_dim_};
-  Tensor& out = ctx.Acquire(std::move(out_shape));
-  // Seed with the bias; each head then accumulates its stripe in place
-  // (multi-head concat without a Concat copy).
+  Tensor& out = ctx.Acquire(out_shape);
+  // Seed with the bias; the attention pass then accumulates into it.
   BroadcastRowInto(bias_->value(), out);
-  Shape proj_shape = batched ? Shape{batch, num_nodes_, head_dim_}
-                             : Shape{num_nodes_, head_dim_};
-  // Every head projects the same node_features, so the int8 path quantizes
-  // the activation once here and reuses it across heads (the quantize pass
-  // costs as much as a head's GEMM at these shapes).
-  QuantizedActivation qact;
+  Tensor& projected = ctx.Acquire(std::move(out_shape));
   if (ctx.quantized()) {
-    qact = QuantizeActivation(node_features, in_dim_, ctx);
+    QuantizedLinearInto(node_features, qcache_.GetOrDerive(weight_->value()),
+                        nullptr, ctx, projected);
+  } else {
+    LinearInto(node_features, weight_->value(), nullptr, projected);
   }
-  for (int64_t k = 0; k < num_heads_; ++k) {
-    const size_t ki = static_cast<size_t>(k);
-    Tensor& projected = ctx.Acquire(proj_shape);
-    if (ctx.quantized()) {
-      QuantizedGemmInto(qact,
-                        head_qcaches_[ki]->GetOrDerive(
-                            head_weights_[ki]->value()),
-                        nullptr, projected);
-    } else {
-      LinearInto(node_features, head_weights_[ki]->value(), nullptr,
-                 projected);
-    }
-    Tensor& logit_src = ctx.Acquire({batch, num_nodes_});
-    Tensor& logit_dst = ctx.Acquire({batch, num_nodes_});
-    DualMatVecInto(projected, attn_src_[ki]->value(), attn_dst_[ki]->value(),
-                   logit_src, logit_dst);
-    Tensor& alpha = ctx.Acquire({batch, num_arcs});
-    ArcScoreInto(logit_src, logit_dst, src_, dst_, leaky_slope_, alpha);
-    SegmentSoftmaxCsrInPlace(alpha, csr_offsets_, csr_order_);
-    AttentionScatterAddInto(projected, alpha, src_, dst_, out,
-                            /*col_offset=*/k * head_dim_);
-  }
+  Tensor& logit_src = ctx.Acquire({batch, num_nodes_});
+  Tensor& logit_dst = ctx.Acquire({batch, num_nodes_});
+  DualMatVecInto(projected, attn_src_->value(), attn_dst_->value(), logit_src,
+                 logit_dst);
+  Tensor& alpha = ctx.Acquire({batch, num_arcs});
+  ArcScoreInto(logit_src, logit_dst, src_, dst_, kLeakySlope, alpha);
+  SegmentSoftmaxCsrInPlace(alpha, csr_offsets_, csr_order_);
+  AttentionScatterAddInto(projected, alpha, src_, dst_, out);
   return out;
 }
 
 void GatLayer::CollectQuantizedSlots(std::vector<QuantizedSlot>& out) const {
-  for (int64_t k = 0; k < num_heads_; ++k) {
-    const size_t ki = static_cast<size_t>(k);
-    out.push_back({&head_weights_[ki]->value(), head_qcaches_[ki].get()});
-  }
+  out.push_back({&weight_->value(), &qcache_});
 }
 
 }  // namespace dquag

@@ -1,11 +1,11 @@
 // Graph Attention Network layer (Veličković et al., 2018).
 //
-// Per head k:  e_uv = LeakyReLU(a_s · W_k h_u + a_d · W_k h_v)
-//              α_uv = softmax over arcs sharing destination v
-//              h'_v = Σ_u α_uv W_k h_u
-// Heads are concatenated (out_dim must be divisible by num_heads). The
-// paper's model uses GAT layers to learn edge importance automatically,
-// removing the need for manual edge weights in the feature graph (§3.1.2).
+//   e_uv = LeakyReLU_0.2(a_s · W h_u + a_d · W h_v)
+//   α_uv = softmax over arcs sharing destination v
+//   h'_v = Σ_u α_uv W h_u + b
+// One attention head, as in the paper's model: GAT layers learn edge
+// importance automatically, removing the need for manual edge weights in
+// the feature graph (§3.1.2).
 //
 // Forward is const and side-effect free: attention coefficients are only
 // captured when the caller passes an AttentionRecorder explicitly, so
@@ -15,7 +15,6 @@
 #define DQUAG_GNN_GAT_LAYER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "gnn/layer.h"
@@ -34,8 +33,8 @@ class AttentionRecorder {
  public:
   struct LayerAttention {
     const GatLayer* layer = nullptr;
-    /// One vector per head: α over the layer's arcs, first batch element.
-    std::vector<std::vector<float>> heads;
+    /// α over the layer's arcs, first batch element.
+    std::vector<float> alpha;
   };
 
   void Clear() { layers_.clear(); }
@@ -55,7 +54,7 @@ class GatLayer : public GnnLayer {
   /// encoder's looped copy and its cached CSR order); otherwise a
   /// self-looped copy is made internally.
   GatLayer(const FeatureGraph& graph, int64_t in_dim, int64_t out_dim,
-           int64_t num_heads, Rng& rng, float leaky_slope = 0.2f);
+           Rng& rng);
 
   VarPtr Forward(const VarPtr& node_features) const override;
 
@@ -69,7 +68,6 @@ class GatLayer : public GnnLayer {
 
   int64_t in_dim() const override { return in_dim_; }
   int64_t out_dim() const override { return out_dim_; }
-  int64_t num_heads() const { return num_heads_; }
 
   const std::vector<int32_t>& arc_src() const { return src_; }
   const std::vector<int32_t>& arc_dst() const { return dst_; }
@@ -77,24 +75,23 @@ class GatLayer : public GnnLayer {
   void CollectQuantizedSlots(std::vector<QuantizedSlot>& out) const override;
 
  private:
+  /// Slope of the attention-score LeakyReLU (the GAT paper's 0.2).
+  static constexpr float kLeakySlope = 0.2f;
+
   int64_t in_dim_;
   int64_t out_dim_;
-  int64_t num_heads_;
-  int64_t head_dim_;
   int64_t num_nodes_;
-  float leaky_slope_;
   std::vector<int32_t> src_;
   std::vector<int32_t> dst_;
   // Arcs grouped by destination (from FeatureGraph::csr_by_dst): the order
   // the fused segment-softmax kernel walks.
   std::vector<int64_t> csr_offsets_;
   std::vector<int32_t> csr_order_;
-  std::vector<VarPtr> head_weights_;   // [in, head_dim] per head
-  std::vector<VarPtr> attn_src_;       // [head_dim, 1] per head
-  std::vector<VarPtr> attn_dst_;       // [head_dim, 1] per head
-  VarPtr bias_;                        // [out]
-  // Per-head int8 caches (unique_ptr: the cache is non-movable).
-  std::vector<std::unique_ptr<QuantizedWeightCache>> head_qcaches_;
+  VarPtr weight_;    // [in, out]
+  VarPtr attn_src_;  // [out, 1]
+  VarPtr attn_dst_;  // [out, 1]
+  VarPtr bias_;      // [out]
+  QuantizedWeightCache qcache_;
 };
 
 }  // namespace dquag

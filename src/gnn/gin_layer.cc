@@ -5,7 +5,7 @@
 namespace dquag {
 
 GinLayer::GinLayer(const FeatureGraph& graph, int64_t in_dim, int64_t out_dim,
-                   Rng& rng, Activation mlp_activation)
+                   Rng& rng)
     : in_dim_(in_dim),
       out_dim_(out_dim),
       num_nodes_(graph.num_nodes()),
@@ -13,7 +13,7 @@ GinLayer::GinLayer(const FeatureGraph& graph, int64_t in_dim, int64_t out_dim,
       dst_(graph.dst()) {
   epsilon_ = RegisterParameter("epsilon", Tensor::Zeros({1}));
   mlp_ = std::make_unique<Mlp>(std::vector<int64_t>{in_dim, out_dim, out_dim},
-                               mlp_activation, rng);
+                               rng);
   RegisterModule(mlp_.get());
 }
 

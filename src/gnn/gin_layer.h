@@ -1,6 +1,7 @@
 // Graph Isomorphism Network layer (Xu et al., 2019).
 //
-// h'_v = MLP((1 + ε) h_v + Σ_{u ∈ N(v)} h_u) with learnable ε. The sum
+// h'_v = MLP((1 + ε) h_v + Σ_{u ∈ N(v)} h_u) with learnable ε and a
+// two-layer ELU MLP. The sum
 // aggregator is injective over multisets, which is what gives GIN its
 // discriminative power for structural patterns (the paper's rationale for
 // including GIN in the encoder, §3.1.2). Self-loops are NOT added: the
@@ -22,7 +23,7 @@ namespace dquag {
 class GinLayer : public GnnLayer {
  public:
   GinLayer(const FeatureGraph& graph, int64_t in_dim, int64_t out_dim,
-           Rng& rng, Activation mlp_activation = Activation::kElu);
+           Rng& rng);
 
   VarPtr Forward(const VarPtr& node_features) const override;
 

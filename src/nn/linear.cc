@@ -6,21 +6,16 @@
 
 namespace dquag {
 
-Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng,
-               bool with_bias)
+Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng)
     : in_features_(in_features), out_features_(out_features) {
   weight_ = RegisterParameter("weight",
                               XavierUniform(in_features, out_features, rng));
-  if (with_bias) {
-    bias_ = RegisterParameter("bias", Tensor::Zeros({out_features}));
-  }
+  bias_ = RegisterParameter("bias", Tensor::Zeros({out_features}));
 }
 
 VarPtr Linear::Forward(const VarPtr& x) const {
   DQUAG_CHECK_EQ(x->value().dim(-1), in_features_);
-  VarPtr y = ag::MatMul(x, weight_);
-  if (bias_) y = ag::Add(y, bias_);
-  return y;
+  return ag::Add(ag::MatMul(x, weight_), bias_);
 }
 
 Tensor& Linear::InferForward(const Tensor& x, InferenceContext& ctx) const {
@@ -30,9 +25,9 @@ Tensor& Linear::InferForward(const Tensor& x, InferenceContext& ctx) const {
   Tensor& out = ctx.Acquire(std::move(out_shape));
   if (ctx.quantized()) {
     QuantizedLinearInto(x, qcache_.GetOrDerive(weight_->value()),
-                        bias_ ? &bias_->value() : nullptr, ctx, out);
+                        &bias_->value(), ctx, out);
   } else {
-    LinearInto(x, weight_->value(), bias_ ? &bias_->value() : nullptr, out);
+    LinearInto(x, weight_->value(), &bias_->value(), out);
   }
   return out;
 }
@@ -41,9 +36,9 @@ void Linear::CollectQuantizedSlots(std::vector<QuantizedSlot>& out) const {
   out.push_back({&weight_->value(), &qcache_});
 }
 
-Mlp::Mlp(const std::vector<int64_t>& layer_sizes, Activation activation,
-         Rng& rng, bool activate_last)
-    : activation_(activation), activate_last_(activate_last) {
+Mlp::Mlp(const std::vector<int64_t>& layer_sizes, Rng& rng,
+         bool activate_last)
+    : activate_last_(activate_last) {
   DQUAG_CHECK_GE(layer_sizes.size(), 2u);
   for (size_t i = 0; i + 1 < layer_sizes.size(); ++i) {
     layers_.push_back(
@@ -57,7 +52,7 @@ VarPtr Mlp::Forward(const VarPtr& x) const {
   for (size_t i = 0; i < layers_.size(); ++i) {
     h = layers_[i]->Forward(h);
     if (i + 1 < layers_.size() || activate_last_) {
-      h = ApplyActivation(h, activation_);
+      h = ag::Elu(h);
     }
   }
   return h;
@@ -69,7 +64,7 @@ Tensor& Mlp::InferForward(const Tensor& x, InferenceContext& ctx) const {
   for (size_t i = 0; i < layers_.size(); ++i) {
     out = &layers_[i]->InferForward(*in, ctx);
     if (i + 1 < layers_.size() || activate_last_) {
-      ApplyActivationInPlace(*out, activation_);
+      EluInPlace(*out);
     }
     in = out;
   }

@@ -1,4 +1,5 @@
-// Fully connected layers and small MLPs.
+// Fully connected layers and the small ELU MLPs of the GIN layers and the
+// decoders.
 
 #ifndef DQUAG_NN_LINEAR_H_
 #define DQUAG_NN_LINEAR_H_
@@ -17,8 +18,7 @@ namespace dquag {
 /// or 3 (the 3-D case shares the weight across the batch axis).
 class Linear : public Module {
  public:
-  Linear(int64_t in_features, int64_t out_features, Rng& rng,
-         bool with_bias = true);
+  Linear(int64_t in_features, int64_t out_features, Rng& rng);
 
   VarPtr Forward(const VarPtr& x) const;
 
@@ -34,25 +34,24 @@ class Linear : public Module {
   int64_t in_features_;
   int64_t out_features_;
   VarPtr weight_;  // [in, out]
-  VarPtr bias_;    // [out] or null
+  VarPtr bias_;    // [out]
   QuantizedWeightCache qcache_;
 };
 
-/// Stack of Linear layers with a shared activation between them (none after
-/// the last layer unless `activate_last`).
+/// Stack of Linear layers with ELU between them (none after the last layer
+/// unless `activate_last`).
 class Mlp : public Module {
  public:
-  Mlp(const std::vector<int64_t>& layer_sizes, Activation activation,
-      Rng& rng, bool activate_last = false);
+  Mlp(const std::vector<int64_t>& layer_sizes, Rng& rng,
+      bool activate_last = false);
 
   VarPtr Forward(const VarPtr& x) const;
 
-  /// Tape-free forward; activations are applied in place on the workspace.
+  /// Tape-free forward; ELU is applied in place on the workspace.
   Tensor& InferForward(const Tensor& x, InferenceContext& ctx) const;
 
  private:
   std::vector<std::unique_ptr<Linear>> layers_;
-  Activation activation_;
   bool activate_last_;
 };
 

@@ -1,52 +1,8 @@
 #include "nn/module.h"
 
-#include <cmath>
-
-#include "autograd/ops.h"
-#include "tensor/fast_math.h"
-#include "tensor/simd.h"
+#include "util/check.h"
 
 namespace dquag {
-
-VarPtr ApplyActivation(const VarPtr& x, Activation act) {
-  switch (act) {
-    case Activation::kIdentity: return x;
-    case Activation::kRelu: return ag::Relu(x);
-    case Activation::kLeakyRelu: return ag::LeakyRelu(x);
-    case Activation::kElu: return ag::Elu(x);
-    case Activation::kSigmoid: return ag::Sigmoid(x);
-    case Activation::kTanh: return ag::Tanh(x);
-  }
-  DQUAG_CHECK(false);
-  return x;
-}
-
-void ApplyActivationInPlace(Tensor& t, Activation act) {
-  if (act == Activation::kIdentity) return;
-  float* p = t.data();
-  const int64_t n = t.numel();
-  switch (act) {
-    case Activation::kIdentity:
-      break;
-    case Activation::kRelu:
-      for (int64_t i = 0; i < n; ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
-      break;
-    case Activation::kLeakyRelu:
-      for (int64_t i = 0; i < n; ++i) p[i] = p[i] > 0.0f ? p[i] : 0.2f * p[i];
-      break;
-    case Activation::kElu:
-      // Dispatched ELU kernel (FastExpf inside, same as the tensor-op Elu
-      // so tape and engine agree; alpha = 1 multiplies exactly).
-      simd::ActiveKernels().elu(p, p, n, 1.0f);
-      break;
-    case Activation::kSigmoid:
-      for (int64_t i = 0; i < n; ++i) p[i] = 1.0f / (1.0f + std::exp(-p[i]));
-      break;
-    case Activation::kTanh:
-      for (int64_t i = 0; i < n; ++i) p[i] = std::tanh(p[i]);
-      break;
-  }
-}
 
 std::vector<VarPtr> Module::Parameters() const {
   std::vector<VarPtr> out;

@@ -2,7 +2,9 @@
 //
 // Modules own their parameter Variables (requires_grad = true) and register
 // them in a flat list so optimizers and serialization can reach every
-// parameter through Parameters().
+// parameter through Parameters(). The model's one nonlinearity, ELU, is a
+// plain op (ag::Elu on the tape, EluInPlace in the engine), not a module
+// option.
 
 #ifndef DQUAG_NN_MODULE_H_
 #define DQUAG_NN_MODULE_H_
@@ -25,23 +27,6 @@ struct QuantizedSlot {
   const Tensor* weight = nullptr;
   const QuantizedWeightCache* cache = nullptr;
 };
-
-/// Supported nonlinearities for configurable layers.
-enum class Activation {
-  kIdentity,
-  kRelu,
-  kLeakyRelu,
-  kElu,
-  kSigmoid,
-  kTanh,
-};
-
-/// Applies `act` to a Variable (tape-aware).
-VarPtr ApplyActivation(const VarPtr& x, Activation act);
-
-/// Applies `act` to a raw tensor in place (the engine's tape-free
-/// counterpart; kIdentity is a no-op).
-void ApplyActivationInPlace(Tensor& t, Activation act);
 
 /// Parameterized module base. Subclasses register parameters with
 /// RegisterParameter and sub-modules with RegisterModule; Parameters()

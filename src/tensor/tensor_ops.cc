@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "tensor/fast_math.h"
 #include "tensor/simd.h"
 
 namespace dquag {
@@ -198,9 +197,6 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 Tensor Mul(const Tensor& a, const Tensor& b) {
   return BinaryOp(a, b, [](float x, float y) { return x * y; });
 }
-Tensor Div(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, [](float x, float y) { return x / y; });
-}
 
 Tensor AddScalar(const Tensor& a, float s) {
   return UnaryOp(a, [s](float x) { return x + s; });
@@ -209,21 +205,11 @@ Tensor MulScalar(const Tensor& a, float s) {
   return UnaryOp(a, [s](float x) { return x * s; });
 }
 
-Tensor Exp(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return std::exp(x); });
-}
 Tensor Abs(const Tensor& a) {
   return UnaryOp(a, [](float x) { return std::abs(x); });
 }
 Tensor Square(const Tensor& a) {
   return UnaryOp(a, [](float x) { return x * x; });
-}
-Tensor Clamp(const Tensor& a, float lo, float hi) {
-  return UnaryOp(a, [lo, hi](float x) { return std::min(hi, std::max(lo, x)); });
-}
-
-Tensor Relu(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return x > 0.0f ? x : 0.0f; });
 }
 Tensor LeakyRelu(const Tensor& a, float negative_slope) {
   return UnaryOp(a, [negative_slope](float x) {
@@ -236,12 +222,6 @@ Tensor Elu(const Tensor& a, float alpha) {
   float* po = out.data();
   simd::ActiveKernels().elu(pa, po, a.numel(), alpha);
   return out;
-}
-Tensor Sigmoid(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-}
-Tensor Tanh(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return std::tanh(x); });
 }
 
 namespace {
@@ -428,54 +408,6 @@ Tensor Mean(const Tensor& a, int64_t axis, bool keepdims) {
   return MulScalar(s, 1.0f / static_cast<float>(n));
 }
 
-Tensor Max(const Tensor& a, int64_t axis, bool keepdims) {
-  return ReduceAxis(a, axis, keepdims, -std::numeric_limits<float>::infinity(),
-                    [](float acc, float v) { return std::max(acc, v); });
-}
-
-Tensor Softmax(const Tensor& a, int64_t axis) {
-  Tensor max_along = Max(a, axis, /*keepdims=*/true);
-  Tensor shifted = Sub(a, max_along);
-  Tensor exps = Exp(shifted);
-  Tensor denom = Sum(exps, axis, /*keepdims=*/true);
-  return Div(exps, denom);
-}
-
-Tensor Concat(const std::vector<Tensor>& parts, int64_t axis) {
-  DQUAG_CHECK(!parts.empty());
-  const int64_t ndim = parts[0].ndim();
-  axis = NormalizeAxis(axis, ndim);
-  Shape out_shape = parts[0].shape();
-  int64_t concat_dim = 0;
-  for (const Tensor& p : parts) {
-    DQUAG_CHECK_EQ(p.ndim(), ndim);
-    for (int64_t i = 0; i < ndim; ++i) {
-      if (i != axis) DQUAG_CHECK_EQ(p.dim(i), out_shape[static_cast<size_t>(i)]);
-    }
-    concat_dim += p.dim(axis);
-  }
-  out_shape[static_cast<size_t>(axis)] = concat_dim;
-
-  int64_t outer = 1, inner = 1;
-  for (int64_t i = 0; i < axis; ++i) outer *= out_shape[static_cast<size_t>(i)];
-  for (int64_t i = axis + 1; i < ndim; ++i) inner *= out_shape[static_cast<size_t>(i)];
-
-  Tensor out(out_shape);
-  float* po = out.data();
-  const int64_t out_stride = concat_dim * inner;
-  int64_t axis_offset = 0;
-  for (const Tensor& p : parts) {
-    const int64_t p_axis = p.dim(axis);
-    const float* pp = p.data();
-    for (int64_t o = 0; o < outer; ++o) {
-      std::copy(pp + o * p_axis * inner, pp + (o + 1) * p_axis * inner,
-                po + o * out_stride + axis_offset * inner);
-    }
-    axis_offset += p_axis;
-  }
-  return out;
-}
-
 Tensor Slice(const Tensor& a, int64_t axis, int64_t start, int64_t end) {
   axis = NormalizeAxis(axis, a.ndim());
   DQUAG_CHECK_GE(start, 0);
@@ -499,24 +431,6 @@ Tensor Slice(const Tensor& a, int64_t axis, int64_t start, int64_t end) {
               pa + (o * a_axis + end) * inner, po + o * span * inner);
   }
   return out;
-}
-
-Tensor Unsqueeze(const Tensor& a, int64_t axis) {
-  if (axis < 0) axis += a.ndim() + 1;
-  DQUAG_CHECK_GE(axis, 0);
-  DQUAG_CHECK_LE(axis, a.ndim());
-  Shape shape = a.shape();
-  shape.insert(shape.begin() + static_cast<ptrdiff_t>(axis), 1);
-  return a.Reshape(std::move(shape));
-}
-
-Tensor Squeeze(const Tensor& a, int64_t axis) {
-  axis = NormalizeAxis(axis, a.ndim());
-  DQUAG_CHECK_EQ(a.dim(axis), 1);
-  Shape shape = a.shape();
-  shape.erase(shape.begin() + static_cast<ptrdiff_t>(axis));
-  if (shape.empty()) shape.push_back(1);
-  return a.Reshape(std::move(shape));
 }
 
 namespace {
@@ -712,6 +626,10 @@ void ScaleInto(const Tensor& x, float s, Tensor& out) {
   for (int64_t i = 0; i < n; ++i) po[i] = s * px[i];
 }
 
+void EluInPlace(Tensor& t) {
+  simd::ActiveKernels().elu(t.data(), t.data(), t.numel(), 1.0f);
+}
+
 void GatherScaleScatterAddInto(const Tensor& x,
                                const std::vector<int32_t>& src,
                                const std::vector<int32_t>& dst,
@@ -793,16 +711,10 @@ void SegmentSoftmaxCsrInPlace(Tensor& scores,
 
 void AttentionScatterAddInto(const Tensor& x, const Tensor& alpha,
                              const std::vector<int32_t>& src,
-                             const std::vector<int32_t>& dst, Tensor& out,
-                             int64_t col_offset) {
+                             const std::vector<int32_t>& dst, Tensor& out) {
   int64_t batch, rows, cols;
   AsBatched(x, batch, rows, cols);
-  int64_t out_batch, out_rows, out_cols;
-  AsBatched(out, out_batch, out_rows, out_cols);
-  DQUAG_CHECK_EQ(batch, out_batch);
-  DQUAG_CHECK_EQ(rows, out_rows);
-  DQUAG_CHECK_GE(col_offset, 0);
-  DQUAG_CHECK_LE(col_offset + cols, out_cols);
+  DQUAG_CHECK(out.shape() == x.shape());
   DQUAG_CHECK_EQ(src.size(), dst.size());
   const int64_t num_arcs = static_cast<int64_t>(src.size());
   DQUAG_CHECK_EQ(alpha.numel(), batch * num_arcs);
@@ -810,7 +722,7 @@ void AttentionScatterAddInto(const Tensor& x, const Tensor& alpha,
     DQUAG_CHECK_GE(src[static_cast<size_t>(e)], 0);
     DQUAG_CHECK_LT(src[static_cast<size_t>(e)], rows);
     DQUAG_CHECK_GE(dst[static_cast<size_t>(e)], 0);
-    DQUAG_CHECK_LT(dst[static_cast<size_t>(e)], out_rows);
+    DQUAG_CHECK_LT(dst[static_cast<size_t>(e)], rows);
   }
   const float* px = x.data();
   const float* pa = alpha.data();
@@ -818,13 +730,11 @@ void AttentionScatterAddInto(const Tensor& x, const Tensor& alpha,
   for (int64_t b = 0; b < batch; ++b) {
     const float* from = px + b * rows * cols;
     const float* a = pa + b * num_arcs;
-    float* to = po + b * out_rows * out_cols;
+    float* to = po + b * rows * cols;
     for (int64_t e = 0; e < num_arcs; ++e) {
-      const int32_t s = src[static_cast<size_t>(e)];
-      const int32_t d = dst[static_cast<size_t>(e)];
       const float w = a[e];
-      const float* from_row = from + s * cols;
-      float* to_row = to + d * out_cols + col_offset;
+      const float* from_row = from + src[static_cast<size_t>(e)] * cols;
+      float* to_row = to + dst[static_cast<size_t>(e)] * cols;
       for (int64_t c = 0; c < cols; ++c) to_row[c] += w * from_row[c];
     }
   }
@@ -915,16 +825,6 @@ void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor& out) {
   MatMulTransBKernel(a.data(), b.data(), out.data(), m, n, k);
 }
 
-void ReluBackwardInto(const Tensor& x, const Tensor& g, Tensor& out) {
-  DQUAG_CHECK_EQ(x.numel(), out.numel());
-  DQUAG_CHECK_EQ(g.numel(), out.numel());
-  const float* px = x.data();
-  const float* pg = g.data();
-  float* po = out.data();
-  const int64_t n = out.numel();
-  for (int64_t i = 0; i < n; ++i) po[i] += px[i] > 0.0f ? pg[i] : 0.0f;
-}
-
 void LeakyReluBackwardInto(const Tensor& x, float negative_slope,
                            const Tensor& g, Tensor& out) {
   DQUAG_CHECK_EQ(x.numel(), out.numel());
@@ -952,26 +852,6 @@ void EluBackwardInto(const Tensor& x, const Tensor& y, float alpha,
     const float d = px[i] > 0.0f ? 1.0f : py[i] + alpha;
     po[i] += pg[i] * d;
   }
-}
-
-void SigmoidBackwardInto(const Tensor& y, const Tensor& g, Tensor& out) {
-  DQUAG_CHECK_EQ(y.numel(), out.numel());
-  DQUAG_CHECK_EQ(g.numel(), out.numel());
-  const float* py = y.data();
-  const float* pg = g.data();
-  float* po = out.data();
-  const int64_t n = out.numel();
-  for (int64_t i = 0; i < n; ++i) po[i] += pg[i] * py[i] * (1.0f - py[i]);
-}
-
-void TanhBackwardInto(const Tensor& y, const Tensor& g, Tensor& out) {
-  DQUAG_CHECK_EQ(y.numel(), out.numel());
-  DQUAG_CHECK_EQ(g.numel(), out.numel());
-  const float* py = y.data();
-  const float* pg = g.data();
-  float* po = out.data();
-  const int64_t n = out.numel();
-  for (int64_t i = 0; i < n; ++i) po[i] += pg[i] * (1.0f - py[i] * py[i]);
 }
 
 void ScatterAddAxis1Into(const Tensor& src,

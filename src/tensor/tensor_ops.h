@@ -28,23 +28,17 @@ Tensor ReduceToShape(const Tensor& t, const Shape& target);
 Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
-Tensor Div(const Tensor& a, const Tensor& b);
 
 Tensor AddScalar(const Tensor& a, float s);
 Tensor MulScalar(const Tensor& a, float s);
 
 // ---- Elementwise unary -----------------------------------------------------
 
-Tensor Exp(const Tensor& a);
 Tensor Abs(const Tensor& a);
 Tensor Square(const Tensor& a);
-Tensor Clamp(const Tensor& a, float lo, float hi);
 
-Tensor Relu(const Tensor& a);
 Tensor LeakyRelu(const Tensor& a, float negative_slope = 0.2f);
 Tensor Elu(const Tensor& a, float alpha = 1.0f);
-Tensor Sigmoid(const Tensor& a);
-Tensor Tanh(const Tensor& a);
 
 // ---- Matrix multiplication -------------------------------------------------
 
@@ -76,24 +70,11 @@ float MinAll(const Tensor& a);
 /// Sum over one axis. keepdims retains the reduced axis with size 1.
 Tensor Sum(const Tensor& a, int64_t axis, bool keepdims = false);
 Tensor Mean(const Tensor& a, int64_t axis, bool keepdims = false);
-Tensor Max(const Tensor& a, int64_t axis, bool keepdims = false);
-
-/// Softmax along `axis`.
-Tensor Softmax(const Tensor& a, int64_t axis);
 
 // ---- Structural ops --------------------------------------------------------
 
-/// Concatenates tensors along `axis`; all other dims must match.
-Tensor Concat(const std::vector<Tensor>& parts, int64_t axis);
-
 /// Slice [start, end) along `axis`.
 Tensor Slice(const Tensor& a, int64_t axis, int64_t start, int64_t end);
-
-/// Inserts a size-1 axis at `axis`.
-Tensor Unsqueeze(const Tensor& a, int64_t axis);
-
-/// Removes a size-1 axis at `axis`.
-Tensor Squeeze(const Tensor& a, int64_t axis);
 
 // ---- Graph kernels (axis-1 of [B, N, H]) -----------------------------------
 
@@ -147,6 +128,10 @@ void DualMatVecInto(const Tensor& x, const Tensor& w1, const Tensor& w2,
 /// out[i] = s * x[i]; shapes must have equal numel. Overwrites out.
 void ScaleInto(const Tensor& x, float s, Tensor& out);
 
+/// t = elu(t) in place (alpha 1): the engine's activation between layers,
+/// through the same dispatched kernel as Elu, so tape and engine agree.
+void EluInPlace(Tensor& t);
+
 /// Fused gather–scale–scatter (one memory pass over the arcs):
 ///   out[b, dst[e], :] += coeff[e] * x[b, src[e], :]
 /// x and out are [B, N, H] (or 2-D [N, H]). coeff may be null for unit
@@ -198,9 +183,6 @@ void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor& out);
 /// out[..., m, k] += A B^T with b [k, n]: the dX of y = x W.
 void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor& out);
 
-/// out += g where x > 0 (ReLU backward; single pass, no masked copy).
-void ReluBackwardInto(const Tensor& x, const Tensor& g, Tensor& out);
-
 /// out += g * (x > 0 ? 1 : negative_slope).
 void LeakyReluBackwardInto(const Tensor& x, float negative_slope,
                            const Tensor& g, Tensor& out);
@@ -210,12 +192,6 @@ void LeakyReluBackwardInto(const Tensor& x, float negative_slope,
 void EluBackwardInto(const Tensor& x, const Tensor& y, float alpha,
                      const Tensor& g, Tensor& out);
 
-/// out += g * y * (1 - y), with y = sigmoid(x) saved from forward.
-void SigmoidBackwardInto(const Tensor& y, const Tensor& g, Tensor& out);
-
-/// out += g * (1 - y^2), with y = tanh(x) saved from forward.
-void TanhBackwardInto(const Tensor& y, const Tensor& g, Tensor& out);
-
 /// out[b, indices[e], :] += src[b, e, :] (GatherAxis1 backward).
 void ScatterAddAxis1Into(const Tensor& src,
                          const std::vector<int32_t>& indices, Tensor& out);
@@ -224,15 +200,13 @@ void ScatterAddAxis1Into(const Tensor& src,
 void GatherAddAxis1Into(const Tensor& t, const std::vector<int32_t>& indices,
                         Tensor& out);
 
-/// Fused attention aggregation into a column stripe of out:
-///   out[b, dst[e], col_offset + h] += alpha[b, e] * x[b, src[e], h]
-/// x is [B, N, H_head] (or 2-D), alpha holds B*E elements, out is
-/// [B, N, H_out] with col_offset + H_head <= H_out — multi-head concat
-/// without a Concat copy. Accumulates into out.
+/// Fused attention aggregation (GAT's weighted message sum):
+///   out[b, dst[e], :] += alpha[b, e] * x[b, src[e], :]
+/// x and out are [B, N, H] (or 2-D [N, H]), alpha holds B*E elements.
+/// Accumulates into out.
 void AttentionScatterAddInto(const Tensor& x, const Tensor& alpha,
                              const std::vector<int32_t>& src,
-                             const std::vector<int32_t>& dst, Tensor& out,
-                             int64_t col_offset);
+                             const std::vector<int32_t>& dst, Tensor& out);
 
 }  // namespace dquag
 

@@ -106,6 +106,4 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   return indices;
 }
 
-Rng Rng::Fork() { return Rng(Next() ^ 0xd1b54a32d192ed03ULL); }
-
 }  // namespace dquag

@@ -58,9 +58,6 @@ class Rng {
   /// Samples `k` distinct indices from [0, n) without replacement.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
-  /// Derives an independent child generator (for per-thread streams).
-  Rng Fork();
-
  private:
   uint64_t state_[4];
   bool has_cached_normal_ = false;

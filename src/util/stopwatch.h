@@ -7,12 +7,10 @@
 
 namespace dquag {
 
-/// Measures elapsed wall time since construction or the last Restart().
+/// Measures elapsed wall time since construction.
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
-
-  void Restart() { start_ = Clock::now(); }
 
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();

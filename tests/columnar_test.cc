@@ -1,10 +1,9 @@
 // Tests for the DQuaG columnar file format (.dqc): golden-file pinning of
 // the writer's byte output, CSV <-> columnar round-trip bit-identity across
-// chunkings and both readers, zero-copy view semantics, out-of-core
-// training bit-identity (ColumnarTrainingSource vs the in-memory Tensor
-// path), streaming-validation parity over .dqc files, and the CSV/table
-// edge cases the format has to survive (empty files, header-only files,
-// all-null columns, >255-entry dictionaries).
+// chunkings and both readers, zero-copy view semantics, streaming-validation
+// parity over .dqc files, and the CSV/table edge cases the format has to
+// survive (empty files, header-only files, all-null columns, >255-entry
+// dictionaries).
 //
 // Golden files live in tests/golden/*.dqc. The writer is deterministic
 // byte-for-byte for a given row stream, so a golden mismatch means the file
@@ -25,19 +24,15 @@
 
 #include <gtest/gtest.h>
 
-#include "core/columnar_train_source.h"
 #include "core/pipeline.h"
 #include "core/streaming_validator.h"
-#include "core/trainer.h"
 #include "data/columnar_format.h"
 #include "data/columnar_reader.h"
 #include "data/columnar_writer.h"
 #include "data/error_injector.h"
 #include "data/generators.h"
-#include "data/preprocessor.h"
 #include "data/table_chunk_reader.h"
 #include "util/csv.h"
-#include "util/thread_pool.h"
 
 namespace dquag {
 namespace {
@@ -337,125 +332,6 @@ TEST(ColumnarViewTest, BytesTouchedIsLazyAndResetKeepsWarmCache) {
   const Table second = DrainReader(r);
   ExpectTablesBitIdentical(first, second);
   EXPECT_EQ(r.bytes_touched(), cold_bytes);
-}
-
-// ---- Out-of-core training: bit-identical to the in-memory path -------------
-
-FeatureGraph ChainGraph(int64_t features) {
-  FeatureGraph g(features);
-  for (int64_t i = 0; i + 1 < features; ++i) {
-    g.AddUndirectedEdge(i, i + 1);
-  }
-  return g;
-}
-
-DquagConfig SmallTrainConfig() {
-  DquagConfig config;
-  config.encoder.kind = EncoderKind::kGatGin;
-  config.encoder.hidden_dim = 16;
-  config.encoder.num_layers = 2;
-  config.epochs = 2;
-  config.batch_size = 64;
-  return config;
-}
-
-void ExpectReportsBitIdentical(const TrainingReport& a,
-                               const TrainingReport& b) {
-  EXPECT_EQ(a.epochs_run, b.epochs_run);
-  ASSERT_EQ(a.epoch_losses.size(), b.epoch_losses.size());
-  for (size_t e = 0; e < a.epoch_losses.size(); ++e) {
-    EXPECT_EQ(a.epoch_losses[e], b.epoch_losses[e]) << "epoch " << e;
-  }
-  EXPECT_EQ(a.error_statistics.threshold, b.error_statistics.threshold);
-  ASSERT_EQ(a.clean_errors.size(), b.clean_errors.size());
-  for (size_t i = 0; i < a.clean_errors.size(); ++i) {
-    EXPECT_EQ(a.clean_errors[i], b.clean_errors[i]) << "row " << i;
-  }
-}
-
-TEST(ColumnarTrainingTest, FitFromColumnarMatchesInMemoryBitForBit) {
-  Rng rng(21);
-  const Table clean = datasets::GenerateGooglePlayClean(192, rng);
-  TablePreprocessor preprocessor;
-  preprocessor.Fit(clean);
-  const Tensor matrix = preprocessor.Transform(clean);
-  const int64_t d = clean.num_columns();
-
-  // Odd block size so training batches routinely straddle block boundaries.
-  const std::string path = TempPath("train.dqc");
-  ASSERT_TRUE(WriteColumnarFile(clean, path, {.block_rows = 19}).ok());
-  auto reader = ColumnarReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  auto source = ColumnarTrainingSource::Create(reader->get(), preprocessor);
-  ASSERT_TRUE(source.ok()) << source.status().ToString();
-  EXPECT_EQ((*source)->num_rows(), 192);
-  EXPECT_EQ((*source)->num_features(), d);
-
-  const DquagConfig config = SmallTrainConfig();
-  Rng model_rng_mem(11);
-  DquagModel model_mem(ChainGraph(d), config, model_rng_mem);
-  Trainer trainer_mem(&model_mem, config);
-  const TrainingReport in_memory = trainer_mem.Fit(matrix);
-
-  Rng model_rng_col(11);
-  DquagModel model_col(ChainGraph(d), config, model_rng_col);
-  Trainer trainer_col(&model_col, config);
-  auto columnar = trainer_col.Fit(**source);
-  ASSERT_TRUE(columnar.ok()) << columnar.status().ToString();
-
-  ExpectReportsBitIdentical(in_memory, *columnar);
-}
-
-TEST(ColumnarTrainingTest, ShardedFitFromColumnarMatchesInMemory) {
-  Rng rng(22);
-  const Table clean = datasets::GenerateGooglePlayClean(160, rng);
-  TablePreprocessor preprocessor;
-  preprocessor.Fit(clean);
-  const Tensor matrix = preprocessor.Transform(clean);
-  const int64_t d = clean.num_columns();
-
-  const std::string path = TempPath("train_sharded.dqc");
-  ASSERT_TRUE(WriteColumnarFile(clean, path, {.block_rows = 23}).ok());
-  auto reader = ColumnarReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  auto source = ColumnarTrainingSource::Create(reader->get(), preprocessor);
-  ASSERT_TRUE(source.ok()) << source.status().ToString();
-
-  DquagConfig config = SmallTrainConfig();
-  config.train_shards = 8;  // PR-4 parallel fast path
-  ThreadPool pool(4);
-
-  Rng model_rng_mem(13);
-  DquagModel model_mem(ChainGraph(d), config, model_rng_mem);
-  Trainer trainer_mem(&model_mem, config);
-  trainer_mem.set_thread_pool(&pool);
-  const TrainingReport in_memory = trainer_mem.Fit(matrix);
-
-  Rng model_rng_col(13);
-  DquagModel model_col(ChainGraph(d), config, model_rng_col);
-  Trainer trainer_col(&model_col, config);
-  trainer_col.set_thread_pool(&pool);
-  auto columnar = trainer_col.Fit(**source);
-  ASSERT_TRUE(columnar.ok()) << columnar.status().ToString();
-
-  ExpectReportsBitIdentical(in_memory, *columnar);
-}
-
-TEST(ColumnarTrainingTest, SourceRejectsUnfittedAndMismatchedPreprocessor) {
-  Rng rng(23);
-  const Table clean = datasets::GenerateGooglePlayClean(32, rng);
-  const std::string path = TempPath("train_reject.dqc");
-  ASSERT_TRUE(WriteColumnarFile(clean, path).ok());
-  auto reader = ColumnarReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-
-  TablePreprocessor unfitted;
-  EXPECT_FALSE(ColumnarTrainingSource::Create(reader->get(), unfitted).ok());
-
-  Rng taxi_rng(24);
-  TablePreprocessor other;
-  other.Fit(datasets::GenerateNyTaxi(32, taxi_rng, /*dims=*/5));
-  EXPECT_FALSE(ColumnarTrainingSource::Create(reader->get(), other).ok());
 }
 
 // ---- Streaming validation over .dqc: parity with whole-table Validate ------

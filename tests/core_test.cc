@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -425,6 +426,28 @@ TEST(PipelineTest, FitRejectsConfigThatLoadRejects) {
     DquagPipeline pipeline(std::move(options));
     EXPECT_EQ(pipeline.Fit(clean).code(), StatusCode::kInvalidArgument)
         << "batch_size " << batch_size;
+    EXPECT_FALSE(pipeline.fitted());
+  }
+  // Likewise a percentile outside [0, 1] (Percentile would abort after
+  // training) and a calibration fraction outside [0, 1) (a negative split
+  // reads past the shuffle permutation); NaN fails both.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double percentile : {1.5, -0.1, nan}) {
+    DquagPipelineOptions options;
+    options.config = SmallConfig();
+    options.config.threshold_percentile = percentile;
+    DquagPipeline pipeline(std::move(options));
+    EXPECT_EQ(pipeline.Fit(clean).code(), StatusCode::kInvalidArgument)
+        << "threshold_percentile " << percentile;
+    EXPECT_FALSE(pipeline.fitted());
+  }
+  for (double fraction : {-0.5, 1.0, nan}) {
+    DquagPipelineOptions options;
+    options.config = SmallConfig();
+    options.config.calibration_fraction = fraction;
+    DquagPipeline pipeline(std::move(options));
+    EXPECT_EQ(pipeline.Fit(clean).code(), StatusCode::kInvalidArgument)
+        << "calibration_fraction " << fraction;
     EXPECT_FALSE(pipeline.fitted());
   }
 }

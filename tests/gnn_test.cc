@@ -67,36 +67,37 @@ TEST(GcnLayerTest, DisconnectedNodesDoNotInteract) {
   }
 }
 
-TEST(GatLayerTest, OutputShapeAndHeads) {
+TEST(GatLayerTest, OutputShape) {
   Rng rng(4);
-  GatLayer layer(TestGraph(), 8, 8, /*num_heads=*/2, rng);
+  GatLayer layer(TestGraph(), 8, 6, rng);
   VarPtr h = MakeVar(Tensor::Randn({2, 4, 8}, rng));
-  EXPECT_EQ(layer.Forward(h)->value().shape(), (Shape{2, 4, 8}));
-  EXPECT_EQ(layer.num_heads(), 2);
+  EXPECT_EQ(layer.Forward(h)->value().shape(), (Shape{2, 4, 6}));
+  EXPECT_EQ(layer.in_dim(), 8);
+  EXPECT_EQ(layer.out_dim(), 6);
 }
 
 TEST(GatLayerTest, AttentionIsNormalizedPerDestination) {
   Rng rng(5);
   FeatureGraph g = TestGraph();
-  GatLayer layer(g, 4, 4, 1, rng);
+  GatLayer layer(g, 4, 4, rng);
   // Attention capture is an explicit opt-in: pass a recorder.
   AttentionRecorder recorder;
   layer.Forward(MakeVar(Tensor::Randn({1, 4, 4}, rng)), &recorder);
   ASSERT_EQ(recorder.layers().size(), 1u);
   EXPECT_EQ(recorder.layers()[0].layer, &layer);
-  const auto& heads = recorder.layers()[0].heads;
-  ASSERT_EQ(heads.size(), 1u);
+  const std::vector<float>& alpha = recorder.layers()[0].alpha;
+  ASSERT_EQ(alpha.size(), layer.arc_dst().size());
   // Sum of attention over arcs sharing a destination == 1.
   std::vector<float> sums(4, 0.0f);
   for (size_t e = 0; e < layer.arc_dst().size(); ++e) {
-    sums[static_cast<size_t>(layer.arc_dst()[e])] += heads[0][e];
+    sums[static_cast<size_t>(layer.arc_dst()[e])] += alpha[e];
   }
   for (int v = 0; v < 4; ++v) EXPECT_NEAR(sums[static_cast<size_t>(v)], 1.0f, 1e-4f);
 }
 
 TEST(GatLayerTest, ForwardWithoutRecorderCapturesNothing) {
   Rng rng(5);
-  GatLayer layer(TestGraph(), 4, 4, 1, rng);
+  GatLayer layer(TestGraph(), 4, 4, rng);
   // The plain Forward takes no recorder and must leave a passed-in one
   // untouched — attention capture never happens implicitly.
   AttentionRecorder recorder;
@@ -106,7 +107,7 @@ TEST(GatLayerTest, ForwardWithoutRecorderCapturesNothing) {
 
 TEST(GatLayerTest, GradientsReachParameters) {
   Rng rng(6);
-  GatLayer layer(TestGraph(), 4, 4, 1, rng);
+  GatLayer layer(TestGraph(), 4, 4, rng);
   VarPtr h = MakeVar(Tensor::Randn({2, 4, 4}, rng), /*requires_grad=*/true);
   Backward(ag::SumAll(ag::Square(layer.Forward(h))));
   for (const VarPtr& p : layer.Parameters()) {

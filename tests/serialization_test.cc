@@ -1,8 +1,10 @@
 // Tests for binary I/O primitives and pipeline checkpointing.
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -151,26 +153,40 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
-// Byte offset of the config slot that once held the inference chunk size:
-// the magic, then sixteen 8-byte config fields before it.
-constexpr size_t kRetiredChunkSlot = 136;
+// Byte offsets of config slots: the magic, then 8-byte config fields.
+constexpr size_t kHeadsSlot = 32;       // once the GAT head count
+constexpr size_t kActivationSlot = 40;  // once the activation enum
+constexpr size_t kThresholdPercentileSlot = 104;
+constexpr size_t kCalibrationFractionSlot = 112;
+constexpr size_t kRetiredChunkSlot = 136;  // once the inference chunk size
 
-int64_t ReadSlot(const std::string& bytes) {
+uint64_t ReadWord(const std::string& bytes, size_t offset) {
   uint64_t value = 0;
   for (size_t i = 0; i < 8; ++i) {
     value |= static_cast<uint64_t>(
-                 static_cast<unsigned char>(bytes[kRetiredChunkSlot + i]))
+                 static_cast<unsigned char>(bytes[offset + i]))
              << (8 * i);
   }
-  return static_cast<int64_t>(value);
+  return value;
 }
 
-std::string PatchSlot(std::string bytes, int64_t value) {
+std::string PatchWord(std::string bytes, size_t offset, uint64_t value) {
   for (size_t i = 0; i < 8; ++i) {
-    bytes[kRetiredChunkSlot + i] =
-        static_cast<char>((static_cast<uint64_t>(value) >> (8 * i)) & 0xff);
+    bytes[offset + i] = static_cast<char>((value >> (8 * i)) & 0xff);
   }
   return bytes;
+}
+
+int64_t ReadSlot(const std::string& bytes, size_t offset) {
+  return static_cast<int64_t>(ReadWord(bytes, offset));
+}
+
+std::string PatchSlot(std::string bytes, size_t offset, int64_t value) {
+  return PatchWord(std::move(bytes), offset, static_cast<uint64_t>(value));
+}
+
+std::string PatchDoubleSlot(std::string bytes, size_t offset, double value) {
+  return PatchWord(std::move(bytes), offset, std::bit_cast<uint64_t>(value));
 }
 
 TEST_F(CheckpointTest, RetiredChunkSlotIsCheckedThenIgnored) {
@@ -179,10 +195,10 @@ TEST_F(CheckpointTest, RetiredChunkSlotIsCheckedThenIgnored) {
   const std::string saved = ReadBytes(path);
   ASSERT_GT(saved.size(), kRetiredChunkSlot + 8);
   // The slot keeps the value older readers expect.
-  EXPECT_EQ(ReadSlot(saved), 2048);
+  EXPECT_EQ(ReadSlot(saved, kRetiredChunkSlot), 2048);
 
   // Any positive value loads, and inference does not depend on it.
-  WriteBytes(path, PatchSlot(saved, 7));
+  WriteBytes(path, PatchSlot(saved, kRetiredChunkSlot, 7));
   auto loaded = DquagPipeline::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   Rng rng(93);
@@ -205,12 +221,75 @@ TEST_F(CheckpointTest, RetiredChunkSlotIsCheckedThenIgnored) {
 
   // Checkpoints are outside input: a value below 1 is corrupt.
   for (int64_t corrupt : {int64_t{0}, int64_t{-1}}) {
-    WriteBytes(path, PatchSlot(saved, corrupt));
+    WriteBytes(path, PatchSlot(saved, kRetiredChunkSlot, corrupt));
     EXPECT_EQ(DquagPipeline::Load(path).status().code(),
               StatusCode::kInvalidArgument)
         << "slot " << corrupt;
   }
   std::remove(path.c_str());
+}
+
+TEST_F(CheckpointTest, HeadAndActivationSlotsHoldTheOnlyModelShape) {
+  const std::string path = "/tmp/dquag_checkpoint_shape_slot_test.bin";
+  ASSERT_TRUE(pipeline_->Save(path).ok());
+  const std::string saved = ReadBytes(path);
+  std::remove(path.c_str());
+  // One GAT head and ELU (the retired activation enum's value 3), the
+  // values every earlier default-config checkpoint carries.
+  EXPECT_EQ(ReadSlot(saved, kHeadsSlot), 1);
+  EXPECT_EQ(ReadSlot(saved, kActivationSlot), 3);
+  ASSERT_TRUE(DquagPipeline::LoadFromBuffer(saved).ok());
+  // Any other value names a model this build cannot rebuild.
+  for (int64_t other : {int64_t{2}, int64_t{0}, int64_t{5}, int64_t{-1}}) {
+    EXPECT_EQ(DquagPipeline::LoadFromBuffer(
+                  PatchSlot(saved, kHeadsSlot, other))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "head slot " << other;
+    EXPECT_EQ(DquagPipeline::LoadFromBuffer(
+                  PatchSlot(saved, kActivationSlot, other))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "activation slot " << other;
+  }
+}
+
+TEST_F(CheckpointTest, OutOfRangePercentileOrCalibrationFractionIsRejected) {
+  const std::string path = "/tmp/dquag_checkpoint_range_slot_test.bin";
+  ASSERT_TRUE(pipeline_->Save(path).ok());
+  const std::string saved = ReadBytes(path);
+  std::remove(path.c_str());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // A fine-tune of such a checkpoint would abort in Percentile (p > 1) or
+  // read past the shuffle permutation (negative calibration split).
+  for (double p : {1.5, -0.1, nan}) {
+    EXPECT_EQ(DquagPipeline::LoadFromBuffer(
+                  PatchDoubleSlot(saved, kThresholdPercentileSlot, p))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "threshold_percentile " << p;
+  }
+  for (double f : {-0.5, 1.0, nan}) {
+    EXPECT_EQ(DquagPipeline::LoadFromBuffer(
+                  PatchDoubleSlot(saved, kCalibrationFractionSlot, f))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "calibration_fraction " << f;
+  }
+  // The closed ends of both ranges still load.
+  for (double p : {0.0, 1.0}) {
+    EXPECT_TRUE(DquagPipeline::LoadFromBuffer(
+                    PatchDoubleSlot(saved, kThresholdPercentileSlot, p))
+                    .ok())
+        << "threshold_percentile " << p;
+  }
+  EXPECT_TRUE(DquagPipeline::LoadFromBuffer(
+                  PatchDoubleSlot(saved, kCalibrationFractionSlot, 0.0))
+                  .ok());
 }
 
 TEST(CheckpointErrorTest, SaveUnfittedFails) {

@@ -96,15 +96,15 @@ TEST(TensorTest, ReduceToShapeInvertsBroadcast) {
 
 TEST(TensorTest, UnaryOps) {
   Tensor a({3}, {-1.0f, 0.0f, 2.0f});
-  EXPECT_EQ(Relu(a)[0], 0.0f);
-  EXPECT_EQ(Relu(a)[2], 2.0f);
   EXPECT_FLOAT_EQ(LeakyRelu(a, 0.1f)[0], -0.1f);
   EXPECT_FLOAT_EQ(Abs(a)[0], 1.0f);
   EXPECT_FLOAT_EQ(Square(a)[2], 4.0f);
-  EXPECT_FLOAT_EQ(Sigmoid(Tensor::Scalar(0.0f))[0], 0.5f);
   EXPECT_NEAR(Elu(a)[0], std::exp(-1.0f) - 1.0f, 1e-6);
-  EXPECT_FLOAT_EQ(Clamp(a, -0.5f, 1.0f)[0], -0.5f);
-  EXPECT_FLOAT_EQ(Clamp(a, -0.5f, 1.0f)[2], 1.0f);
+  EXPECT_EQ(Elu(a)[2], 2.0f);
+  // The engine's in-place ELU is the same kernel as the tape's Elu.
+  Tensor in_place = a;
+  EluInPlace(in_place);
+  EXPECT_TRUE(in_place.Equals(Elu(a)));
 }
 
 TEST(TensorTest, MatMul2DMatchesManual) {
@@ -187,39 +187,14 @@ TEST(TensorTest, Reductions) {
   EXPECT_FLOAT_EQ(s1[1], 15.0f);
   Tensor m1 = Mean(a, 1);
   EXPECT_FLOAT_EQ(m1[0], 2.0f);
-  Tensor mx = Max(a, 0);
-  EXPECT_FLOAT_EQ(mx[2], 6.0f);
 }
 
-TEST(TensorTest, SoftmaxSumsToOne) {
-  Rng rng(8);
-  Tensor a = Tensor::Randn({3, 5}, rng);
-  Tensor s = Softmax(a, 1);
-  for (int64_t i = 0; i < 3; ++i) {
-    float total = 0.0f;
-    for (int64_t j = 0; j < 5; ++j) {
-      total += s(i, j);
-      EXPECT_GT(s(i, j), 0.0f);
-    }
-    EXPECT_NEAR(total, 1.0f, 1e-5);
-  }
-}
-
-TEST(TensorTest, ConcatAndSlice) {
-  Tensor a({2, 2}, {1, 2, 3, 4});
-  Tensor b({2, 3}, {5, 6, 7, 8, 9, 10});
-  Tensor c = Concat({a, b}, 1);
-  ASSERT_EQ(c.shape(), (Shape{2, 5}));
-  EXPECT_EQ(c(0, 2), 5.0f);
-  EXPECT_EQ(c(1, 4), 10.0f);
+TEST(TensorTest, SliceCopiesRange) {
+  Tensor c({2, 5}, {1, 2, 5, 6, 7, 3, 4, 8, 9, 10});
   Tensor back = Slice(c, 1, 2, 5);
-  EXPECT_TRUE(back.Equals(b));
-}
-
-TEST(TensorTest, UnsqueezeSqueeze) {
-  Tensor a({2, 3});
-  EXPECT_EQ(Unsqueeze(a, 1).shape(), (Shape{2, 1, 3}));
-  EXPECT_EQ(Squeeze(Unsqueeze(a, 0), 0).shape(), (Shape{2, 3}));
+  EXPECT_TRUE(back.Equals(Tensor({2, 3}, {5, 6, 7, 8, 9, 10})));
+  Tensor rows = Slice(c, 0, 1, 2);
+  EXPECT_TRUE(rows.Equals(Tensor({1, 5}, {3, 4, 8, 9, 10})));
 }
 
 TEST(TensorTest, GatherAxis1Batched) {
