@@ -119,9 +119,12 @@ BENCHMARK(BM_ModelInference)->Arg(128)->Arg(2048);
 // output bytes; a mismatch aborts the benchmark via SkipWithError, so these
 // double as a continuous bit-identity check at serving shapes. Shapes mirror
 // Phase-2 inference: 256-row engine blocks x 18 feature nodes = 4608 GEMM
-// rows at hidden width 64.
+// rows at hidden width 64. The three float GEMMs take the row count as a
+// second argument and also run at the trainer's shape: a 16-row shard x 13
+// Hotel Booking nodes = 208 rows.
 
 constexpr int64_t kRows = 4608;
+constexpr int64_t kTrainRows = 208;
 constexpr int64_t kDim = 64;
 
 const simd::SimdKernelTable& TableFor(const benchmark::State& state) {
@@ -141,60 +144,63 @@ bool ParityOk(benchmark::State& state, const float* a, const float* b,
 
 void BM_SimdMatMul(benchmark::State& state) {
   const simd::SimdKernelTable& kt = TableFor(state);
+  const int64_t rows = state.range(1);
   Rng rng(11);
-  Tensor a = Tensor::Randn({kRows, kDim}, rng);
+  Tensor a = Tensor::Randn({rows, kDim}, rng);
   Tensor b = Tensor::Randn({kDim, kDim}, rng);
-  std::vector<float> ref(kRows * kDim, 0.0f), got(kRows * kDim, 0.0f);
-  simd::ScalarKernels().matmul(a.data(), b.data(), ref.data(), kRows, kDim,
+  std::vector<float> ref(rows * kDim, 0.0f), got(rows * kDim, 0.0f);
+  simd::ScalarKernels().matmul(a.data(), b.data(), ref.data(), rows, kDim,
                                kDim);
-  kt.matmul(a.data(), b.data(), got.data(), kRows, kDim, kDim);
-  if (!ParityOk(state, ref.data(), got.data(), kRows * kDim)) return;
+  kt.matmul(a.data(), b.data(), got.data(), rows, kDim, kDim);
+  if (!ParityOk(state, ref.data(), got.data(), rows * kDim)) return;
   for (auto _ : state) {
-    kt.matmul(a.data(), b.data(), got.data(), kRows, kDim, kDim);
+    kt.matmul(a.data(), b.data(), got.data(), rows, kDim, kDim);
     benchmark::DoNotOptimize(got.data());
   }
-  state.SetItemsProcessed(state.iterations() * kRows);
+  state.SetItemsProcessed(state.iterations() * rows);
   state.SetLabel(kt.name);
 }
-BENCHMARK(BM_SimdMatMul)->Arg(0)->Arg(1);
+BENCHMARK(BM_SimdMatMul)->ArgsProduct({{0, 1}, {kRows, kTrainRows}});
 
 void BM_SimdMatMulTransA(benchmark::State& state) {
   const simd::SimdKernelTable& kt = TableFor(state);
+  const int64_t rows = state.range(1);
   Rng rng(12);
-  Tensor a = Tensor::Randn({kRows, kDim}, rng);
-  Tensor g = Tensor::Randn({kRows, kDim}, rng);
+  Tensor a = Tensor::Randn({rows, kDim}, rng);
+  Tensor g = Tensor::Randn({rows, kDim}, rng);
   std::vector<float> ref(kDim * kDim, 0.0f), got(kDim * kDim, 0.0f);
-  simd::ScalarKernels().matmul_trans_a(a.data(), g.data(), ref.data(), kRows,
+  simd::ScalarKernels().matmul_trans_a(a.data(), g.data(), ref.data(), rows,
                                        kDim, kDim);
-  kt.matmul_trans_a(a.data(), g.data(), got.data(), kRows, kDim, kDim);
+  kt.matmul_trans_a(a.data(), g.data(), got.data(), rows, kDim, kDim);
   if (!ParityOk(state, ref.data(), got.data(), kDim * kDim)) return;
   for (auto _ : state) {
-    kt.matmul_trans_a(a.data(), g.data(), got.data(), kRows, kDim, kDim);
+    kt.matmul_trans_a(a.data(), g.data(), got.data(), rows, kDim, kDim);
     benchmark::DoNotOptimize(got.data());
   }
-  state.SetItemsProcessed(state.iterations() * kRows);
+  state.SetItemsProcessed(state.iterations() * rows);
   state.SetLabel(kt.name);
 }
-BENCHMARK(BM_SimdMatMulTransA)->Arg(0)->Arg(1);
+BENCHMARK(BM_SimdMatMulTransA)->ArgsProduct({{0, 1}, {kRows, kTrainRows}});
 
 void BM_SimdMatMulTransB(benchmark::State& state) {
   const simd::SimdKernelTable& kt = TableFor(state);
+  const int64_t rows = state.range(1);
   Rng rng(13);
-  Tensor a = Tensor::Randn({kRows, kDim}, rng);
+  Tensor a = Tensor::Randn({rows, kDim}, rng);
   Tensor b = Tensor::Randn({kDim, kDim}, rng);
-  std::vector<float> ref(kRows * kDim, 0.0f), got(kRows * kDim, 0.0f);
-  simd::ScalarKernels().matmul_trans_b(a.data(), b.data(), ref.data(), kRows,
+  std::vector<float> ref(rows * kDim, 0.0f), got(rows * kDim, 0.0f);
+  simd::ScalarKernels().matmul_trans_b(a.data(), b.data(), ref.data(), rows,
                                        kDim, kDim);
-  kt.matmul_trans_b(a.data(), b.data(), got.data(), kRows, kDim, kDim);
-  if (!ParityOk(state, ref.data(), got.data(), kRows * kDim)) return;
+  kt.matmul_trans_b(a.data(), b.data(), got.data(), rows, kDim, kDim);
+  if (!ParityOk(state, ref.data(), got.data(), rows * kDim)) return;
   for (auto _ : state) {
-    kt.matmul_trans_b(a.data(), b.data(), got.data(), kRows, kDim, kDim);
+    kt.matmul_trans_b(a.data(), b.data(), got.data(), rows, kDim, kDim);
     benchmark::DoNotOptimize(got.data());
   }
-  state.SetItemsProcessed(state.iterations() * kRows);
+  state.SetItemsProcessed(state.iterations() * rows);
   state.SetLabel(kt.name);
 }
-BENCHMARK(BM_SimdMatMulTransB)->Arg(0)->Arg(1);
+BENCHMARK(BM_SimdMatMulTransB)->ArgsProduct({{0, 1}, {kRows, kTrainRows}});
 
 void BM_SimdDualMatVec(benchmark::State& state) {
   const simd::SimdKernelTable& kt = TableFor(state);

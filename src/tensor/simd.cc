@@ -25,8 +25,9 @@
 #endif
 
 // The AVX-512 table needs BW (16-bit lane ops for the int8 GEMM) and VNNI
-// (vpdpwssd) on top of F; it also reuses the AVX2 dot-product kernels, so it
-// only exists when the AVX2 table does.
+// (vpdpwssd) on top of F; it also reuses AVX2 kernels (the dot-product
+// family, remainder strips and tails), so it only exists when the AVX2 table
+// does.
 #if DQUAG_SIMD_HAVE_AVX2 && defined(__AVX512F__) && defined(__AVX512BW__) && \
     defined(__AVX512VNNI__)
 #define DQUAG_SIMD_HAVE_AVX512 1
@@ -345,6 +346,104 @@ inline float Avx2Dot8(const float* x, const float* w, int64_t k) {
   return ReduceTree8(lanes);
 }
 
+// ---- Register-tiled float GEMM micro-kernel --------------------------------
+//
+// One body serves matmul (C += A B) and matmul_trans_a (C += A^T B). A tile
+// of R rows of C by V vectors of columns accumulates, for steps s ascending,
+// A(r, s) * B(s, :) with one FMA per element, where A(r, s) is
+// a[r * a_row + s * a_step] and B(s, :) is row s of a row-major matrix with
+// C's width n. matmul reads A along a row (a_row = k, a_step = 1) and
+// matmul_trans_a reads it down a column (a_row = 1, a_step = k). Every output
+// element therefore runs the scalar reference's sequence — its seed, then
+// one fused multiply-add per step in ascending order — whatever the tile
+// shape; masked lanes past the last column are never stored, and a tile
+// stored and reloaded between step panels changes no bits.
+
+/// Lanes 0 .. tail-1 of a ymm mask (tail in 1..7).
+inline __m256i Avx2TailMask(int64_t tail) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(tail)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+template <int R, int V, bool kMasked>
+inline void Avx2Tile(const float* a, int64_t a_row, int64_t a_step,
+                     const float* b, float* c, int64_t n, int64_t steps,
+                     __m256i tail) {
+  __m256 t[R][V];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      const float* cp = c + r * n + 8 * v;
+      t[r][v] = kMasked && v == V - 1 ? _mm256_maskload_ps(cp, tail)
+                                      : _mm256_loadu_ps(cp);
+    }
+  }
+  for (int64_t s = 0; s < steps; ++s) {
+    const float* brow = b + s * n;
+    __m256 bv[V];
+    for (int v = 0; v < V; ++v) {
+      bv[v] = kMasked && v == V - 1 ? _mm256_maskload_ps(brow + 8 * v, tail)
+                                    : _mm256_loadu_ps(brow + 8 * v);
+    }
+    const float* as = a + s * a_step;
+    for (int r = 0; r < R; ++r) {
+      const __m256 ar = _mm256_set1_ps(as[r * a_row]);
+      for (int v = 0; v < V; ++v) {
+        t[r][v] = _mm256_fmadd_ps(ar, bv[v], t[r][v]);
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      float* cp = c + r * n + 8 * v;
+      if (kMasked && v == V - 1) {
+        _mm256_maskstore_ps(cp, tail, t[r][v]);
+      } else {
+        _mm256_storeu_ps(cp, t[r][v]);
+      }
+    }
+  }
+}
+
+/// R rows of C across all n columns: 16-column tiles, an 8-column tile,
+/// then a masked tail.
+template <int R>
+inline void Avx2TileRow(const float* a, int64_t a_row, int64_t a_step,
+                        const float* b, float* c, int64_t n, int64_t steps) {
+  const __m256i all = _mm256_set1_epi32(-1);
+  int64_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    Avx2Tile<R, 2, false>(a, a_row, a_step, b + j, c + j, n, steps, all);
+  }
+  if (j + 8 <= n) {
+    Avx2Tile<R, 1, false>(a, a_row, a_step, b + j, c + j, n, steps, all);
+    j += 8;
+  }
+  if (j < n) {
+    Avx2Tile<R, 1, true>(a, a_row, a_step, b + j, c + j, n, steps,
+                         Avx2TailMask(n - j));
+  }
+}
+
+/// C[rows, n] += sum over `steps` of A(:, s) B(s, :): 4-row tiles, then
+/// single rows.
+inline void Avx2Gemm(const float* a, int64_t a_row, int64_t a_step,
+                     const float* b, float* c, int64_t rows, int64_t n,
+                     int64_t steps) {
+  int64_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    Avx2TileRow<4>(a + r * a_row, a_row, a_step, b, c + r * n, n, steps);
+  }
+  for (; r < rows; ++r) {
+    Avx2TileRow<1>(a + r * a_row, a_row, a_step, b, c + r * n, n, steps);
+  }
+}
+
+/// Rows of A (and of B) per matmul_trans_a panel: every C tile sweeps one
+/// panel before the next, so the panel's A and B rows (16 KiB each at
+/// width 64) stay in L1 across the tiles instead of streaming from L2 once
+/// per tile.
+constexpr int64_t kTransAPanelRows = 64;
+
 void Avx2MatMul(const float* a, const float* b, float* c, int64_t m, int64_t k,
                 int64_t n) {
   if (n == 1) {
@@ -353,114 +452,96 @@ void Avx2MatMul(const float* a, const float* b, float* c, int64_t m, int64_t k,
     }
     return;
   }
-  constexpr int kTile = 16;
-  int64_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const float* a0 = a + (i + 0) * k;
-    const float* a1 = a + (i + 1) * k;
-    const float* a2 = a + (i + 2) * k;
-    const float* a3 = a + (i + 3) * k;
-    float* c0 = c + (i + 0) * n;
-    float* c1 = c + (i + 1) * n;
-    float* c2 = c + (i + 2) * n;
-    float* c3 = c + (i + 3) * n;
-    int64_t jj = 0;
-    for (; jj + kTile <= n; jj += kTile) {
-      __m256 t00 = _mm256_loadu_ps(c0 + jj);
-      __m256 t01 = _mm256_loadu_ps(c0 + jj + 8);
-      __m256 t10 = _mm256_loadu_ps(c1 + jj);
-      __m256 t11 = _mm256_loadu_ps(c1 + jj + 8);
-      __m256 t20 = _mm256_loadu_ps(c2 + jj);
-      __m256 t21 = _mm256_loadu_ps(c2 + jj + 8);
-      __m256 t30 = _mm256_loadu_ps(c3 + jj);
-      __m256 t31 = _mm256_loadu_ps(c3 + jj + 8);
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float* brow = b + kk * n + jj;
-        const __m256 b0 = _mm256_loadu_ps(brow);
-        const __m256 b1 = _mm256_loadu_ps(brow + 8);
-        const __m256 a0k = _mm256_set1_ps(a0[kk]);
-        t00 = _mm256_fmadd_ps(a0k, b0, t00);
-        t01 = _mm256_fmadd_ps(a0k, b1, t01);
-        const __m256 a1k = _mm256_set1_ps(a1[kk]);
-        t10 = _mm256_fmadd_ps(a1k, b0, t10);
-        t11 = _mm256_fmadd_ps(a1k, b1, t11);
-        const __m256 a2k = _mm256_set1_ps(a2[kk]);
-        t20 = _mm256_fmadd_ps(a2k, b0, t20);
-        t21 = _mm256_fmadd_ps(a2k, b1, t21);
-        const __m256 a3k = _mm256_set1_ps(a3[kk]);
-        t30 = _mm256_fmadd_ps(a3k, b0, t30);
-        t31 = _mm256_fmadd_ps(a3k, b1, t31);
-      }
-      _mm256_storeu_ps(c0 + jj, t00);
-      _mm256_storeu_ps(c0 + jj + 8, t01);
-      _mm256_storeu_ps(c1 + jj, t10);
-      _mm256_storeu_ps(c1 + jj + 8, t11);
-      _mm256_storeu_ps(c2 + jj, t20);
-      _mm256_storeu_ps(c2 + jj + 8, t21);
-      _mm256_storeu_ps(c3 + jj, t30);
-      _mm256_storeu_ps(c3 + jj + 8, t31);
-    }
-    for (; jj < n; ++jj) {  // column remainder — scalar sequence
-      float t0 = c0[jj], t1 = c1[jj], t2 = c2[jj], t3 = c3[jj];
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float bj = b[kk * n + jj];
-        t0 = FusedMulAdd(a0[kk], bj, t0);
-        t1 = FusedMulAdd(a1[kk], bj, t1);
-        t2 = FusedMulAdd(a2[kk], bj, t2);
-        t3 = FusedMulAdd(a3[kk], bj, t3);
-      }
-      c0[jj] = t0;
-      c1[jj] = t1;
-      c2[jj] = t2;
-      c3[jj] = t3;
-    }
-  }
-  for (; i < m; ++i) {  // row remainder
-    float* crow = c + i * n;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const __m256 aikv = _mm256_set1_ps(a[i * k + kk]);
-      const float aik = a[i * k + kk];
-      const float* brow = b + kk * n;
-      int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        _mm256_storeu_ps(crow + j,
-                         _mm256_fmadd_ps(aikv, _mm256_loadu_ps(brow + j),
-                                         _mm256_loadu_ps(crow + j)));
-      }
-      for (; j < n; ++j) crow[j] = FusedMulAdd(aik, brow[j], crow[j]);
-    }
-  }
+  Avx2Gemm(a, /*a_row=*/k, /*a_step=*/1, b, c, m, n, /*steps=*/k);
 }
 
 void Avx2MatMulTransA(const float* a, const float* b, float* c, int64_t m,
                       int64_t k, int64_t n) {
+  for (int64_t i0 = 0; i0 < m; i0 += kTransAPanelRows) {
+    Avx2Gemm(a + i0 * k, /*a_row=*/1, /*a_step=*/k, b + i0 * n, c, k, n,
+             std::min(kTransAPanelRows, m - i0));
+  }
+}
+
+// ---- matmul_trans_b: dots vectorised across outputs ------------------------
+//
+// Each output C[i, q] += Dot8(A row i, W row q) keeps the dot contract —
+// eight strided lane sums (lane l takes j = l, l+8, ...; the tail j lands
+// in lane j - j0), folded by ReduceTree8, then one add into C — but runs
+// it for a strip of 8 (ymm) or 16 (zmm) outputs at once: the strip's W
+// rows are copied, transposed, into a stack buffer (wt[j * width + q] =
+// W[q0 + q, j]), so lane accumulator l of output q is lane q of vector l.
+
+/// Longest dot a transposed strip holds on the stack (16 KiB at 16
+/// outputs); longer dots take the per-output path.
+constexpr int64_t kTransBMaxDot = 256;
+
+/// Eight lane vectors, folded by the ReduceTree8 tree on whole vectors.
+inline __m256 Avx2ReduceTree8(const __m256* l) {
+  const __m256 s04 = _mm256_add_ps(l[0], l[4]);
+  const __m256 s15 = _mm256_add_ps(l[1], l[5]);
+  const __m256 s26 = _mm256_add_ps(l[2], l[6]);
+  const __m256 s37 = _mm256_add_ps(l[3], l[7]);
+  return _mm256_add_ps(_mm256_add_ps(s04, s26), _mm256_add_ps(s15, s37));
+}
+
+/// C[i, q0 .. q0+8) += Dot8(A row i, W row q0 + q) for every row i, from
+/// the strip's transposed W in wt[n * 8].
+void Avx2TransBStrip8(const float* a, const float* wt, float* c, int64_t m,
+                      int64_t n, int64_t kb) {
   for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    const float* brow = b + i * n;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float aik = arow[kk];
-      const __m256 av = _mm256_set1_ps(aik);
-      float* crow = c + kk * n;
-      int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        _mm256_storeu_ps(crow + j,
-                         _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + j),
-                                         _mm256_loadu_ps(crow + j)));
+    const float* arow = a + i * n;
+    __m256 l[8];
+    for (int t = 0; t < 8; ++t) l[t] = _mm256_setzero_ps();
+    int64_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+      for (int t = 0; t < 8; ++t) {
+        l[t] = _mm256_fmadd_ps(_mm256_set1_ps(arow[j + t]),
+                               _mm256_loadu_ps(wt + (j + t) * 8), l[t]);
       }
-      for (; j < n; ++j) crow[j] = FusedMulAdd(aik, brow[j], crow[j]);
     }
+    for (int t = 0; t < 8; ++t) {  // tail: j0 + t lands in lane t
+      if (j + t < n) {
+        l[t] = _mm256_fmadd_ps(_mm256_set1_ps(arow[j + t]),
+                               _mm256_loadu_ps(wt + (j + t) * 8), l[t]);
+      }
+    }
+    float* crow = c + i * kb;
+    _mm256_storeu_ps(crow,
+                     _mm256_add_ps(_mm256_loadu_ps(crow), Avx2ReduceTree8(l)));
+  }
+}
+
+/// Copies W rows q0 .. q0+width, transposed, into wt[n * width].
+inline void TransposeStrip(const float* b, int64_t n, int64_t q0, int width,
+                           float* wt) {
+  for (int q = 0; q < width; ++q) {
+    const float* wrow = b + (q0 + q) * n;
+    for (int64_t j = 0; j < n; ++j) wt[j * width + q] = wrow[j];
+  }
+}
+
+/// Outputs q0 .. kb of every row, one Dot8 each.
+void Avx2TransBPerOutput(const float* a, const float* b, float* c, int64_t m,
+                         int64_t n, int64_t kb, int64_t q0) {
+  for (int64_t i = 0; i < m; ++i) {
+    const float* arow = a + i * n;
+    float* crow = c + i * kb;
+    for (int64_t q = q0; q < kb; ++q) crow[q] += Avx2Dot8(arow, b + q * n, n);
   }
 }
 
 void Avx2MatMulTransB(const float* a, const float* b, float* c, int64_t m,
                       int64_t n, int64_t kb) {
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * n;
-    float* crow = c + i * kb;
-    for (int64_t kk = 0; kk < kb; ++kk) {
-      crow[kk] += Avx2Dot8(arow, b + kk * n, n);
+  int64_t q0 = 0;
+  if (n <= kTransBMaxDot) {
+    alignas(32) float wt[kTransBMaxDot * 8];
+    for (; q0 + 8 <= kb; q0 += 8) {
+      TransposeStrip(b, n, q0, 8, wt);
+      Avx2TransBStrip8(a, wt, c + q0, m, n, kb);
     }
   }
+  Avx2TransBPerOutput(a, b, c, m, n, kb, q0);
 }
 
 void Avx2DualMatVec(const float* x, const float* w1, const float* w2,
@@ -793,16 +874,18 @@ const SimdKernelTable kAvx2Table = {
 // AVX-512 kernels. Bit-identity dictates what may widen to 16 lanes:
 //
 //  * matmul / matmul_trans_a vectorize over the COLUMN axis — each output
-//    element accumulates its k-products in ascending kk order with one fused
-//    multiply-add per step, regardless of how many columns ride in a vector.
-//    Widening the column tile from ymm to zmm therefore preserves every
-//    per-element IEEE sequence.
+//    element accumulates its products in ascending step order with one
+//    fused multiply-add per step, regardless of how many columns ride in a
+//    vector. Widening the column tile from ymm to zmm (4 rows x 64 columns
+//    here) therefore preserves every per-element IEEE sequence.
 //  * Elementwise kernels (exp, elu, axpy, add_product, the quantize scale
 //    pass) are per-lane pure, so any width matches the scalar loop.
 //  * The dot-product family (matmul n==1, matmul_trans_b, dual_matvec,
 //    readout_dot) is DEFINED as 8 strided lanes + ReduceTree8; a 16-lane
-//    accumulator would change the sum order, so those stay on the AVX2
-//    bodies.
+//    accumulator along the dot would change the sum order. matmul_trans_b
+//    instead widens across OUTPUTS: 16 outputs ride in a zmm, each keeping
+//    its own 8 lane accumulators (see Avx2TransBStrip8). The rest stay on
+//    the AVX2 bodies.
 //  * qgemm accumulates in int32 — exact at any width — which is where
 //    AVX-512 VNNI's vpdpwssd (32 int16 MACs per instruction, accumulating)
 //    earns the table its keep.
@@ -818,6 +901,85 @@ namespace {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
+/// The AVX2 micro-kernel's zmm twin (see Avx2Tile): R rows x V vectors of
+/// 16 columns, the last vector masked to `tail` when kMasked.
+template <int R, int V, bool kMasked>
+inline void Avx512Tile(const float* a, int64_t a_row, int64_t a_step,
+                       const float* b, float* c, int64_t n, int64_t steps,
+                       __mmask16 tail) {
+  __m512 t[R][V];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      const float* cp = c + r * n + 16 * v;
+      t[r][v] = kMasked && v == V - 1 ? _mm512_maskz_loadu_ps(tail, cp)
+                                      : _mm512_loadu_ps(cp);
+    }
+  }
+  for (int64_t s = 0; s < steps; ++s) {
+    const float* brow = b + s * n;
+    __m512 bv[V];
+    for (int v = 0; v < V; ++v) {
+      bv[v] = kMasked && v == V - 1
+                  ? _mm512_maskz_loadu_ps(tail, brow + 16 * v)
+                  : _mm512_loadu_ps(brow + 16 * v);
+    }
+    const float* as = a + s * a_step;
+    for (int r = 0; r < R; ++r) {
+      const __m512 ar = _mm512_set1_ps(as[r * a_row]);
+      for (int v = 0; v < V; ++v) {
+        t[r][v] = _mm512_fmadd_ps(ar, bv[v], t[r][v]);
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      float* cp = c + r * n + 16 * v;
+      if (kMasked && v == V - 1) {
+        _mm512_mask_storeu_ps(cp, tail, t[r][v]);
+      } else {
+        _mm512_storeu_ps(cp, t[r][v]);
+      }
+    }
+  }
+}
+
+/// R rows of C across all n columns: 64-column tiles (16 zmm accumulators
+/// at R = 4), then 32- and 16-column tiles and a masked tail.
+template <int R>
+inline void Avx512TileRow(const float* a, int64_t a_row, int64_t a_step,
+                          const float* b, float* c, int64_t n,
+                          int64_t steps) {
+  int64_t j = 0;
+  for (; j + 64 <= n; j += 64) {
+    Avx512Tile<R, 4, false>(a, a_row, a_step, b + j, c + j, n, steps, 0);
+  }
+  if (j + 32 <= n) {
+    Avx512Tile<R, 2, false>(a, a_row, a_step, b + j, c + j, n, steps, 0);
+    j += 32;
+  }
+  if (j + 16 <= n) {
+    Avx512Tile<R, 1, false>(a, a_row, a_step, b + j, c + j, n, steps, 0);
+    j += 16;
+  }
+  if (j < n) {
+    const __mmask16 tail = static_cast<__mmask16>((1u << (n - j)) - 1u);
+    Avx512Tile<R, 1, true>(a, a_row, a_step, b + j, c + j, n, steps, tail);
+  }
+}
+
+/// Avx2Gemm at zmm width.
+inline void Avx512Gemm(const float* a, int64_t a_row, int64_t a_step,
+                       const float* b, float* c, int64_t rows, int64_t n,
+                       int64_t steps) {
+  int64_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    Avx512TileRow<4>(a + r * a_row, a_row, a_step, b, c + r * n, n, steps);
+  }
+  for (; r < rows; ++r) {
+    Avx512TileRow<1>(a + r * a_row, a_row, a_step, b, c + r * n, n, steps);
+  }
+}
+
 void Avx512MatMul(const float* a, const float* b, float* c, int64_t m,
                   int64_t k, int64_t n) {
   if (n == 1) {  // dot-product contract: keep the 8-lane sequence
@@ -826,119 +988,81 @@ void Avx512MatMul(const float* a, const float* b, float* c, int64_t m,
     }
     return;
   }
-  int64_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const float* a0 = a + (i + 0) * k;
-    const float* a1 = a + (i + 1) * k;
-    const float* a2 = a + (i + 2) * k;
-    const float* a3 = a + (i + 3) * k;
-    float* c0 = c + (i + 0) * n;
-    float* c1 = c + (i + 1) * n;
-    float* c2 = c + (i + 2) * n;
-    float* c3 = c + (i + 3) * n;
-    int64_t jj = 0;
-    for (; jj + 32 <= n; jj += 32) {  // 4 rows x 32 columns in zmm pairs
-      __m512 t00 = _mm512_loadu_ps(c0 + jj);
-      __m512 t01 = _mm512_loadu_ps(c0 + jj + 16);
-      __m512 t10 = _mm512_loadu_ps(c1 + jj);
-      __m512 t11 = _mm512_loadu_ps(c1 + jj + 16);
-      __m512 t20 = _mm512_loadu_ps(c2 + jj);
-      __m512 t21 = _mm512_loadu_ps(c2 + jj + 16);
-      __m512 t30 = _mm512_loadu_ps(c3 + jj);
-      __m512 t31 = _mm512_loadu_ps(c3 + jj + 16);
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float* brow = b + kk * n + jj;
-        const __m512 b0 = _mm512_loadu_ps(brow);
-        const __m512 b1 = _mm512_loadu_ps(brow + 16);
-        const __m512 a0k = _mm512_set1_ps(a0[kk]);
-        t00 = _mm512_fmadd_ps(a0k, b0, t00);
-        t01 = _mm512_fmadd_ps(a0k, b1, t01);
-        const __m512 a1k = _mm512_set1_ps(a1[kk]);
-        t10 = _mm512_fmadd_ps(a1k, b0, t10);
-        t11 = _mm512_fmadd_ps(a1k, b1, t11);
-        const __m512 a2k = _mm512_set1_ps(a2[kk]);
-        t20 = _mm512_fmadd_ps(a2k, b0, t20);
-        t21 = _mm512_fmadd_ps(a2k, b1, t21);
-        const __m512 a3k = _mm512_set1_ps(a3[kk]);
-        t30 = _mm512_fmadd_ps(a3k, b0, t30);
-        t31 = _mm512_fmadd_ps(a3k, b1, t31);
-      }
-      _mm512_storeu_ps(c0 + jj, t00);
-      _mm512_storeu_ps(c0 + jj + 16, t01);
-      _mm512_storeu_ps(c1 + jj, t10);
-      _mm512_storeu_ps(c1 + jj + 16, t11);
-      _mm512_storeu_ps(c2 + jj, t20);
-      _mm512_storeu_ps(c2 + jj + 16, t21);
-      _mm512_storeu_ps(c3 + jj, t30);
-      _mm512_storeu_ps(c3 + jj + 16, t31);
-    }
-    for (; jj + 16 <= n; jj += 16) {  // 16-column tile
-      __m512 t0 = _mm512_loadu_ps(c0 + jj);
-      __m512 t1 = _mm512_loadu_ps(c1 + jj);
-      __m512 t2 = _mm512_loadu_ps(c2 + jj);
-      __m512 t3 = _mm512_loadu_ps(c3 + jj);
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const __m512 bv = _mm512_loadu_ps(b + kk * n + jj);
-        t0 = _mm512_fmadd_ps(_mm512_set1_ps(a0[kk]), bv, t0);
-        t1 = _mm512_fmadd_ps(_mm512_set1_ps(a1[kk]), bv, t1);
-        t2 = _mm512_fmadd_ps(_mm512_set1_ps(a2[kk]), bv, t2);
-        t3 = _mm512_fmadd_ps(_mm512_set1_ps(a3[kk]), bv, t3);
-      }
-      _mm512_storeu_ps(c0 + jj, t0);
-      _mm512_storeu_ps(c1 + jj, t1);
-      _mm512_storeu_ps(c2 + jj, t2);
-      _mm512_storeu_ps(c3 + jj, t3);
-    }
-    for (; jj < n; ++jj) {  // column remainder — scalar sequence
-      float t0 = c0[jj], t1 = c1[jj], t2 = c2[jj], t3 = c3[jj];
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float bj = b[kk * n + jj];
-        t0 = FusedMulAdd(a0[kk], bj, t0);
-        t1 = FusedMulAdd(a1[kk], bj, t1);
-        t2 = FusedMulAdd(a2[kk], bj, t2);
-        t3 = FusedMulAdd(a3[kk], bj, t3);
-      }
-      c0[jj] = t0;
-      c1[jj] = t1;
-      c2[jj] = t2;
-      c3[jj] = t3;
-    }
-  }
-  for (; i < m; ++i) {  // row remainder
-    float* crow = c + i * n;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float aik = a[i * k + kk];
-      const __m512 aikv = _mm512_set1_ps(aik);
-      const float* brow = b + kk * n;
-      int64_t j = 0;
-      for (; j + 16 <= n; j += 16) {
-        _mm512_storeu_ps(crow + j,
-                         _mm512_fmadd_ps(aikv, _mm512_loadu_ps(brow + j),
-                                         _mm512_loadu_ps(crow + j)));
-      }
-      for (; j < n; ++j) crow[j] = FusedMulAdd(aik, brow[j], crow[j]);
-    }
-  }
+  Avx512Gemm(a, /*a_row=*/k, /*a_step=*/1, b, c, m, n, /*steps=*/k);
 }
 
 void Avx512MatMulTransA(const float* a, const float* b, float* c, int64_t m,
                         int64_t k, int64_t n) {
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    const float* brow = b + i * n;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float aik = arow[kk];
-      const __m512 av = _mm512_set1_ps(aik);
-      float* crow = c + kk * n;
-      int64_t j = 0;
-      for (; j + 16 <= n; j += 16) {
-        _mm512_storeu_ps(crow + j,
-                         _mm512_fmadd_ps(av, _mm512_loadu_ps(brow + j),
-                                         _mm512_loadu_ps(crow + j)));
+  for (int64_t i0 = 0; i0 < m; i0 += kTransAPanelRows) {
+    Avx512Gemm(a + i0 * k, /*a_row=*/1, /*a_step=*/k, b + i0 * n, c, k, n,
+               std::min(kTransAPanelRows, m - i0));
+  }
+}
+
+/// Avx2ReduceTree8 at zmm width.
+inline __m512 Avx512ReduceTree8(const __m512* l) {
+  const __m512 s04 = _mm512_add_ps(l[0], l[4]);
+  const __m512 s15 = _mm512_add_ps(l[1], l[5]);
+  const __m512 s26 = _mm512_add_ps(l[2], l[6]);
+  const __m512 s37 = _mm512_add_ps(l[3], l[7]);
+  return _mm512_add_ps(_mm512_add_ps(s04, s26), _mm512_add_ps(s15, s37));
+}
+
+/// R rows of Avx2TransBStrip8 at 16 outputs per vector; R = 2 shares each
+/// transposed W load between two rows' 8 + 8 lane accumulators.
+template <int R>
+inline void Avx512TransBRows(const float* a, const float* wt, float* c,
+                             int64_t n, int64_t kb) {
+  __m512 l[R][8];
+  for (int r = 0; r < R; ++r) {
+    for (int t = 0; t < 8; ++t) l[r][t] = _mm512_setzero_ps();
+  }
+  int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    for (int t = 0; t < 8; ++t) {
+      const __m512 w = _mm512_loadu_ps(wt + (j + t) * 16);
+      for (int r = 0; r < R; ++r) {
+        l[r][t] = _mm512_fmadd_ps(_mm512_set1_ps(a[r * n + j + t]), w,
+                                  l[r][t]);
       }
-      for (; j < n; ++j) crow[j] = FusedMulAdd(aik, brow[j], crow[j]);
     }
   }
+  for (int t = 0; t < 8; ++t) {  // tail: j0 + t lands in lane t
+    if (j + t < n) {
+      const __m512 w = _mm512_loadu_ps(wt + (j + t) * 16);
+      for (int r = 0; r < R; ++r) {
+        l[r][t] = _mm512_fmadd_ps(_mm512_set1_ps(a[r * n + j + t]), w,
+                                  l[r][t]);
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    float* crow = c + r * kb;
+    _mm512_storeu_ps(crow, _mm512_add_ps(_mm512_loadu_ps(crow),
+                                         Avx512ReduceTree8(l[r])));
+  }
+}
+
+void Avx512MatMulTransB(const float* a, const float* b, float* c, int64_t m,
+                        int64_t n, int64_t kb) {
+  int64_t q0 = 0;
+  if (n <= kTransBMaxDot) {
+    alignas(64) float wt[kTransBMaxDot * 16];
+    for (; q0 + 16 <= kb; q0 += 16) {
+      TransposeStrip(b, n, q0, 16, wt);
+      int64_t i = 0;
+      for (; i + 2 <= m; i += 2) {
+        Avx512TransBRows<2>(a + i * n, wt, c + i * kb + q0, n, kb);
+      }
+      if (i < m) Avx512TransBRows<1>(a + i * n, wt, c + i * kb + q0, n, kb);
+    }
+    if (q0 + 8 <= kb) {
+      TransposeStrip(b, n, q0, 8, wt);
+      Avx2TransBStrip8(a, wt, c + q0, m, n, kb);
+      q0 += 8;
+    }
+  }
+  Avx2TransBPerOutput(a, b, c, m, n, kb, q0);
 }
 
 /// 16-lane clone of FastExpf — same per-lane IEEE sequence as Avx2Exp8 and
@@ -1508,7 +1632,7 @@ void Avx512Qgemm(const int8_t* xq, const float* x_scales,
 
 const SimdKernelTable kAvx512Table = {
     "avx512",        Avx512MatMul,   Avx512MatMulTransA,
-    Avx2MatMulTransB,   Avx2DualMatVec, Avx2ReadoutDot,
+    Avx512MatMulTransB, Avx2DualMatVec, Avx2ReadoutDot,
     Avx512ExpInplace,   Avx512Elu,      Avx512Axpy,
     Avx512AddProduct,   SharedSegmentSoftmaxCsr, Avx512QuantizeRows,
     Avx512Qgemm,
@@ -1629,23 +1753,30 @@ bool EnvForcesScalar() {
 
 const SimdKernelTable& ScalarKernels() { return kScalarTable; }
 
-const SimdKernelTable& BestSupportedKernels() {
-#if DQUAG_SIMD_HAVE_AVX512
-  static const bool cpu512_ok = __builtin_cpu_supports("avx512f") &&
-                                __builtin_cpu_supports("avx512bw") &&
-                                __builtin_cpu_supports("avx512vnni");
-  if (cpu512_ok) return kAvx512Table;
-#endif
+std::vector<const SimdKernelTable*> SupportedKernelTables() {
+  std::vector<const SimdKernelTable*> tables = {&kScalarTable};
 #if DQUAG_SIMD_HAVE_AVX2
   // Compile-time availability still needs a runtime check: the binary may
   // have been built on a newer machine than it runs on.
-  static const bool cpu_ok =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  if (cpu_ok) return kAvx2Table;
-#elif DQUAG_SIMD_HAVE_NEON
-  return kNeonTable;
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    tables.push_back(&kAvx2Table);
+#if DQUAG_SIMD_HAVE_AVX512
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512vnni")) {
+      tables.push_back(&kAvx512Table);
+    }
 #endif
-  return kScalarTable;
+  }
+#elif DQUAG_SIMD_HAVE_NEON
+  tables.push_back(&kNeonTable);
+#endif
+  return tables;
+}
+
+const SimdKernelTable& BestSupportedKernels() {
+  static const SimdKernelTable* best = SupportedKernelTables().back();
+  return *best;
 }
 
 const SimdKernelTable& ActiveKernels() {

@@ -11,8 +11,9 @@
 //   * Four implementations exist behind compile-time guards: a scalar
 //     reference that always builds, an AVX2+FMA table (x86), an
 //     AVX-512+VNNI table (elementwise kernels at 16 lanes, zmm column
-//     tiles for the row-major GEMMs, vpdpbusd for the int8 GEMM), and a
-//     NEON table (aarch64) for the bandwidth-bound kernels.
+//     tiles for matmul and matmul_trans_a, matmul_trans_b's dots 16
+//     outputs at a time, vpdpbusd for the int8 GEMM), and a NEON table
+//     (aarch64) for the bandwidth-bound kernels.
 //   * ActiveKernels() picks a table once per process via runtime CPUID
 //     detection (__builtin_cpu_supports), honoring DQUAG_FORCE_SCALAR=1 as
 //     an environment override so the fallback is continuously provable on
@@ -35,13 +36,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace dquag {
 namespace simd {
 
 /// The hot-kernel dispatch table. All pointers are non-null in every table.
 struct SimdKernelTable {
-  /// Display name ("scalar", "avx2", "neon") for logs / bench JSON.
+  /// Display name ("scalar", "avx2", "avx512", "neon") for logs / bench
+  /// JSON.
   const char* name;
 
   /// C[m,n] += A[m,k] * B[k,n], row-major. Accumulates onto C (callers seed
@@ -110,8 +113,9 @@ struct SimdKernelTable {
 const SimdKernelTable& ScalarKernels();
 
 /// The table selected for this process: DQUAG_FORCE_SCALAR=1 forces scalar;
-/// otherwise the best table the CPU supports (AVX2+FMA via CPUID on x86,
-/// NEON on aarch64, scalar elsewhere). Resolved once, then cached.
+/// otherwise the best table the CPU supports (AVX-512+VNNI, then AVX2+FMA,
+/// via CPUID on x86; NEON on aarch64; scalar elsewhere). Resolved once, then
+/// cached.
 const SimdKernelTable& ActiveKernels();
 
 /// Testing/bench hook: overrides ActiveKernels() process-wide until reset
@@ -122,6 +126,11 @@ void SetKernelTableOverride(const SimdKernelTable* table);
 /// DQUAG_FORCE_SCALAR (scalar when the CPU or build lacks vector support).
 /// Lets benches compare scalar vs vector explicitly.
 const SimdKernelTable& BestSupportedKernels();
+
+/// Every table this build has and this CPU can run, scalar (the reference)
+/// first and BestSupportedKernels() last. Lets tests hold each vector
+/// table, not only the best one, to the bit-identity contract.
+std::vector<const SimdKernelTable*> SupportedKernelTables();
 
 }  // namespace simd
 }  // namespace dquag

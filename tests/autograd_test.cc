@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -104,6 +105,33 @@ TEST(AutogradTest, MatMul3DSharedWeightGradients) {
   CheckGradient(
       [&](const VarPtr& x) { return ag::MatMul(MakeVar(a), x); },
       Tensor::Randn({3, 2}, rng));
+}
+
+// The shapes above never fill a 16-column GEMM tile. At the model's width
+// ([.., 64] x [64, 64]) and at an odd one ([.., 17] x [17, 33], tile plus
+// remainder) dX and dW run through the vector backward kernels, checked
+// here against finite differences rather than only against the scalar
+// table. A random output weighting makes dY non-uniform. The function is
+// linear in x, so a large epsilon is exact up to rounding.
+TEST(AutogradTest, MatMulGradientsAtModelWidth) {
+  Rng rng(81);
+  const int64_t shapes[][2] = {{64, 64}, {17, 33}};
+  for (const auto& [k, n] : shapes) {
+    SCOPED_TRACE("k=" + std::to_string(k) + " n=" + std::to_string(n));
+    const Tensor w = Tensor::Randn({k, n}, rng);
+    const Tensor a = Tensor::Randn({2, 5, k}, rng);
+    const VarPtr dy = MakeVar(Tensor::Randn({2, 5, n}, rng));
+    CheckGradient(
+        [&](const VarPtr& x) {
+          return ag::Mul(ag::MatMul(x, MakeVar(w)), dy);
+        },
+        Tensor::Randn({2, 5, k}, rng), /*epsilon=*/0.5f, /*tolerance=*/1e-2f);
+    CheckGradient(
+        [&](const VarPtr& x) {
+          return ag::Mul(ag::MatMul(MakeVar(a), x), dy);
+        },
+        Tensor::Randn({k, n}, rng), /*epsilon=*/0.5f, /*tolerance=*/1e-2f);
+  }
 }
 
 TEST(AutogradTest, ReshapeGradient) {
