@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/model.h"
@@ -142,25 +143,31 @@ bool ParityOk(benchmark::State& state, const float* a, const float* b,
   return true;
 }
 
+/// The forward GEMM with its epilogue, as Linear runs it: bias seed, and
+/// ELU off (Arg 2 = 0) or on (Arg 2 = 1).
 void BM_SimdMatMul(benchmark::State& state) {
   const simd::SimdKernelTable& kt = TableFor(state);
   const int64_t rows = state.range(1);
+  const bool elu = state.range(2) != 0;
   Rng rng(11);
   Tensor a = Tensor::Randn({rows, kDim}, rng);
   Tensor b = Tensor::Randn({kDim, kDim}, rng);
-  std::vector<float> ref(rows * kDim, 0.0f), got(rows * kDim, 0.0f);
-  simd::ScalarKernels().matmul(a.data(), b.data(), ref.data(), rows, kDim,
-                               kDim);
-  kt.matmul(a.data(), b.data(), got.data(), rows, kDim, kDim);
+  Tensor bias = Tensor::Randn({kDim}, rng);
+  std::vector<float> ref(rows * kDim), got(rows * kDim);
+  simd::ScalarKernels().matmul(a.data(), b.data(), bias.data(), ref.data(),
+                               rows, kDim, kDim, elu);
+  kt.matmul(a.data(), b.data(), bias.data(), got.data(), rows, kDim, kDim,
+            elu);
   if (!ParityOk(state, ref.data(), got.data(), rows * kDim)) return;
   for (auto _ : state) {
-    kt.matmul(a.data(), b.data(), got.data(), rows, kDim, kDim);
+    kt.matmul(a.data(), b.data(), bias.data(), got.data(), rows, kDim, kDim,
+              elu);
     benchmark::DoNotOptimize(got.data());
   }
   state.SetItemsProcessed(state.iterations() * rows);
-  state.SetLabel(kt.name);
+  state.SetLabel(std::string(kt.name) + (elu ? " elu" : ""));
 }
-BENCHMARK(BM_SimdMatMul)->ArgsProduct({{0, 1}, {kRows, kTrainRows}});
+BENCHMARK(BM_SimdMatMul)->ArgsProduct({{0, 1}, {kRows, kTrainRows}, {0, 1}});
 
 void BM_SimdMatMulTransA(benchmark::State& state) {
   const simd::SimdKernelTable& kt = TableFor(state);

@@ -104,10 +104,8 @@ Tensor& GnnEncoder::InferForward(const Tensor& tokens, const Tensor& raw_rows,
   const Tensor* h = &tokens;
   Tensor* out = nullptr;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    out = &layers_[i]->InferForward(*h, ctx);
-    if (i + 1 < layers_.size()) {
-      EluInPlace(*out);
-    }
+    out = &layers_[i]->InferForward(*h, ctx,
+                                    /*elu_out=*/i + 1 < layers_.size());
     h = out;
   }
   return *out;

@@ -21,9 +21,7 @@ GatLayer::GatLayer(const FeatureGraph& graph, int64_t in_dim, int64_t out_dim,
   auto take = [&](const FeatureGraph& g) {
     src_ = g.src();
     dst_ = g.dst();
-    const FeatureGraph::CsrByDst& csr = g.csr_by_dst();
-    csr_offsets_ = csr.offsets;
-    csr_order_ = csr.order;
+    csr_ = g.csr_by_dst();
   };
   if (graph.has_self_loops()) {
     take(graph);
@@ -77,7 +75,7 @@ VarPtr GatLayer::Forward(const VarPtr& node_features,
 }
 
 Tensor& GatLayer::InferForward(const Tensor& node_features,
-                               InferenceContext& ctx) const {
+                               InferenceContext& ctx, bool elu_out) const {
   DQUAG_CHECK_EQ(node_features.dim(-1), in_dim_);
   const bool batched = node_features.ndim() == 3;
   const int64_t batch = batched ? node_features.dim(0) : 1;
@@ -86,14 +84,13 @@ Tensor& GatLayer::InferForward(const Tensor& node_features,
   Shape out_shape =
       batched ? Shape{batch, num_nodes_, out_dim_} : Shape{num_nodes_, out_dim_};
   Tensor& out = ctx.Acquire(out_shape);
-  // Seed with the bias; the attention pass then accumulates into it.
-  BroadcastRowInto(bias_->value(), out);
   Tensor& projected = ctx.Acquire(std::move(out_shape));
   if (ctx.quantized()) {
     QuantizedLinearInto(node_features, qcache_.GetOrDerive(weight_->value()),
                         nullptr, ctx, projected);
   } else {
-    LinearInto(node_features, weight_->value(), nullptr, projected);
+    LinearInto(node_features, weight_->value(), nullptr, /*elu=*/false,
+               projected);
   }
   Tensor& logit_src = ctx.Acquire({batch, num_nodes_});
   Tensor& logit_dst = ctx.Acquire({batch, num_nodes_});
@@ -101,8 +98,11 @@ Tensor& GatLayer::InferForward(const Tensor& node_features,
                  logit_dst);
   Tensor& alpha = ctx.Acquire({batch, num_arcs});
   ArcScoreInto(logit_src, logit_dst, src_, dst_, kLeakySlope, alpha);
-  SegmentSoftmaxCsrInPlace(alpha, csr_offsets_, csr_order_);
-  AttentionScatterAddInto(projected, alpha, src_, dst_, out);
+  SegmentSoftmaxCsrInPlace(alpha, csr_.offsets, csr_.order);
+  // One pass per destination row: the bias, the attention-weighted
+  // messages, then the output's ELU.
+  CsrAggregateInto(projected, csr_.offsets, csr_.order, src_, &alpha,
+                   &bias_->value(), /*self_scale=*/0.0f, elu_out, out);
   return out;
 }
 

@@ -63,8 +63,8 @@ class GatLayer : public GnnLayer {
   VarPtr Forward(const VarPtr& node_features,
                  AttentionRecorder* recorder) const;
 
-  Tensor& InferForward(const Tensor& node_features,
-                       InferenceContext& ctx) const override;
+  Tensor& InferForward(const Tensor& node_features, InferenceContext& ctx,
+                       bool elu_out) const override;
 
   int64_t in_dim() const override { return in_dim_; }
   int64_t out_dim() const override { return out_dim_; }
@@ -83,10 +83,9 @@ class GatLayer : public GnnLayer {
   int64_t num_nodes_;
   std::vector<int32_t> src_;
   std::vector<int32_t> dst_;
-  // Arcs grouped by destination (from FeatureGraph::csr_by_dst): the order
-  // the fused segment-softmax kernel walks.
-  std::vector<int64_t> csr_offsets_;
-  std::vector<int32_t> csr_order_;
+  // Arcs grouped by destination: the order the fused segment softmax and
+  // the aggregation pass walk.
+  FeatureGraph::CsrByDst csr_;
   VarPtr weight_;    // [in, out]
   VarPtr attn_src_;  // [out, 1]
   VarPtr attn_dst_;  // [out, 1]

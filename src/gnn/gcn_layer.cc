@@ -11,10 +11,12 @@ namespace {
 /// GCN propagates over neighbours plus self; reuse `graph` when the caller
 /// already looped it (sharing its cached normalization), else loop a copy.
 void InitGcnArcs(const FeatureGraph& graph, std::vector<int32_t>& src,
-                 std::vector<int32_t>& dst, Tensor& norm) {
+                 std::vector<int32_t>& dst, FeatureGraph::CsrByDst& csr,
+                 Tensor& norm) {
   auto take = [&](const FeatureGraph& g) {
     src = g.src();
     dst = g.dst();
+    csr = g.csr_by_dst();
     const std::vector<float>& coefficients = g.GcnNormalization();
     norm = Tensor({static_cast<int64_t>(coefficients.size()), 1},
                   std::vector<float>(coefficients.begin(),
@@ -34,7 +36,7 @@ void InitGcnArcs(const FeatureGraph& graph, std::vector<int32_t>& src,
 GcnLayer::GcnLayer(const FeatureGraph& graph, int64_t in_dim, int64_t out_dim,
                    Rng& rng)
     : in_dim_(in_dim), out_dim_(out_dim), num_nodes_(graph.num_nodes()) {
-  InitGcnArcs(graph, src_, dst_, norm_);
+  InitGcnArcs(graph, src_, dst_, csr_, norm_);
   weight_ = RegisterParameter("weight", XavierUniform(in_dim, out_dim, rng));
   bias_ = RegisterParameter("bias", Tensor::Zeros({out_dim}));
 }
@@ -49,7 +51,7 @@ VarPtr GcnLayer::Forward(const VarPtr& node_features) const {
 }
 
 Tensor& GcnLayer::InferForward(const Tensor& node_features,
-                               InferenceContext& ctx) const {
+                               InferenceContext& ctx, bool elu_out) const {
   DQUAG_CHECK_EQ(node_features.dim(-1), in_dim_);
   Shape shape = node_features.shape();
   shape.back() = out_dim_;
@@ -58,13 +60,14 @@ Tensor& GcnLayer::InferForward(const Tensor& node_features,
     QuantizedLinearInto(node_features, qcache_.GetOrDerive(weight_->value()),
                         nullptr, ctx, transformed);
   } else {
-    LinearInto(node_features, weight_->value(), nullptr, transformed);
+    LinearInto(node_features, weight_->value(), nullptr, /*elu=*/false,
+               transformed);
   }
   Tensor& out = ctx.Acquire(std::move(shape));
-  // Seed with the bias, then accumulate the normalized messages in a single
-  // fused pass (no [B, E, out] intermediate).
-  BroadcastRowInto(bias_->value(), out);
-  GatherScaleScatterAddInto(transformed, src_, dst_, norm_.data(), out);
+  // One pass per destination row: the bias, the normalized messages, then
+  // the output's ELU (no [B, E, out] intermediate).
+  CsrAggregateInto(transformed, csr_.offsets, csr_.order, src_, &norm_,
+                   &bias_->value(), /*self_scale=*/0.0f, elu_out, out);
   return out;
 }
 

@@ -26,8 +26,8 @@ class GcnLayer : public GnnLayer {
 
   VarPtr Forward(const VarPtr& node_features) const override;
 
-  Tensor& InferForward(const Tensor& node_features,
-                       InferenceContext& ctx) const override;
+  Tensor& InferForward(const Tensor& node_features, InferenceContext& ctx,
+                       bool elu_out) const override;
 
   int64_t in_dim() const override { return in_dim_; }
   int64_t out_dim() const override { return out_dim_; }
@@ -40,6 +40,7 @@ class GcnLayer : public GnnLayer {
   int64_t num_nodes_;
   std::vector<int32_t> src_;
   std::vector<int32_t> dst_;
+  FeatureGraph::CsrByDst csr_;  // arcs grouped by destination
   Tensor norm_;  // [E, 1] per-arc coefficients (constant)
   VarPtr weight_;
   VarPtr bias_;

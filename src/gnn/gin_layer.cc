@@ -10,7 +10,8 @@ GinLayer::GinLayer(const FeatureGraph& graph, int64_t in_dim, int64_t out_dim,
       out_dim_(out_dim),
       num_nodes_(graph.num_nodes()),
       src_(graph.src()),
-      dst_(graph.dst()) {
+      dst_(graph.dst()),
+      csr_(graph.csr_by_dst()) {
   epsilon_ = RegisterParameter("epsilon", Tensor::Zeros({1}));
   mlp_ = std::make_unique<Mlp>(std::vector<int64_t>{in_dim, out_dim, out_dim},
                                rng);
@@ -28,15 +29,15 @@ VarPtr GinLayer::Forward(const VarPtr& node_features) const {
 }
 
 Tensor& GinLayer::InferForward(const Tensor& node_features,
-                               InferenceContext& ctx) const {
+                               InferenceContext& ctx, bool elu_out) const {
   DQUAG_CHECK_EQ(node_features.dim(-1), in_dim_);
   Tensor& aggregate = ctx.Acquire(node_features.shape());
-  // (1 + eps) * h seeds the buffer; the fused pass adds the neighbour
-  // multiset sum (unit arc weights) on top.
-  ScaleInto(node_features, 1.0f + epsilon_->value()[0], aggregate);
-  GatherScaleScatterAddInto(node_features, src_, dst_, /*coeff=*/nullptr,
-                            aggregate);
-  return mlp_->InferForward(aggregate, ctx);
+  // One pass per node: (1 + eps) * h, then the neighbour multiset sum
+  // (unit arc weights). The output's ELU rides in the MLP's last GEMM.
+  CsrAggregateInto(node_features, csr_.offsets, csr_.order, src_,
+                   /*coeff=*/nullptr, /*bias=*/nullptr,
+                   1.0f + epsilon_->value()[0], /*elu=*/false, aggregate);
+  return mlp_->InferForward(aggregate, ctx, elu_out);
 }
 
 }  // namespace dquag

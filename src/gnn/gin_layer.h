@@ -27,8 +27,8 @@ class GinLayer : public GnnLayer {
 
   VarPtr Forward(const VarPtr& node_features) const override;
 
-  Tensor& InferForward(const Tensor& node_features,
-                       InferenceContext& ctx) const override;
+  Tensor& InferForward(const Tensor& node_features, InferenceContext& ctx,
+                       bool elu_out) const override;
 
   int64_t in_dim() const override { return in_dim_; }
   int64_t out_dim() const override { return out_dim_; }
@@ -42,6 +42,7 @@ class GinLayer : public GnnLayer {
   int64_t num_nodes_;
   std::vector<int32_t> src_;
   std::vector<int32_t> dst_;
+  FeatureGraph::CsrByDst csr_;  // arcs grouped by destination
   VarPtr epsilon_;  // [1]
   std::unique_ptr<Mlp> mlp_;
 };

@@ -22,11 +22,14 @@ class GnnLayer : public Module {
 
   virtual VarPtr Forward(const VarPtr& node_features) const = 0;
 
-  /// Tape-free forward through fused gather/scatter kernels. The result
-  /// lives in `ctx` and stays valid until the context is rewound. Must be
-  /// numerically equivalent to Forward (within float reassociation).
+  /// Tape-free forward through the fused kernels. `elu_out` applies ELU
+  /// to the layer's output inside the pass that writes it (the encoder's
+  /// rule: every layer but the last); Forward leaves that to the caller.
+  /// The result lives in `ctx` and stays valid until the context is
+  /// rewound. Must be numerically equivalent to Forward (within float
+  /// reassociation).
   virtual Tensor& InferForward(const Tensor& node_features,
-                               InferenceContext& ctx) const = 0;
+                               InferenceContext& ctx, bool elu_out) const = 0;
 
   virtual int64_t in_dim() const = 0;
   virtual int64_t out_dim() const = 0;

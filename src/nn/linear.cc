@@ -18,7 +18,8 @@ VarPtr Linear::Forward(const VarPtr& x) const {
   return ag::Add(ag::MatMul(x, weight_), bias_);
 }
 
-Tensor& Linear::InferForward(const Tensor& x, InferenceContext& ctx) const {
+Tensor& Linear::InferForward(const Tensor& x, InferenceContext& ctx,
+                             bool elu) const {
   DQUAG_CHECK_EQ(x.dim(-1), in_features_);
   Shape out_shape = x.shape();
   out_shape.back() = out_features_;
@@ -26,8 +27,9 @@ Tensor& Linear::InferForward(const Tensor& x, InferenceContext& ctx) const {
   if (ctx.quantized()) {
     QuantizedLinearInto(x, qcache_.GetOrDerive(weight_->value()),
                         &bias_->value(), ctx, out);
+    if (elu) EluInPlace(out);
   } else {
-    LinearInto(x, weight_->value(), &bias_->value(), out);
+    LinearInto(x, weight_->value(), &bias_->value(), elu, out);
   }
   return out;
 }
@@ -58,14 +60,14 @@ VarPtr Mlp::Forward(const VarPtr& x) const {
   return h;
 }
 
-Tensor& Mlp::InferForward(const Tensor& x, InferenceContext& ctx) const {
+Tensor& Mlp::InferForward(const Tensor& x, InferenceContext& ctx,
+                          bool elu_out) const {
   const Tensor* in = &x;
   Tensor* out = nullptr;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    out = &layers_[i]->InferForward(*in, ctx);
-    if (i + 1 < layers_.size() || activate_last_) {
-      EluInPlace(*out);
-    }
+    const bool last = i + 1 == layers_.size();
+    out = &layers_[i]->InferForward(*in, ctx,
+                                    !last || activate_last_ || elu_out);
     in = out;
   }
   return *out;

@@ -22,8 +22,11 @@ class Linear : public Module {
 
   VarPtr Forward(const VarPtr& x) const;
 
-  /// Tape-free forward into a workspace tensor (valid until ctx.Rewind()).
-  Tensor& InferForward(const Tensor& x, InferenceContext& ctx) const;
+  /// Tape-free forward into a workspace tensor (valid until ctx.Rewind()),
+  /// with ELU applied to the output when `elu` (inside the GEMM on the
+  /// float path).
+  Tensor& InferForward(const Tensor& x, InferenceContext& ctx,
+                       bool elu = false) const;
 
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }
@@ -47,8 +50,11 @@ class Mlp : public Module {
 
   VarPtr Forward(const VarPtr& x) const;
 
-  /// Tape-free forward; ELU is applied in place on the workspace.
-  Tensor& InferForward(const Tensor& x, InferenceContext& ctx) const;
+  /// Tape-free forward; each layer's ELU runs inside its Linear pass.
+  /// `elu_out` also activates the last layer (a GIN layer's MLP when the
+  /// encoder's rule wants its output activated).
+  Tensor& InferForward(const Tensor& x, InferenceContext& ctx,
+                       bool elu_out = false) const;
 
  private:
   std::vector<std::unique_ptr<Linear>> layers_;

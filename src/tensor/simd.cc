@@ -85,84 +85,92 @@ float ScalarDot8(const float* x, const float* w, int64_t k) {
 // Scalar reference kernels.
 // ---------------------------------------------------------------------------
 
-void ScalarMatMul(const float* a, const float* b, float* c, int64_t m,
-                  int64_t k, int64_t n) {
+void ScalarElu(const float* x, float* y, int64_t n, float alpha) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    const float e = alpha * (FastExpf(v) - 1.0f);
+    y[i] = v > 0.0f ? v : e;
+  }
+}
+
+void ScalarMatMul(const float* a, const float* b, const float* bias, float* c,
+                  int64_t m, int64_t k, int64_t n, bool elu) {
+  auto seed = [bias](int64_t j) { return bias != nullptr ? bias[j] : 0.0f; };
   if (n == 1) {
     for (int64_t i = 0; i < m; ++i) {
-      c[i] += ScalarDot8(a + i * k, b, k);
+      c[i] = seed(0) + ScalarDot8(a + i * k, b, k);
     }
-    return;
-  }
-  // Register-tiled 4x16 micro-kernel (see tensor_ops.cc history): four A
-  // rows against a 16-column C tile, kk-ascending FusedMulAdd everywhere so
-  // the tile, column-remainder and row-remainder paths produce identical
-  // bits for any row position.
-  constexpr int kTile = 16;
-  int64_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const float* a0 = a + (i + 0) * k;
-    const float* a1 = a + (i + 1) * k;
-    const float* a2 = a + (i + 2) * k;
-    const float* a3 = a + (i + 3) * k;
-    float* c0 = c + (i + 0) * n;
-    float* c1 = c + (i + 1) * n;
-    float* c2 = c + (i + 2) * n;
-    float* c3 = c + (i + 3) * n;
-    int64_t jj = 0;
-    for (; jj + kTile <= n; jj += kTile) {
-      float t0[kTile], t1[kTile], t2[kTile], t3[kTile];
-      for (int q = 0; q < kTile; ++q) {
-        t0[q] = c0[jj + q];
-        t1[q] = c1[jj + q];
-        t2[q] = c2[jj + q];
-        t3[q] = c3[jj + q];
-      }
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float a0k = a0[kk];
-        const float a1k = a1[kk];
-        const float a2k = a2[kk];
-        const float a3k = a3[kk];
-        const float* brow = b + kk * n + jj;
+  } else {
+    // Register-tiled 4x16 micro-kernel: four A rows against a 16-column C
+    // tile, each element seeded, then kk-ascending FusedMulAdd everywhere so
+    // the tile, column-remainder and row-remainder paths produce identical
+    // bits for any row position.
+    constexpr int kTile = 16;
+    int64_t i = 0;
+    for (; i + 4 <= m; i += 4) {
+      const float* a0 = a + (i + 0) * k;
+      const float* a1 = a + (i + 1) * k;
+      const float* a2 = a + (i + 2) * k;
+      const float* a3 = a + (i + 3) * k;
+      float* c0 = c + (i + 0) * n;
+      float* c1 = c + (i + 1) * n;
+      float* c2 = c + (i + 2) * n;
+      float* c3 = c + (i + 3) * n;
+      int64_t jj = 0;
+      for (; jj + kTile <= n; jj += kTile) {
+        float t0[kTile], t1[kTile], t2[kTile], t3[kTile];
         for (int q = 0; q < kTile; ++q) {
-          const float bq = brow[q];
-          t0[q] = FusedMulAdd(a0k, bq, t0[q]);
-          t1[q] = FusedMulAdd(a1k, bq, t1[q]);
-          t2[q] = FusedMulAdd(a2k, bq, t2[q]);
-          t3[q] = FusedMulAdd(a3k, bq, t3[q]);
+          t0[q] = t1[q] = t2[q] = t3[q] = seed(jj + q);
+        }
+        for (int64_t kk = 0; kk < k; ++kk) {
+          const float a0k = a0[kk];
+          const float a1k = a1[kk];
+          const float a2k = a2[kk];
+          const float a3k = a3[kk];
+          const float* brow = b + kk * n + jj;
+          for (int q = 0; q < kTile; ++q) {
+            const float bq = brow[q];
+            t0[q] = FusedMulAdd(a0k, bq, t0[q]);
+            t1[q] = FusedMulAdd(a1k, bq, t1[q]);
+            t2[q] = FusedMulAdd(a2k, bq, t2[q]);
+            t3[q] = FusedMulAdd(a3k, bq, t3[q]);
+          }
+        }
+        for (int q = 0; q < kTile; ++q) {
+          c0[jj + q] = t0[q];
+          c1[jj + q] = t1[q];
+          c2[jj + q] = t2[q];
+          c3[jj + q] = t3[q];
         }
       }
-      for (int q = 0; q < kTile; ++q) {
-        c0[jj + q] = t0[q];
-        c1[jj + q] = t1[q];
-        c2[jj + q] = t2[q];
-        c3[jj + q] = t3[q];
+      for (; jj < n; ++jj) {  // column remainder
+        float t0 = seed(jj), t1 = t0, t2 = t0, t3 = t0;
+        for (int64_t kk = 0; kk < k; ++kk) {
+          const float bj = b[kk * n + jj];
+          t0 = FusedMulAdd(a0[kk], bj, t0);
+          t1 = FusedMulAdd(a1[kk], bj, t1);
+          t2 = FusedMulAdd(a2[kk], bj, t2);
+          t3 = FusedMulAdd(a3[kk], bj, t3);
+        }
+        c0[jj] = t0;
+        c1[jj] = t1;
+        c2[jj] = t2;
+        c3[jj] = t3;
       }
     }
-    for (; jj < n; ++jj) {  // column remainder
-      float t0 = c0[jj], t1 = c1[jj], t2 = c2[jj], t3 = c3[jj];
+    for (; i < m; ++i) {  // row remainder
+      float* crow = c + i * n;
+      for (int64_t j = 0; j < n; ++j) crow[j] = seed(j);
       for (int64_t kk = 0; kk < k; ++kk) {
-        const float bj = b[kk * n + jj];
-        t0 = FusedMulAdd(a0[kk], bj, t0);
-        t1 = FusedMulAdd(a1[kk], bj, t1);
-        t2 = FusedMulAdd(a2[kk], bj, t2);
-        t3 = FusedMulAdd(a3[kk], bj, t3);
-      }
-      c0[jj] = t0;
-      c1[jj] = t1;
-      c2[jj] = t2;
-      c3[jj] = t3;
-    }
-  }
-  for (; i < m; ++i) {  // row remainder
-    float* crow = c + i * n;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float aik = a[i * k + kk];
-      const float* brow = b + kk * n;
-      for (int64_t j = 0; j < n; ++j) {
-        crow[j] = FusedMulAdd(aik, brow[j], crow[j]);
+        const float aik = a[i * k + kk];
+        const float* brow = b + kk * n;
+        for (int64_t j = 0; j < n; ++j) {
+          crow[j] = FusedMulAdd(aik, brow[j], crow[j]);
+        }
       }
     }
   }
+  if (elu) ScalarElu(c, c, m * n, 1.0f);
 }
 
 void ScalarMatMulTransA(const float* a, const float* b, float* c, int64_t m,
@@ -214,14 +222,6 @@ void ScalarReadoutDot(const float* z, const float* w, const float* bias,
 
 void ScalarExpInplace(float* p, int64_t n) {
   for (int64_t i = 0; i < n; ++i) p[i] = FastExpf(p[i]);
-}
-
-void ScalarElu(const float* x, float* y, int64_t n, float alpha) {
-  for (int64_t i = 0; i < n; ++i) {
-    const float v = x[i];
-    const float e = alpha * (FastExpf(v) - 1.0f);
-    y[i] = v > 0.0f ? v : e;
-  }
 }
 
 void ScalarAxpy(const float* x, float s, float* out, int64_t n) {
@@ -346,18 +346,60 @@ inline float Avx2Dot8(const float* x, const float* w, int64_t k) {
   return ReduceTree8(lanes);
 }
 
+/// Lane-exact vector clone of FastExpf (fast_math.h): identical IEEE
+/// operation sequence, so each lane matches the scalar call bit-for-bit.
+inline __m256 Avx2Exp8(__m256 x) {
+  const __m256 kMagic = _mm256_set1_ps(12582912.0f);  // 1.5 * 2^23
+  // Clamp order mirrors std::min(88, std::max(-87, x)): NaN maps to -87.
+  x = _mm256_max_ps(x, _mm256_set1_ps(-87.0f));
+  x = _mm256_min_ps(x, _mm256_set1_ps(88.0f));
+  // Explicitly fused range reduction, mirroring FastExpf step for step
+  // (see the contraction note there): plain mul/add intrinsics are fair
+  // game for -ffp-contract=fast, so the fusion is spelled out on both
+  // sides instead of left to the compiler.
+  const __m256 kInvLn2 = _mm256_set1_ps(1.44269504088896341f);
+  const __m256 zr = _mm256_fmadd_ps(x, kInvLn2, kMagic);
+  const __m256i n = _mm256_sub_epi32(_mm256_castps_si256(zr),
+                                     _mm256_castps_si256(kMagic));
+  const __m256 t = _mm256_sub_ps(zr, kMagic);
+  const __m256 f = _mm256_mul_ps(_mm256_fmsub_ps(x, kInvLn2, t),
+                                 _mm256_set1_ps(0.693147180559945309f));
+  __m256 p = _mm256_set1_ps(1.0f / 720.0f);
+  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(1.0f / 120.0f));
+  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(1.0f / 24.0f));
+  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(1.0f / 6.0f));
+  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(0.5f));
+  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(1.0f));
+  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(1.0f));
+  const __m256 scale = _mm256_castsi256_ps(_mm256_slli_epi32(
+      _mm256_add_epi32(n, _mm256_set1_epi32(127)), 23));
+  return _mm256_mul_ps(p, scale);
+}
+
+/// ScalarElu's per-element sequence on 8 lanes: v > 0 ? v
+/// : alpha * (FastExpf(v) - 1).
+inline __m256 Avx2Elu8(__m256 v, __m256 alpha) {
+  const __m256 e =
+      _mm256_mul_ps(alpha, _mm256_sub_ps(Avx2Exp8(v), _mm256_set1_ps(1.0f)));
+  const __m256 gt = _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ);
+  return _mm256_blendv_ps(e, v, gt);
+}
+
 // ---- Register-tiled float GEMM micro-kernel --------------------------------
 //
-// One body serves matmul (C += A B) and matmul_trans_a (C += A^T B). A tile
-// of R rows of C by V vectors of columns accumulates, for steps s ascending,
-// A(r, s) * B(s, :) with one FMA per element, where A(r, s) is
+// One body serves matmul (C = act(seed + A B)) and matmul_trans_a
+// (C += A^T B). A tile of R rows of C by V vectors of columns starts from its
+// seed — zero, a bias row, or C itself — and accumulates, for steps s
+// ascending, A(r, s) * B(s, :) with one FMA per element, where A(r, s) is
 // a[r * a_row + s * a_step] and B(s, :) is row s of a row-major matrix with
 // C's width n. matmul reads A along a row (a_row = k, a_step = 1) and
-// matmul_trans_a reads it down a column (a_row = 1, a_step = k). Every output
-// element therefore runs the scalar reference's sequence — its seed, then
-// one fused multiply-add per step in ascending order — whatever the tile
-// shape; masked lanes past the last column are never stored, and a tile
-// stored and reloaded between step panels changes no bits.
+// matmul_trans_a reads it down a column (a_row = 1, a_step = k). kElu applies
+// the table's ELU to the finished registers before the one store. Every
+// output element therefore runs the scalar reference's sequence — its seed,
+// one fused multiply-add per step in ascending order, then the activation —
+// whatever the tile shape; masked lanes past the last column are never
+// stored, and a tile stored and reloaded between step panels changes no
+// bits.
 
 /// Lanes 0 .. tail-1 of a ymm mask (tail in 1..7).
 inline __m256i Avx2TailMask(int64_t tail) {
@@ -365,16 +407,24 @@ inline __m256i Avx2TailMask(int64_t tail) {
                             _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
 }
 
-template <int R, int V, bool kMasked>
+/// The tile's seed: row r of `seed` (row stride seed_row: n for C itself,
+/// 0 for a bias row shared by every row), or zero when seed is null.
+template <int R, int V, bool kMasked, bool kElu>
 inline void Avx2Tile(const float* a, int64_t a_row, int64_t a_step,
-                     const float* b, float* c, int64_t n, int64_t steps,
-                     __m256i tail) {
+                     const float* b, const float* seed, int64_t seed_row,
+                     float* c, int64_t n, int64_t steps, __m256i tail) {
   __m256 t[R][V];
+#pragma GCC unroll 4
   for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
     for (int v = 0; v < V; ++v) {
-      const float* cp = c + r * n + 8 * v;
-      t[r][v] = kMasked && v == V - 1 ? _mm256_maskload_ps(cp, tail)
-                                      : _mm256_loadu_ps(cp);
+      if (seed == nullptr) {
+        t[r][v] = _mm256_setzero_ps();
+        continue;
+      }
+      const float* sp = seed + r * seed_row + 8 * v;
+      t[r][v] = kMasked && v == V - 1 ? _mm256_maskload_ps(sp, tail)
+                                      : _mm256_loadu_ps(sp);
     }
   }
   for (int64_t s = 0; s < steps; ++s) {
@@ -392,8 +442,11 @@ inline void Avx2Tile(const float* a, int64_t a_row, int64_t a_step,
       }
     }
   }
+#pragma GCC unroll 4
   for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
     for (int v = 0; v < V; ++v) {
+      if (kElu) t[r][v] = Avx2Elu8(t[r][v], _mm256_set1_ps(1.0f));
       float* cp = c + r * n + 8 * v;
       if (kMasked && v == V - 1) {
         _mm256_maskstore_ps(cp, tail, t[r][v]);
@@ -406,35 +459,45 @@ inline void Avx2Tile(const float* a, int64_t a_row, int64_t a_step,
 
 /// R rows of C across all n columns: 16-column tiles, an 8-column tile,
 /// then a masked tail.
-template <int R>
+template <int R, bool kElu>
 inline void Avx2TileRow(const float* a, int64_t a_row, int64_t a_step,
-                        const float* b, float* c, int64_t n, int64_t steps) {
+                        const float* b, const float* seed, int64_t seed_row,
+                        float* c, int64_t n, int64_t steps) {
+  auto at = [seed](int64_t j) { return seed != nullptr ? seed + j : nullptr; };
   const __m256i all = _mm256_set1_epi32(-1);
   int64_t j = 0;
   for (; j + 16 <= n; j += 16) {
-    Avx2Tile<R, 2, false>(a, a_row, a_step, b + j, c + j, n, steps, all);
+    Avx2Tile<R, 2, false, kElu>(a, a_row, a_step, b + j, at(j), seed_row,
+                                c + j, n, steps, all);
   }
   if (j + 8 <= n) {
-    Avx2Tile<R, 1, false>(a, a_row, a_step, b + j, c + j, n, steps, all);
+    Avx2Tile<R, 1, false, kElu>(a, a_row, a_step, b + j, at(j), seed_row,
+                                c + j, n, steps, all);
     j += 8;
   }
   if (j < n) {
-    Avx2Tile<R, 1, true>(a, a_row, a_step, b + j, c + j, n, steps,
-                         Avx2TailMask(n - j));
+    Avx2Tile<R, 1, true, kElu>(a, a_row, a_step, b + j, at(j), seed_row,
+                               c + j, n, steps, Avx2TailMask(n - j));
   }
 }
 
-/// C[rows, n] += sum over `steps` of A(:, s) B(s, :): 4-row tiles, then
-/// single rows.
+/// C[rows, n] = act(seed + sum over `steps` of A(:, s) B(s, :)): 4-row
+/// tiles, then single rows.
+template <bool kElu>
 inline void Avx2Gemm(const float* a, int64_t a_row, int64_t a_step,
-                     const float* b, float* c, int64_t rows, int64_t n,
-                     int64_t steps) {
+                     const float* b, const float* seed, int64_t seed_row,
+                     float* c, int64_t rows, int64_t n, int64_t steps) {
+  auto at = [&](int64_t r) {
+    return seed != nullptr ? seed + r * seed_row : nullptr;
+  };
   int64_t r = 0;
   for (; r + 4 <= rows; r += 4) {
-    Avx2TileRow<4>(a + r * a_row, a_row, a_step, b, c + r * n, n, steps);
+    Avx2TileRow<4, kElu>(a + r * a_row, a_row, a_step, b, at(r), seed_row,
+                         c + r * n, n, steps);
   }
   for (; r < rows; ++r) {
-    Avx2TileRow<1>(a + r * a_row, a_row, a_step, b, c + r * n, n, steps);
+    Avx2TileRow<1, kElu>(a + r * a_row, a_row, a_step, b, at(r), seed_row,
+                         c + r * n, n, steps);
   }
 }
 
@@ -444,22 +507,42 @@ inline void Avx2Gemm(const float* a, int64_t a_row, int64_t a_step,
 /// per tile.
 constexpr int64_t kTransAPanelRows = 64;
 
-void Avx2MatMul(const float* a, const float* b, float* c, int64_t m, int64_t k,
-                int64_t n) {
+void Avx2Elu(const float* x, float* y, int64_t n, float alpha) {
+  const __m256 av = _mm256_set1_ps(alpha);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, Avx2Elu8(_mm256_loadu_ps(x + i), av));
+  }
+  for (; i < n; ++i) {
+    const float v = x[i];
+    const float e = alpha * (FastExpf(v) - 1.0f);
+    y[i] = v > 0.0f ? v : e;
+  }
+}
+
+void Avx2MatMul(const float* a, const float* b, const float* bias, float* c,
+                int64_t m, int64_t k, int64_t n, bool elu) {
   if (n == 1) {
-    for (int64_t i = 0; i < m; ++i) {
-      c[i] += Avx2Dot8(a + i * k, b, k);
-    }
+    const float seed = bias != nullptr ? bias[0] : 0.0f;
+    for (int64_t i = 0; i < m; ++i) c[i] = seed + Avx2Dot8(a + i * k, b, k);
+    if (elu) Avx2Elu(c, c, m, 1.0f);
     return;
   }
-  Avx2Gemm(a, /*a_row=*/k, /*a_step=*/1, b, c, m, n, /*steps=*/k);
+  if (elu) {
+    Avx2Gemm<true>(a, /*a_row=*/k, /*a_step=*/1, b, bias, /*seed_row=*/0, c,
+                   m, n, /*steps=*/k);
+  } else {
+    Avx2Gemm<false>(a, /*a_row=*/k, /*a_step=*/1, b, bias, /*seed_row=*/0, c,
+                    m, n, /*steps=*/k);
+  }
 }
 
 void Avx2MatMulTransA(const float* a, const float* b, float* c, int64_t m,
                       int64_t k, int64_t n) {
   for (int64_t i0 = 0; i0 < m; i0 += kTransAPanelRows) {
-    Avx2Gemm(a + i0 * k, /*a_row=*/1, /*a_step=*/k, b + i0 * n, c, k, n,
-             std::min(kTransAPanelRows, m - i0));
+    Avx2Gemm<false>(a + i0 * k, /*a_row=*/1, /*a_step=*/k, b + i0 * n,
+                    /*seed=*/c, /*seed_row=*/n, c, k, n,
+                    std::min(kTransAPanelRows, m - i0));
   }
 }
 
@@ -568,72 +651,12 @@ void Avx2DualMatVec(const float* x, const float* w1, const float* w2,
   }
 }
 
-void Avx2ReadoutDot(const float* z, const float* w, const float* bias,
-                    float* out, int64_t rows, int64_t d, int64_t h) {
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* zr = z + r * d * h;
-    float* orow = out + r * d;
-    for (int64_t f = 0; f < d; ++f) {
-      const float acc = Avx2Dot8(zr + f * h, w + f * h, h);
-      orow[f] = bias != nullptr ? acc + bias[f] : acc;
-    }
-  }
-}
-
-/// Lane-exact vector clone of FastExpf (fast_math.h): identical IEEE
-/// operation sequence, so each lane matches the scalar call bit-for-bit.
-inline __m256 Avx2Exp8(__m256 x) {
-  const __m256 kMagic = _mm256_set1_ps(12582912.0f);  // 1.5 * 2^23
-  // Clamp order mirrors std::min(88, std::max(-87, x)): NaN maps to -87.
-  x = _mm256_max_ps(x, _mm256_set1_ps(-87.0f));
-  x = _mm256_min_ps(x, _mm256_set1_ps(88.0f));
-  // Explicitly fused range reduction, mirroring FastExpf step for step
-  // (see the contraction note there): plain mul/add intrinsics are fair
-  // game for -ffp-contract=fast, so the fusion is spelled out on both
-  // sides instead of left to the compiler.
-  const __m256 kInvLn2 = _mm256_set1_ps(1.44269504088896341f);
-  const __m256 zr = _mm256_fmadd_ps(x, kInvLn2, kMagic);
-  const __m256i n = _mm256_sub_epi32(_mm256_castps_si256(zr),
-                                     _mm256_castps_si256(kMagic));
-  const __m256 t = _mm256_sub_ps(zr, kMagic);
-  const __m256 f = _mm256_mul_ps(_mm256_fmsub_ps(x, kInvLn2, t),
-                                 _mm256_set1_ps(0.693147180559945309f));
-  __m256 p = _mm256_set1_ps(1.0f / 720.0f);
-  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(1.0f / 120.0f));
-  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(1.0f / 24.0f));
-  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(1.0f / 6.0f));
-  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(0.5f));
-  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(1.0f));
-  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(1.0f));
-  const __m256 scale = _mm256_castsi256_ps(_mm256_slli_epi32(
-      _mm256_add_epi32(n, _mm256_set1_epi32(127)), 23));
-  return _mm256_mul_ps(p, scale);
-}
-
 void Avx2ExpInplace(float* p, int64_t n) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
     _mm256_storeu_ps(p + i, Avx2Exp8(_mm256_loadu_ps(p + i)));
   }
   for (; i < n; ++i) p[i] = FastExpf(p[i]);
-}
-
-void Avx2Elu(const float* x, float* y, int64_t n, float alpha) {
-  const __m256 av = _mm256_set1_ps(alpha);
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 zero = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    const __m256 e = _mm256_mul_ps(av, _mm256_sub_ps(Avx2Exp8(v), one));
-    const __m256 gt = _mm256_cmp_ps(v, zero, _CMP_GT_OQ);
-    _mm256_storeu_ps(y + i, _mm256_blendv_ps(e, v, gt));
-  }
-  for (; i < n; ++i) {
-    const float v = x[i];
-    const float e = alpha * (FastExpf(v) - 1.0f);
-    y[i] = v > 0.0f ? v : e;
-  }
 }
 
 void Avx2Axpy(const float* x, float s, float* out, int64_t n) {
@@ -861,7 +884,7 @@ void Avx2Qgemm(const int8_t* xq, const float* x_scales,
 
 const SimdKernelTable kAvx2Table = {
     "avx2",          Avx2MatMul,     Avx2MatMulTransA,
-    Avx2MatMulTransB,   Avx2DualMatVec, Avx2ReadoutDot,
+    Avx2MatMulTransB,   Avx2DualMatVec, ScalarReadoutDot,
     Avx2ExpInplace,     Avx2Elu,        Avx2Axpy,
     Avx2AddProduct,     SharedSegmentSoftmaxCsr, Avx2QuantizeRows,
     Avx2Qgemm,
@@ -884,8 +907,10 @@ const SimdKernelTable kAvx2Table = {
 //    readout_dot) is DEFINED as 8 strided lanes + ReduceTree8; a 16-lane
 //    accumulator along the dot would change the sum order. matmul_trans_b
 //    instead widens across OUTPUTS: 16 outputs ride in a zmm, each keeping
-//    its own 8 lane accumulators (see Avx2TransBStrip8). The rest stay on
-//    the AVX2 bodies.
+//    its own 8 lane accumulators (see Avx2TransBStrip8). matmul n==1 and
+//    dual_matvec stay on the AVX2 bodies; readout_dot runs the scalar body
+//    on both x86 tables (its 64-wide dots were slower through a ymm
+//    accumulator and a stack fold than as the compiler's own code).
 //  * qgemm accumulates in int32 — exact at any width — which is where
 //    AVX-512 VNNI's vpdpwssd (32 int16 MACs per instruction, accumulating)
 //    earns the table its keep.
@@ -895,24 +920,67 @@ const SimdKernelTable kAvx2Table = {
 namespace {
 
 // GCC implements unmasked AVX-512 intrinsics (max, min, cvt, ...) via their
-// masked builtins with an undefined merge operand; under -Wmaybe-uninitialized
-// every inlined use reports the header's "__Y may be used uninitialized"
-// (GCC PR105593). The operand is never read with an all-ones mask.
+// masked builtins with an undefined merge operand; every inlined use reports
+// the header's "__Y may be used uninitialized" (GCC PR105593), and inside the
+// GEMM tile's ELU epilogue as "__Y is used uninitialized". The operand is
+// never read with an all-ones mask.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+
+/// 16-lane clone of FastExpf — same per-lane IEEE sequence as Avx2Exp8 and
+/// the scalar function (see the contraction note in fast_math.h).
+inline __m512 Avx512Exp16(__m512 x) {
+  const __m512 kMagic = _mm512_set1_ps(12582912.0f);  // 1.5 * 2^23
+  // vmaxps/vminps return the second operand on NaN, so NaN maps to -87
+  // exactly like std::min(88, std::max(-87, x)).
+  x = _mm512_max_ps(x, _mm512_set1_ps(-87.0f));
+  x = _mm512_min_ps(x, _mm512_set1_ps(88.0f));
+  const __m512 kInvLn2 = _mm512_set1_ps(1.44269504088896341f);
+  const __m512 zr = _mm512_fmadd_ps(x, kInvLn2, kMagic);
+  const __m512i n = _mm512_sub_epi32(_mm512_castps_si512(zr),
+                                     _mm512_castps_si512(kMagic));
+  const __m512 t = _mm512_sub_ps(zr, kMagic);
+  const __m512 f = _mm512_mul_ps(_mm512_fmsub_ps(x, kInvLn2, t),
+                                 _mm512_set1_ps(0.693147180559945309f));
+  __m512 p = _mm512_set1_ps(1.0f / 720.0f);
+  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(1.0f / 120.0f));
+  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(1.0f / 24.0f));
+  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(1.0f / 6.0f));
+  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(0.5f));
+  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(1.0f));
+  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(1.0f));
+  const __m512 scale = _mm512_castsi512_ps(_mm512_slli_epi32(
+      _mm512_add_epi32(n, _mm512_set1_epi32(127)), 23));
+  return _mm512_mul_ps(p, scale);
+}
+
+/// Avx2Elu8 on 16 lanes.
+inline __m512 Avx512Elu16(__m512 v, __m512 alpha) {
+  const __m512 e =
+      _mm512_mul_ps(alpha, _mm512_sub_ps(Avx512Exp16(v), _mm512_set1_ps(1.0f)));
+  const __mmask16 gt = _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_GT_OQ);
+  return _mm512_mask_blend_ps(gt, e, v);
+}
 
 /// The AVX2 micro-kernel's zmm twin (see Avx2Tile): R rows x V vectors of
 /// 16 columns, the last vector masked to `tail` when kMasked.
-template <int R, int V, bool kMasked>
+template <int R, int V, bool kMasked, bool kElu>
 inline void Avx512Tile(const float* a, int64_t a_row, int64_t a_step,
-                       const float* b, float* c, int64_t n, int64_t steps,
-                       __mmask16 tail) {
+                       const float* b, const float* seed, int64_t seed_row,
+                       float* c, int64_t n, int64_t steps, __mmask16 tail) {
   __m512 t[R][V];
+#pragma GCC unroll 4
   for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
     for (int v = 0; v < V; ++v) {
-      const float* cp = c + r * n + 16 * v;
-      t[r][v] = kMasked && v == V - 1 ? _mm512_maskz_loadu_ps(tail, cp)
-                                      : _mm512_loadu_ps(cp);
+      if (seed == nullptr) {
+        t[r][v] = _mm512_setzero_ps();
+        continue;
+      }
+      const float* sp = seed + r * seed_row + 16 * v;
+      t[r][v] = kMasked && v == V - 1 ? _mm512_maskz_loadu_ps(tail, sp)
+                                      : _mm512_loadu_ps(sp);
     }
   }
   for (int64_t s = 0; s < steps; ++s) {
@@ -931,8 +999,11 @@ inline void Avx512Tile(const float* a, int64_t a_row, int64_t a_step,
       }
     }
   }
+#pragma GCC unroll 4
   for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
     for (int v = 0; v < V; ++v) {
+      if (kElu) t[r][v] = Avx512Elu16(t[r][v], _mm512_set1_ps(1.0f));
       float* cp = c + r * n + 16 * v;
       if (kMasked && v == V - 1) {
         _mm512_mask_storeu_ps(cp, tail, t[r][v]);
@@ -945,57 +1016,84 @@ inline void Avx512Tile(const float* a, int64_t a_row, int64_t a_step,
 
 /// R rows of C across all n columns: 64-column tiles (16 zmm accumulators
 /// at R = 4), then 32- and 16-column tiles and a masked tail.
-template <int R>
+template <int R, bool kElu>
 inline void Avx512TileRow(const float* a, int64_t a_row, int64_t a_step,
-                          const float* b, float* c, int64_t n,
-                          int64_t steps) {
+                          const float* b, const float* seed, int64_t seed_row,
+                          float* c, int64_t n, int64_t steps) {
+  auto at = [seed](int64_t j) { return seed != nullptr ? seed + j : nullptr; };
   int64_t j = 0;
   for (; j + 64 <= n; j += 64) {
-    Avx512Tile<R, 4, false>(a, a_row, a_step, b + j, c + j, n, steps, 0);
+    Avx512Tile<R, 4, false, kElu>(a, a_row, a_step, b + j, at(j), seed_row,
+                                  c + j, n, steps, 0);
   }
   if (j + 32 <= n) {
-    Avx512Tile<R, 2, false>(a, a_row, a_step, b + j, c + j, n, steps, 0);
+    Avx512Tile<R, 2, false, kElu>(a, a_row, a_step, b + j, at(j), seed_row,
+                                  c + j, n, steps, 0);
     j += 32;
   }
   if (j + 16 <= n) {
-    Avx512Tile<R, 1, false>(a, a_row, a_step, b + j, c + j, n, steps, 0);
+    Avx512Tile<R, 1, false, kElu>(a, a_row, a_step, b + j, at(j), seed_row,
+                                  c + j, n, steps, 0);
     j += 16;
   }
   if (j < n) {
     const __mmask16 tail = static_cast<__mmask16>((1u << (n - j)) - 1u);
-    Avx512Tile<R, 1, true>(a, a_row, a_step, b + j, c + j, n, steps, tail);
+    Avx512Tile<R, 1, true, kElu>(a, a_row, a_step, b + j, at(j), seed_row,
+                                 c + j, n, steps, tail);
   }
 }
 
 /// Avx2Gemm at zmm width.
+template <bool kElu>
 inline void Avx512Gemm(const float* a, int64_t a_row, int64_t a_step,
-                       const float* b, float* c, int64_t rows, int64_t n,
-                       int64_t steps) {
+                       const float* b, const float* seed, int64_t seed_row,
+                       float* c, int64_t rows, int64_t n, int64_t steps) {
+  auto at = [&](int64_t r) {
+    return seed != nullptr ? seed + r * seed_row : nullptr;
+  };
   int64_t r = 0;
   for (; r + 4 <= rows; r += 4) {
-    Avx512TileRow<4>(a + r * a_row, a_row, a_step, b, c + r * n, n, steps);
+    Avx512TileRow<4, kElu>(a + r * a_row, a_row, a_step, b, at(r), seed_row,
+                           c + r * n, n, steps);
   }
   for (; r < rows; ++r) {
-    Avx512TileRow<1>(a + r * a_row, a_row, a_step, b, c + r * n, n, steps);
+    Avx512TileRow<1, kElu>(a + r * a_row, a_row, a_step, b, at(r), seed_row,
+                           c + r * n, n, steps);
   }
 }
 
-void Avx512MatMul(const float* a, const float* b, float* c, int64_t m,
-                  int64_t k, int64_t n) {
+void Avx512Elu(const float* x, float* y, int64_t n, float alpha) {
+  const __m512 av = _mm512_set1_ps(alpha);
+  int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(y + i, Avx512Elu16(_mm512_loadu_ps(x + i), av));
+  }
+  Avx2Elu(x + i, y + i, n - i, alpha);
+}
+
+void Avx512MatMul(const float* a, const float* b, const float* bias, float* c,
+                  int64_t m, int64_t k, int64_t n, bool elu) {
   if (n == 1) {  // dot-product contract: keep the 8-lane sequence
-    for (int64_t i = 0; i < m; ++i) {
-      c[i] += Avx2Dot8(a + i * k, b, k);
-    }
+    const float seed = bias != nullptr ? bias[0] : 0.0f;
+    for (int64_t i = 0; i < m; ++i) c[i] = seed + Avx2Dot8(a + i * k, b, k);
+    if (elu) Avx512Elu(c, c, m, 1.0f);
     return;
   }
-  Avx512Gemm(a, /*a_row=*/k, /*a_step=*/1, b, c, m, n, /*steps=*/k);
+  if (elu) {
+    Avx512Gemm<true>(a, /*a_row=*/k, /*a_step=*/1, b, bias, /*seed_row=*/0,
+                     c, m, n, /*steps=*/k);
+  } else {
+    Avx512Gemm<false>(a, /*a_row=*/k, /*a_step=*/1, b, bias, /*seed_row=*/0,
+                      c, m, n, /*steps=*/k);
+  }
 }
 
 void Avx512MatMulTransA(const float* a, const float* b, float* c, int64_t m,
                         int64_t k, int64_t n) {
   for (int64_t i0 = 0; i0 < m; i0 += kTransAPanelRows) {
-    Avx512Gemm(a + i0 * k, /*a_row=*/1, /*a_step=*/k, b + i0 * n, c, k, n,
-               std::min(kTransAPanelRows, m - i0));
+    Avx512Gemm<false>(a + i0 * k, /*a_row=*/1, /*a_step=*/k, b + i0 * n,
+                      /*seed=*/c, /*seed_row=*/n, c, k, n,
+                      std::min(kTransAPanelRows, m - i0));
   }
 }
 
@@ -1065,53 +1163,12 @@ void Avx512MatMulTransB(const float* a, const float* b, float* c, int64_t m,
   Avx2TransBPerOutput(a, b, c, m, n, kb, q0);
 }
 
-/// 16-lane clone of FastExpf — same per-lane IEEE sequence as Avx2Exp8 and
-/// the scalar function (see the contraction note in fast_math.h).
-inline __m512 Avx512Exp16(__m512 x) {
-  const __m512 kMagic = _mm512_set1_ps(12582912.0f);  // 1.5 * 2^23
-  // vmaxps/vminps return the second operand on NaN, so NaN maps to -87
-  // exactly like std::min(88, std::max(-87, x)).
-  x = _mm512_max_ps(x, _mm512_set1_ps(-87.0f));
-  x = _mm512_min_ps(x, _mm512_set1_ps(88.0f));
-  const __m512 kInvLn2 = _mm512_set1_ps(1.44269504088896341f);
-  const __m512 zr = _mm512_fmadd_ps(x, kInvLn2, kMagic);
-  const __m512i n = _mm512_sub_epi32(_mm512_castps_si512(zr),
-                                     _mm512_castps_si512(kMagic));
-  const __m512 t = _mm512_sub_ps(zr, kMagic);
-  const __m512 f = _mm512_mul_ps(_mm512_fmsub_ps(x, kInvLn2, t),
-                                 _mm512_set1_ps(0.693147180559945309f));
-  __m512 p = _mm512_set1_ps(1.0f / 720.0f);
-  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(1.0f / 120.0f));
-  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(1.0f / 24.0f));
-  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(1.0f / 6.0f));
-  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(0.5f));
-  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(1.0f));
-  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(1.0f));
-  const __m512 scale = _mm512_castsi512_ps(_mm512_slli_epi32(
-      _mm512_add_epi32(n, _mm512_set1_epi32(127)), 23));
-  return _mm512_mul_ps(p, scale);
-}
-
 void Avx512ExpInplace(float* p, int64_t n) {
   int64_t i = 0;
   for (; i + 16 <= n; i += 16) {
     _mm512_storeu_ps(p + i, Avx512Exp16(_mm512_loadu_ps(p + i)));
   }
   Avx2ExpInplace(p + i, n - i);
-}
-
-void Avx512Elu(const float* x, float* y, int64_t n, float alpha) {
-  const __m512 av = _mm512_set1_ps(alpha);
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __m512 zero = _mm512_setzero_ps();
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 v = _mm512_loadu_ps(x + i);
-    const __m512 e = _mm512_mul_ps(av, _mm512_sub_ps(Avx512Exp16(v), one));
-    const __mmask16 gt = _mm512_cmp_ps_mask(v, zero, _CMP_GT_OQ);
-    _mm512_storeu_ps(y + i, _mm512_mask_blend_ps(gt, e, v));
-  }
-  Avx2Elu(x + i, y + i, n - i, alpha);
 }
 
 void Avx512Axpy(const float* x, float s, float* out, int64_t n) {
@@ -1632,7 +1689,7 @@ void Avx512Qgemm(const int8_t* xq, const float* x_scales,
 
 const SimdKernelTable kAvx512Table = {
     "avx512",        Avx512MatMul,   Avx512MatMulTransA,
-    Avx512MatMulTransB, Avx2DualMatVec, Avx2ReadoutDot,
+    Avx512MatMulTransB, Avx2DualMatVec, ScalarReadoutDot,
     Avx512ExpInplace,   Avx512Elu,      Avx512Axpy,
     Avx512AddProduct,   SharedSegmentSoftmaxCsr, Avx512QuantizeRows,
     Avx512Qgemm,

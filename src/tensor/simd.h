@@ -6,8 +6,9 @@
 // explicit, testable dimension:
 //
 //   * SimdKernelTable is a function-pointer table of the hot primitives
-//     (float GEMMs, dual mat-vec, per-feature read-out dots, FastExpf,
-//     ELU, fused backward accumulators, and the int8 quantized GEMM).
+//     (float GEMMs — the forward one with its bias and ELU epilogue —
+//     dual mat-vec, per-feature read-out dots, FastExpf, ELU, fused
+//     backward accumulators, and the int8 quantized GEMM).
 //   * Four implementations exist behind compile-time guards: a scalar
 //     reference that always builds, an AVX2+FMA table (x86), an
 //     AVX-512+VNNI table (elementwise kernels at 16 lanes, zmm column
@@ -24,8 +25,11 @@
 // FusedMulAdd (one rounding) wherever a lane would use vfmadd, and
 // horizontal dot products defined as eight strided partial sums folded by a
 // fixed binary tree (the vector reduction order), implemented identically
-// in scalar code. Switching tables therefore changes nothing, not even the
-// low bits: the engine/streaming equivalence suites pass under any table,
+// in scalar code. A fused epilogue keeps the sequence of the passes it
+// replaces: matmul's seed comes first and its ELU is the table's own `elu`
+// lane for lane, so C = elu(bias + A B) in one kernel has the bits of a
+// bias broadcast, an accumulating GEMM and an ELU pass. Switching tables
+// therefore changes nothing, not even the low bits: the engine/streaming equivalence suites pass under any table,
 // and tests/simd_kernel_test.cc asserts memcmp-equality kernel by kernel.
 // Every kernel is also row-position independent (each output element
 // accumulates in the same order regardless of batch size or row offset),
@@ -47,10 +51,14 @@ struct SimdKernelTable {
   /// JSON.
   const char* name;
 
-  /// C[m,n] += A[m,k] * B[k,n], row-major. Accumulates onto C (callers seed
-  /// with bias or zero). kk-ascending FusedMulAdd per output element.
-  void (*matmul)(const float* a, const float* b, float* c, int64_t m,
-                 int64_t k, int64_t n);
+  /// C[m,n] = act(seed + A[m,k] * B[k,n]), row-major, overwriting C: the
+  /// forward GEMM with its epilogue. Each output element starts from its
+  /// seed (bias[j], or 0.0f when bias is null), adds its products with one
+  /// FusedMulAdd per kk, ascending (n == 1 keeps the dot contract: seed +
+  /// the 8-lane dot), and, when `elu`, passes through this table's `elu`
+  /// (alpha 1) before the store.
+  void (*matmul)(const float* a, const float* b, const float* bias, float* c,
+                 int64_t m, int64_t k, int64_t n, bool elu);
 
   /// C[k,n] += A[m,k]^T * B[m,n] (outer-product order over i, then kk).
   void (*matmul_trans_a)(const float* a, const float* b, float* c, int64_t m,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "tensor/fast_math.h"
 #include "tensor/simd.h"
 
 namespace dquag {
@@ -231,10 +232,11 @@ namespace {
 // SIMD kernel table — see tensor/simd.h for the bit-identity contract that
 // replaces the FusedMulAdd discipline the local kernels used to carry.
 
-/// C[m,n] += A[m,k] * B[k,n] over raw pointers (row-major).
+/// C[m,n] = A[m,k] * B[k,n] over raw pointers (row-major), overwriting C.
 inline void MatMulKernel(const float* a, const float* b, float* c, int64_t m,
                          int64_t k, int64_t n) {
-  simd::ActiveKernels().matmul(a, b, c, m, k, n);
+  simd::ActiveKernels().matmul(a, b, /*bias=*/nullptr, c, m, k, n,
+                               /*elu=*/false);
 }
 
 /// C[k,n] += sum_i A[i,k-th col] * B[i,:]  (A^T B, outer-product order).
@@ -574,7 +576,7 @@ Tensor SegmentSumAxis1(const Tensor& values,
 // ---- Preallocated-output kernels (tape-free inference engine) --------------
 
 void LinearInto(const Tensor& x, const Tensor& w, const Tensor* bias,
-                Tensor& out) {
+                bool elu, Tensor& out) {
   DQUAG_CHECK_EQ(w.ndim(), 2);
   const int64_t k = w.dim(0);
   const int64_t n = w.dim(1);
@@ -584,14 +586,9 @@ void LinearInto(const Tensor& x, const Tensor& w, const Tensor* bias,
   DQUAG_CHECK_EQ(out.numel(), rows * n);
   if (bias != nullptr) DQUAG_CHECK_EQ(bias->numel(), n);
 
-  const float* pb = bias != nullptr ? bias->data() : nullptr;
-  float* po = out.data();
-  if (pb != nullptr) {
-    for (int64_t r = 0; r < rows; ++r) std::copy(pb, pb + n, po + r * n);
-  } else {
-    std::fill(po, po + rows * n, 0.0f);
-  }
-  MatMulKernel(x.data(), w.data(), po, rows, k, n);
+  simd::ActiveKernels().matmul(x.data(), w.data(),
+                               bias != nullptr ? bias->data() : nullptr,
+                               out.data(), rows, k, n, elu);
 }
 
 void DualMatVecInto(const Tensor& x, const Tensor& w1, const Tensor& w2,
@@ -606,64 +603,8 @@ void DualMatVecInto(const Tensor& x, const Tensor& w1, const Tensor& w2,
                                     out1.data(), out2.data(), rows, k);
 }
 
-void BroadcastRowInto(const Tensor& row, Tensor& out) {
-  const int64_t cols = row.numel();
-  DQUAG_CHECK_GT(cols, 0);
-  DQUAG_CHECK_EQ(out.numel() % cols, 0);
-  const int64_t rows = out.numel() / cols;
-  const float* pr = row.data();
-  float* po = out.data();
-  for (int64_t r = 0; r < rows; ++r) {
-    std::copy(pr, pr + cols, po + r * cols);
-  }
-}
-
-void ScaleInto(const Tensor& x, float s, Tensor& out) {
-  DQUAG_CHECK_EQ(x.numel(), out.numel());
-  const float* px = x.data();
-  float* po = out.data();
-  const int64_t n = x.numel();
-  for (int64_t i = 0; i < n; ++i) po[i] = s * px[i];
-}
-
 void EluInPlace(Tensor& t) {
   simd::ActiveKernels().elu(t.data(), t.data(), t.numel(), 1.0f);
-}
-
-void GatherScaleScatterAddInto(const Tensor& x,
-                               const std::vector<int32_t>& src,
-                               const std::vector<int32_t>& dst,
-                               const float* coeff, Tensor& out) {
-  int64_t batch, rows, cols;
-  AsBatched(x, batch, rows, cols);
-  int64_t out_batch, out_rows, out_cols;
-  AsBatched(out, out_batch, out_rows, out_cols);
-  DQUAG_CHECK_EQ(batch, out_batch);
-  DQUAG_CHECK_EQ(cols, out_cols);
-  DQUAG_CHECK_EQ(src.size(), dst.size());
-  const int64_t num_arcs = static_cast<int64_t>(src.size());
-  // Arc indices are identical across the batch: validate once, outside the
-  // hot per-batch loop.
-  for (int64_t e = 0; e < num_arcs; ++e) {
-    DQUAG_CHECK_GE(src[static_cast<size_t>(e)], 0);
-    DQUAG_CHECK_LT(src[static_cast<size_t>(e)], rows);
-    DQUAG_CHECK_GE(dst[static_cast<size_t>(e)], 0);
-    DQUAG_CHECK_LT(dst[static_cast<size_t>(e)], out_rows);
-  }
-  const float* px = x.data();
-  float* po = out.data();
-  for (int64_t b = 0; b < batch; ++b) {
-    const float* from = px + b * rows * cols;
-    float* to = po + b * out_rows * cols;
-    for (int64_t e = 0; e < num_arcs; ++e) {
-      const int32_t s = src[static_cast<size_t>(e)];
-      const int32_t d = dst[static_cast<size_t>(e)];
-      const float scale = coeff != nullptr ? coeff[e] : 1.0f;
-      const float* from_row = from + s * cols;
-      float* to_row = to + d * cols;
-      for (int64_t c = 0; c < cols; ++c) to_row[c] += scale * from_row[c];
-    }
-  }
 }
 
 void ArcScoreInto(const Tensor& logit_src, const Tensor& logit_dst,
@@ -709,33 +650,67 @@ void SegmentSoftmaxCsrInPlace(Tensor& scores,
   }
 }
 
-void AttentionScatterAddInto(const Tensor& x, const Tensor& alpha,
-                             const std::vector<int32_t>& src,
-                             const std::vector<int32_t>& dst, Tensor& out) {
+void CsrAggregateInto(const Tensor& x, const std::vector<int64_t>& offsets,
+                      const std::vector<int32_t>& order,
+                      const std::vector<int32_t>& src, const Tensor* coeff,
+                      const Tensor* bias, float self_scale, bool elu,
+                      Tensor& out) {
   int64_t batch, rows, cols;
   AsBatched(x, batch, rows, cols);
   DQUAG_CHECK(out.shape() == x.shape());
-  DQUAG_CHECK_EQ(src.size(), dst.size());
+  DQUAG_CHECK(out.data() != x.data());
+  DQUAG_CHECK_EQ(static_cast<int64_t>(offsets.size()), rows + 1);
   const int64_t num_arcs = static_cast<int64_t>(src.size());
-  DQUAG_CHECK_EQ(alpha.numel(), batch * num_arcs);
-  for (int64_t e = 0; e < num_arcs; ++e) {
+  DQUAG_CHECK_EQ(static_cast<int64_t>(order.size()), num_arcs);
+  DQUAG_CHECK_EQ(offsets.front(), 0);
+  DQUAG_CHECK_EQ(offsets.back(), num_arcs);
+  // Arc indices are identical across the batch: validate once, outside the
+  // hot per-batch loop.
+  for (int64_t v = 0; v < rows; ++v) {
+    DQUAG_CHECK_LE(offsets[static_cast<size_t>(v)],
+                   offsets[static_cast<size_t>(v) + 1]);
+  }
+  for (int64_t i = 0; i < num_arcs; ++i) {
+    const int32_t e = order[static_cast<size_t>(i)];
+    DQUAG_CHECK_GE(e, 0);
+    DQUAG_CHECK_LT(e, num_arcs);
     DQUAG_CHECK_GE(src[static_cast<size_t>(e)], 0);
     DQUAG_CHECK_LT(src[static_cast<size_t>(e)], rows);
-    DQUAG_CHECK_GE(dst[static_cast<size_t>(e)], 0);
-    DQUAG_CHECK_LT(dst[static_cast<size_t>(e)], rows);
   }
-  const float* px = x.data();
-  const float* pa = alpha.data();
-  float* po = out.data();
+  // Coefficient row of batch row b: coeff + b * coeff_stride.
+  int64_t coeff_stride = 0;
+  if (coeff != nullptr) {
+    DQUAG_CHECK(coeff->numel() == num_arcs ||
+                coeff->numel() == batch * num_arcs);
+    coeff_stride = coeff->numel() == num_arcs ? 0 : num_arcs;
+  }
+  if (bias != nullptr) DQUAG_CHECK_EQ(bias->numel(), cols);
+
+  const auto& kt = simd::ActiveKernels();
+  const float* pb = bias != nullptr ? bias->data() : nullptr;
   for (int64_t b = 0; b < batch; ++b) {
-    const float* from = px + b * rows * cols;
-    const float* a = pa + b * num_arcs;
-    float* to = po + b * rows * cols;
-    for (int64_t e = 0; e < num_arcs; ++e) {
-      const float w = a[e];
-      const float* from_row = from + src[static_cast<size_t>(e)] * cols;
-      float* to_row = to + dst[static_cast<size_t>(e)] * cols;
-      for (int64_t c = 0; c < cols; ++c) to_row[c] += w * from_row[c];
+    const float* from = x.data() + b * rows * cols;
+    const float* w =
+        coeff != nullptr ? coeff->data() + b * coeff_stride : nullptr;
+    float* to = out.data() + b * rows * cols;
+    for (int64_t v = 0; v < rows; ++v) {
+      float* row = to + v * cols;
+      if (pb != nullptr) {
+        std::copy(pb, pb + cols, row);
+      } else {
+        const float* self = from + v * cols;
+        for (int64_t c = 0; c < cols; ++c) row[c] = self_scale * self[c];
+      }
+      for (int64_t i = offsets[static_cast<size_t>(v)];
+           i < offsets[static_cast<size_t>(v) + 1]; ++i) {
+        const int32_t e = order[static_cast<size_t>(i)];
+        const float we = w != nullptr ? w[e] : 1.0f;
+        const float* message = from + src[static_cast<size_t>(e)] * cols;
+        for (int64_t c = 0; c < cols; ++c) {
+          row[c] = FusedMulAdd(we, message[c], row[c]);
+        }
+      }
+      if (elu) kt.elu(row, row, cols, 1.0f);
     }
   }
 }

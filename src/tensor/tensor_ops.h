@@ -108,15 +108,14 @@ Tensor SegmentSumAxis1(const Tensor& values,
 // allocation and no redundant zero-fill on the hot path. `out` must already
 // have the documented shape (the engine acquires it at the right size).
 
-/// out = x W (+ bias along the last axis). x is [*, in] with the weight
-/// shared over all leading axes; out must hold numel(x)/in * out_features
-/// elements (its exact shape is the caller's business — [B, N] outputs of
-/// [in, 1] weights flatten for free). Overwrites out.
+/// out = act(x W + bias along the last axis) in one kernel pass (the
+/// kernel table's matmul: the bias seeds each output, ELU when `elu` is
+/// applied before the store). x is [*, in] with the weight shared over all
+/// leading axes; out must hold numel(x)/in * out_features elements (its
+/// exact shape is the caller's business — [B, N] outputs of [in, 1]
+/// weights flatten for free). bias may be null. Overwrites out.
 void LinearInto(const Tensor& x, const Tensor& w, const Tensor* bias,
-                Tensor& out);
-
-/// Overwrites every row of out's last axis with `row` (shape [cols]).
-void BroadcastRowInto(const Tensor& row, Tensor& out);
+                bool elu, Tensor& out);
 
 /// Two matrix-vector products in one pass over x: out1 = x w1, out2 = x w2
 /// with w1 / w2 of shape [k] or [k, 1] and x of shape [*, k]. Reads x once
@@ -125,21 +124,30 @@ void BroadcastRowInto(const Tensor& row, Tensor& out);
 void DualMatVecInto(const Tensor& x, const Tensor& w1, const Tensor& w2,
                     Tensor& out1, Tensor& out2);
 
-/// out[i] = s * x[i]; shapes must have equal numel. Overwrites out.
-void ScaleInto(const Tensor& x, float s, Tensor& out);
-
-/// t = elu(t) in place (alpha 1): the engine's activation between layers,
-/// through the same dispatched kernel as Elu, so tape and engine agree.
+/// t = elu(t) in place (alpha 1), through the same dispatched kernel as
+/// Elu. The float engine applies ELU inside matmul and CsrAggregateInto;
+/// only the int8 Linear calls this.
 void EluInPlace(Tensor& t);
 
-/// Fused gather–scale–scatter (one memory pass over the arcs):
-///   out[b, dst[e], :] += coeff[e] * x[b, src[e], :]
-/// x and out are [B, N, H] (or 2-D [N, H]). coeff may be null for unit
-/// weights (GIN's neighbour sum). Accumulates into out, does not clear it.
-void GatherScaleScatterAddInto(const Tensor& x,
-                               const std::vector<int32_t>& src,
-                               const std::vector<int32_t>& dst,
-                               const float* coeff, Tensor& out);
+/// The message-passing aggregation of a GNN layer, one destination row at
+/// a time in CSR-by-destination order (FeatureGraph::csr_by_dst: `offsets`
+/// has N + 1 entries and order[offsets[v] .. offsets[v+1]) lists the arcs
+/// into node v, ascending). For every batch row b and node v:
+///   out[b, v, :] = act(seed + sum over those arcs e, in order, of
+///                      coeff(b, e) * x[b, src[e], :])
+/// The seed is `bias` ([H]) when non-null, else self_scale * x[b, v, :]
+/// (GIN's (1 + eps) h, a plain multiply). coeff(b, e) is coeff[e] when coeff
+/// holds E values (one weight per arc, e.g. GCN's normalization), coeff[b *
+/// E + e] when it holds B * E (GAT's attention), or 1 when coeff is null
+/// (GIN's neighbour sum); each product adds with one FusedMulAdd. act is
+/// ELU (the kernel table's `elu`) when `elu`, else the identity. x and out
+/// are [B, N, H] (or 2-D [N, H]) of equal shape and must not alias. Each
+/// row is written once, so out needs no clearing.
+void CsrAggregateInto(const Tensor& x, const std::vector<int64_t>& offsets,
+                      const std::vector<int32_t>& order,
+                      const std::vector<int32_t>& src, const Tensor* coeff,
+                      const Tensor* bias, float self_scale, bool elu,
+                      Tensor& out);
 
 /// Per-arc GAT logits: out[b, e] = LeakyRelu(ls[b, src[e]] + ld[b, dst[e]]).
 /// ls and ld hold B*N elements ([B, N] or [B, N, 1]); out holds B*E.
@@ -199,14 +207,6 @@ void ScatterAddAxis1Into(const Tensor& src,
 /// out[b, e, :] += t[b, indices[e], :] (ScatterAddAxis1 backward).
 void GatherAddAxis1Into(const Tensor& t, const std::vector<int32_t>& indices,
                         Tensor& out);
-
-/// Fused attention aggregation (GAT's weighted message sum):
-///   out[b, dst[e], :] += alpha[b, e] * x[b, src[e], :]
-/// x and out are [B, N, H] (or 2-D [N, H]), alpha holds B*E elements.
-/// Accumulates into out.
-void AttentionScatterAddInto(const Tensor& x, const Tensor& alpha,
-                             const std::vector<int32_t>& src,
-                             const std::vector<int32_t>& dst, Tensor& out);
 
 }  // namespace dquag
 

@@ -234,6 +234,37 @@ TEST(EncoderTest, GatGinStackAlternates) {
   EXPECT_EQ(encoder.gat_layers().size(), 2u);
 }
 
+// The engine forward of each layer kind equals its tape forward, with the
+// output's ELU (which the engine applies inside the pass that writes the
+// output) on and off. Node 4 is isolated, so GIN's un-looped graph gives
+// it no in-arcs and its aggregate is (1 + eps) h alone.
+TEST(LayerEngineTest, InferForwardMatchesTapeWithAndWithoutElu) {
+  FeatureGraph graph(5);
+  graph.AddUndirectedEdge(0, 1);
+  graph.AddUndirectedEdge(1, 2);
+  graph.AddUndirectedEdge(0, 3);
+  Rng rng(15);
+  const GcnLayer gcn(graph, 8, 6, rng);
+  const GatLayer gat(graph, 8, 6, rng);
+  const GinLayer gin(graph, 8, 6, rng);
+  const Tensor x = Tensor::Randn({3, 5, 8}, rng);
+  NoGradGuard guard;
+  for (const GnnLayer* layer : {static_cast<const GnnLayer*>(&gcn),
+                                static_cast<const GnnLayer*>(&gat),
+                                static_cast<const GnnLayer*>(&gin)}) {
+    const Tensor tape = layer->Forward(MakeVar(x))->value();
+    for (const bool elu : {false, true}) {
+      InferenceContext ctx;
+      const Tensor& engine = layer->InferForward(x, ctx, elu);
+      const Tensor expected = elu ? Elu(tape) : tape;
+      ASSERT_EQ(engine.shape(), expected.shape());
+      EXPECT_TRUE(engine.AllClose(expected, 1e-5f))
+          << (layer == &gcn ? "GCN" : layer == &gat ? "GAT" : "GIN")
+          << (elu ? " elu" : " identity");
+    }
+  }
+}
+
 TEST(EncoderTest, InferenceUnderNoGradBuildsNoTape) {
   Rng rng(14);
   GnnEncoderConfig config;

@@ -7,15 +7,18 @@
 // every kernel is swept over sizes that exercise full vector blocks,
 // row/column remainders, and the scalar tails on both sides of them.
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tensor/fast_math.h"
 #include "tensor/quantized.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
+#include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
 namespace dquag {
@@ -60,6 +63,51 @@ void ForEachVectorTable(const Suite& suite) {
   }
 }
 
+/// Runs `suite` once per runnable table, scalar included.
+template <typename Suite>
+void ForEachTable(const Suite& suite) {
+  for (const simd::SimdKernelTable* table : simd::SupportedKernelTables()) {
+    SCOPED_TRACE(std::string("table ") + table->name);
+    suite(*table);
+  }
+}
+
+/// ELU (alpha 1) written out: the per-element sequence every table's `elu`
+/// and every fused ELU epilogue must reproduce.
+float ReferenceElu(float v) { return v > 0.0f ? v : FastExpf(v) - 1.0f; }
+
+/// The matmul contract written as plain loops: seed (bias[j] or 0), then
+/// one FusedMulAdd per k ascending — or, at n == 1, seed + the 8-lane dot
+/// (lane l takes k = l, l+8, ..., folded by the fixed tree) — then ELU.
+std::vector<float> ReferenceMatMul(const std::vector<float>& a,
+                                   const std::vector<float>& b,
+                                   const float* bias, int64_t m, int64_t k,
+                                   int64_t n, bool elu) {
+  std::vector<float> c(static_cast<size_t>(m * n));
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      const float seed = bias != nullptr ? bias[j] : 0.0f;
+      float acc;
+      if (n == 1) {
+        float lane[8] = {};
+        for (int64_t kk = 0; kk < k; ++kk) {
+          lane[kk % 8] = FusedMulAdd(a[i * k + kk], b[kk], lane[kk % 8]);
+        }
+        const float fold = ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+                           ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+        acc = seed + fold;
+      } else {
+        acc = seed;
+        for (int64_t kk = 0; kk < k; ++kk) {
+          acc = FusedMulAdd(a[i * k + kk], b[kk * n + j], acc);
+        }
+      }
+      c[i * n + j] = elu ? ReferenceElu(acc) : acc;
+    }
+  }
+  return c;
+}
+
 /// matmul, matmul_trans_a and matmul_trans_b of `vec` against scalar at
 /// one (m, k, n).
 void CheckMatMulFamily(const simd::SimdKernelTable& vec, int64_t m, int64_t k,
@@ -70,13 +118,20 @@ void CheckMatMulFamily(const simd::SimdKernelTable& vec, int64_t m, int64_t k,
                             " n=" + std::to_string(n);
   std::vector<float> a = RandomVector(m * k, rng);
   std::vector<float> b = RandomVector(k * n, rng);
-  std::vector<float> seed = RandomVector(m * n, rng);
+  std::vector<float> bias = RandomVector(n, rng);
 
-  std::vector<float> c0 = seed;
-  std::vector<float> c1 = seed;
-  scalar.matmul(a.data(), b.data(), c0.data(), m, k, n);
-  vec.matmul(a.data(), b.data(), c1.data(), m, k, n);
-  ExpectBytesEqual(c0, c1, "matmul " + label);
+  for (const bool elu : {false, true}) {
+    for (const float* pb : {static_cast<const float*>(nullptr),
+                            static_cast<const float*>(bias.data())}) {
+      // matmul overwrites C: stale contents must not leak into the result.
+      std::vector<float> c0(m * n, -7.0f), c1(m * n, 9.0f);
+      scalar.matmul(a.data(), b.data(), pb, c0.data(), m, k, n, elu);
+      vec.matmul(a.data(), b.data(), pb, c1.data(), m, k, n, elu);
+      ExpectBytesEqual(c0, c1,
+                       std::string("matmul ") + (pb ? "bias " : "nobias ") +
+                           (elu ? "elu " : "identity ") + label);
+    }
+  }
 
   // A^T B: A is [m,k], B is [m,n], C is [k,n].
   std::vector<float> bt = RandomVector(m * n, rng);
@@ -290,22 +345,157 @@ TEST(SimdKernelTest, OverrideHookSwapsActiveTable) {
 
 // Row-position independence: validating rows in one block or split into
 // arbitrary sub-blocks yields byte-identical outputs (the streaming
-// chunking contract at the kernel level).
+// chunking contract at the kernel level), epilogue included.
 TEST(SimdKernelTest, MatMulIsRowPositionIndependent) {
-  const simd::SimdKernelTable& kt = simd::ActiveKernels();
-  Rng rng(106);
-  const int64_t m = 9, k = 33, n = 11;
-  std::vector<float> a = RandomVector(m * k, rng);
-  std::vector<float> b = RandomVector(k * n, rng);
-  std::vector<float> whole(m * n, 0.0f);
-  kt.matmul(a.data(), b.data(), whole.data(), m, k, n);
-  std::vector<float> split(m * n, 0.0f);
-  for (int64_t lo = 0, step = 1; lo < m; lo += step, ++step) {
-    const int64_t hi = std::min(m, lo + step);
-    kt.matmul(a.data() + lo * k, b.data(), split.data() + lo * n, hi - lo, k,
-              n);
+  ForEachTable([](const simd::SimdKernelTable& kt) {
+    Rng rng(106);
+    for (const int64_t n : {1, 11, 80}) {
+      const int64_t m = 29, k = 33;
+      std::vector<float> a = RandomVector(m * k, rng);
+      std::vector<float> b = RandomVector(k * n, rng);
+      std::vector<float> bias = RandomVector(n, rng);
+      for (const bool elu : {false, true}) {
+        std::vector<float> whole(m * n);
+        kt.matmul(a.data(), b.data(), bias.data(), whole.data(), m, k, n, elu);
+        std::vector<float> split(m * n);
+        for (int64_t lo = 0, step = 1; lo < m; lo += step, ++step) {
+          const int64_t hi = std::min(m, lo + step);
+          kt.matmul(a.data() + lo * k, b.data(), bias.data(),
+                    split.data() + lo * n, hi - lo, k, n, elu);
+        }
+        ExpectBytesEqual(whole, split,
+                         "row-split matmul n=" + std::to_string(n) +
+                             (elu ? " elu" : " identity"));
+      }
+    }
+  });
+}
+
+// The forward GEMM's epilogue: every table against the contract written as
+// plain loops (which is also how the scalar table must behave), over bias
+// null and non-null, ELU on and off, every row count 1..133 (the 4-row
+// tiles and their remainders) and widths around the 16/32/64-column tiles.
+TEST(SimdKernelTest, MatMulEpilogueMatchesPlainReference) {
+  const int64_t kEpilogueNs[] = {1, 17, 33, 64, 65, 80, 128};
+  ForEachTable([&](const simd::SimdKernelTable& kt) {
+    Rng rng(108);
+    for (const int64_t n : kEpilogueNs) {
+      for (const int64_t k : {1, 9, 67}) {
+        const int64_t max_m = 133;
+        std::vector<float> a = RandomVector(max_m * k, rng);
+        std::vector<float> b = RandomVector(k * n, rng);
+        std::vector<float> bias = RandomVector(n, rng);
+        for (const bool elu : {false, true}) {
+          for (const float* pb : {static_cast<const float*>(nullptr),
+                                  static_cast<const float*>(bias.data())}) {
+            // Rows are independent, so the reference for the first m rows
+            // is a prefix of the reference for all 133.
+            const std::vector<float> ref =
+                ReferenceMatMul(a, b, pb, max_m, k, n, elu);
+            for (int64_t m = 1; m <= max_m; ++m) {
+              std::vector<float> c(m * n, 3.0f);
+              kt.matmul(a.data(), b.data(), pb, c.data(), m, k, n, elu);
+              ASSERT_EQ(0, std::memcmp(c.data(), ref.data(),
+                                       c.size() * sizeof(float)))
+                  << "m=" << m << " k=" << k << " n=" << n
+                  << (pb ? " bias" : " nobias") << (elu ? " elu" : "");
+            }
+          }
+        }
+      }
+    }
+  });
+}
+
+/// CsrAggregateInto's contract written in arc order, the way the scatter
+/// passes it replaces ran: seed every row, add each arc's product in
+/// ascending arc id, then ELU.
+Tensor ReferenceAggregate(const Tensor& x, const std::vector<int32_t>& src,
+                          const std::vector<int32_t>& dst,
+                          const Tensor* coeff, const Tensor* bias,
+                          float self_scale, bool elu) {
+  const int64_t batch = x.dim(0), nodes = x.dim(1), h = x.dim(2);
+  const int64_t arcs = static_cast<int64_t>(src.size());
+  Tensor out(x.shape());
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t v = 0; v < nodes; ++v) {
+      for (int64_t c = 0; c < h; ++c) {
+        out.data()[(b * nodes + v) * h + c] =
+            bias != nullptr ? bias->data()[c]
+                            : self_scale * x.data()[(b * nodes + v) * h + c];
+      }
+    }
+    for (int64_t e = 0; e < arcs; ++e) {
+      float w = 1.0f;
+      if (coeff != nullptr) {
+        w = coeff->data()[(coeff->numel() == arcs ? 0 : b * arcs) + e];
+      }
+      const float* from = x.data() + (b * nodes + src[e]) * h;
+      float* to = out.data() + (b * nodes + dst[e]) * h;
+      for (int64_t c = 0; c < h; ++c) to[c] = FusedMulAdd(w, from[c], to[c]);
+    }
   }
-  ExpectBytesEqual(whole, split, "row-split matmul");
+  if (elu) {
+    for (int64_t i = 0; i < out.numel(); ++i) {
+      out.data()[i] = ReferenceElu(out.data()[i]);
+    }
+  }
+  return out;
+}
+
+// The one aggregation pass of GCN, GAT and GIN against the arc-order
+// reference, bit for bit, under every table (its ELU is the table's): one
+// weight per arc (GCN), one weight row per batch row (GAT) and unit weights
+// with the (1 + eps) h seed (GIN). Node 5 has no in-arcs, as GIN's
+// un-looped graph often leaves a node; its output is the seed alone.
+TEST(SimdKernelTest, CsrAggregateMatchesArcOrderReference) {
+  const int64_t batch = 3, nodes = 6;
+  // Arcs listed out of destination order, with a repeated pair, so the
+  // CSR grouping and the within-node arc order both matter.
+  const std::vector<int32_t> src = {1, 0, 2, 3, 0, 4, 2, 1, 3, 0, 4, 2};
+  const std::vector<int32_t> dst = {0, 1, 0, 2, 3, 0, 4, 2, 1, 4, 2, 0};
+  const int64_t arcs = static_cast<int64_t>(src.size());
+  std::vector<int64_t> offsets(nodes + 1, 0);
+  for (int32_t d : dst) ++offsets[d + 1];
+  for (int64_t v = 0; v < nodes; ++v) offsets[v + 1] += offsets[v];
+  ASSERT_EQ(offsets[5], offsets[6]);  // node 5 has no in-arcs
+  std::vector<int32_t> order;
+  for (int32_t v = 0; v < nodes; ++v) {
+    for (int32_t e = 0; e < arcs; ++e) {
+      if (dst[e] == v) order.push_back(e);
+    }
+  }
+  ForEachTable([&](const simd::SimdKernelTable& kt) {
+    simd::SetKernelTableOverride(&kt);
+    Rng rng(109);
+    for (const int64_t h : {1, 7, 24, 64, 67}) {
+      Tensor x = Tensor::Randn({batch, nodes, h}, rng);
+      Tensor bias = Tensor::Randn({h}, rng);
+      Tensor per_arc = Tensor::Randn({arcs, 1}, rng);
+      Tensor per_row = Tensor::Randn({batch, arcs}, rng);
+      const float self_scale = 1.0f + 0.37f;
+      struct Form {
+        const char* name;
+        const Tensor* coeff;
+        const Tensor* bias;
+      };
+      for (const Form& form : {Form{"gcn", &per_arc, &bias},
+                               Form{"gat", &per_row, &bias},
+                               Form{"gin", nullptr, nullptr}}) {
+        for (const bool elu : {false, true}) {
+          Tensor out = Tensor::Full(x.shape(), 5.0f);
+          CsrAggregateInto(x, offsets, order, src, form.coeff, form.bias,
+                           self_scale, elu, out);
+          const Tensor ref = ReferenceAggregate(x, src, dst, form.coeff,
+                                                form.bias, self_scale, elu);
+          EXPECT_EQ(0, std::memcmp(out.data(), ref.data(),
+                                   out.numel() * sizeof(float)))
+              << form.name << " h=" << h << (elu ? " elu" : "");
+        }
+      }
+    }
+    simd::SetKernelTableOverride(nullptr);
+  });
 }
 
 }  // namespace
