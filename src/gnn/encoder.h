@@ -54,8 +54,8 @@ class GnnEncoder : public Module {
   VarPtr Forward(const VarPtr& tokens, const VarPtr& raw_rows,
                  AttentionRecorder* recorder = nullptr) const;
 
-  /// Tape-free forward through the stack; ELU runs in place on the
-  /// workspace buffers.
+  /// Tape-free forward through the stack; each layer but the last applies
+  /// ELU inside the pass that writes its output.
   Tensor& InferForward(const Tensor& tokens, const Tensor& raw_rows,
                        InferenceContext& ctx) const;
 

@@ -3,8 +3,8 @@
 // Modules own their parameter Variables (requires_grad = true) and register
 // them in a flat list so optimizers and serialization can reach every
 // parameter through Parameters(). The model's one nonlinearity, ELU, is a
-// plain op (ag::Elu on the tape, EluInPlace in the engine), not a module
-// option.
+// plain op (ag::Elu on the tape; in the engine, the epilogue of the pass
+// that writes the activated output), not a module option.
 
 #ifndef DQUAG_NN_MODULE_H_
 #define DQUAG_NN_MODULE_H_

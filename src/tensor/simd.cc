@@ -100,73 +100,74 @@ void ScalarMatMul(const float* a, const float* b, const float* bias, float* c,
     for (int64_t i = 0; i < m; ++i) {
       c[i] = seed(0) + ScalarDot8(a + i * k, b, k);
     }
-  } else {
-    // Register-tiled 4x16 micro-kernel: four A rows against a 16-column C
-    // tile, each element seeded, then kk-ascending FusedMulAdd everywhere so
-    // the tile, column-remainder and row-remainder paths produce identical
-    // bits for any row position.
-    constexpr int kTile = 16;
-    int64_t i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const float* a0 = a + (i + 0) * k;
-      const float* a1 = a + (i + 1) * k;
-      const float* a2 = a + (i + 2) * k;
-      const float* a3 = a + (i + 3) * k;
-      float* c0 = c + (i + 0) * n;
-      float* c1 = c + (i + 1) * n;
-      float* c2 = c + (i + 2) * n;
-      float* c3 = c + (i + 3) * n;
-      int64_t jj = 0;
-      for (; jj + kTile <= n; jj += kTile) {
-        float t0[kTile], t1[kTile], t2[kTile], t3[kTile];
+    if (elu) ScalarElu(c, c, m, 1.0f);
+    return;
+  }
+  // Register-tiled 4x16 micro-kernel (see tensor_ops.cc history): four A
+  // rows against a 16-column C tile, each element seeded, then kk-ascending
+  // FusedMulAdd everywhere so the tile, column-remainder and row-remainder
+  // paths produce identical bits for any row position.
+  constexpr int kTile = 16;
+  int64_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    const float* a0 = a + (i + 0) * k;
+    const float* a1 = a + (i + 1) * k;
+    const float* a2 = a + (i + 2) * k;
+    const float* a3 = a + (i + 3) * k;
+    float* c0 = c + (i + 0) * n;
+    float* c1 = c + (i + 1) * n;
+    float* c2 = c + (i + 2) * n;
+    float* c3 = c + (i + 3) * n;
+    int64_t jj = 0;
+    for (; jj + kTile <= n; jj += kTile) {
+      float t0[kTile], t1[kTile], t2[kTile], t3[kTile];
+      for (int q = 0; q < kTile; ++q) {
+        t0[q] = t1[q] = t2[q] = t3[q] = seed(jj + q);
+      }
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const float a0k = a0[kk];
+        const float a1k = a1[kk];
+        const float a2k = a2[kk];
+        const float a3k = a3[kk];
+        const float* brow = b + kk * n + jj;
         for (int q = 0; q < kTile; ++q) {
-          t0[q] = t1[q] = t2[q] = t3[q] = seed(jj + q);
-        }
-        for (int64_t kk = 0; kk < k; ++kk) {
-          const float a0k = a0[kk];
-          const float a1k = a1[kk];
-          const float a2k = a2[kk];
-          const float a3k = a3[kk];
-          const float* brow = b + kk * n + jj;
-          for (int q = 0; q < kTile; ++q) {
-            const float bq = brow[q];
-            t0[q] = FusedMulAdd(a0k, bq, t0[q]);
-            t1[q] = FusedMulAdd(a1k, bq, t1[q]);
-            t2[q] = FusedMulAdd(a2k, bq, t2[q]);
-            t3[q] = FusedMulAdd(a3k, bq, t3[q]);
-          }
-        }
-        for (int q = 0; q < kTile; ++q) {
-          c0[jj + q] = t0[q];
-          c1[jj + q] = t1[q];
-          c2[jj + q] = t2[q];
-          c3[jj + q] = t3[q];
+          const float bq = brow[q];
+          t0[q] = FusedMulAdd(a0k, bq, t0[q]);
+          t1[q] = FusedMulAdd(a1k, bq, t1[q]);
+          t2[q] = FusedMulAdd(a2k, bq, t2[q]);
+          t3[q] = FusedMulAdd(a3k, bq, t3[q]);
         }
       }
-      for (; jj < n; ++jj) {  // column remainder
-        float t0 = seed(jj), t1 = t0, t2 = t0, t3 = t0;
-        for (int64_t kk = 0; kk < k; ++kk) {
-          const float bj = b[kk * n + jj];
-          t0 = FusedMulAdd(a0[kk], bj, t0);
-          t1 = FusedMulAdd(a1[kk], bj, t1);
-          t2 = FusedMulAdd(a2[kk], bj, t2);
-          t3 = FusedMulAdd(a3[kk], bj, t3);
-        }
-        c0[jj] = t0;
-        c1[jj] = t1;
-        c2[jj] = t2;
-        c3[jj] = t3;
+      for (int q = 0; q < kTile; ++q) {
+        c0[jj + q] = t0[q];
+        c1[jj + q] = t1[q];
+        c2[jj + q] = t2[q];
+        c3[jj + q] = t3[q];
       }
     }
-    for (; i < m; ++i) {  // row remainder
-      float* crow = c + i * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] = seed(j);
+    for (; jj < n; ++jj) {  // column remainder
+      float t0 = seed(jj), t1 = t0, t2 = t0, t3 = t0;
       for (int64_t kk = 0; kk < k; ++kk) {
-        const float aik = a[i * k + kk];
-        const float* brow = b + kk * n;
-        for (int64_t j = 0; j < n; ++j) {
-          crow[j] = FusedMulAdd(aik, brow[j], crow[j]);
-        }
+        const float bj = b[kk * n + jj];
+        t0 = FusedMulAdd(a0[kk], bj, t0);
+        t1 = FusedMulAdd(a1[kk], bj, t1);
+        t2 = FusedMulAdd(a2[kk], bj, t2);
+        t3 = FusedMulAdd(a3[kk], bj, t3);
+      }
+      c0[jj] = t0;
+      c1[jj] = t1;
+      c2[jj] = t2;
+      c3[jj] = t3;
+    }
+  }
+  for (; i < m; ++i) {  // row remainder
+    float* crow = c + i * n;
+    for (int64_t j = 0; j < n; ++j) crow[j] = seed(j);
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float aik = a[i * k + kk];
+      const float* brow = b + kk * n;
+      for (int64_t j = 0; j < n; ++j) {
+        crow[j] = FusedMulAdd(aik, brow[j], crow[j]);
       }
     }
   }
