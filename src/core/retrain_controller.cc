@@ -169,7 +169,7 @@ StatusOr<std::string> RetrainController::RetrainAndSwap() {
       generation_ = generation;
       ++successes_;
       drift_streak_ = 0;
-      cooldown_rows_left_ = options_.cooldown_rows;
+      cooldown_rows_left_ = CooldownRows(options_);
       // The swapped-in model starts a fresh truncation window.
       stream_rows_ = 0;
       stream_flagged_ = 0;

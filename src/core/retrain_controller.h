@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "core/monitor.h"
@@ -51,8 +52,9 @@ struct RetrainOptions {
   int64_t trigger_observations = 3;
   /// Rows observed after a successful swap before drift counts again —
   /// absorbs the window where pre-swap observations still reflect the old
-  /// model.
-  int64_t cooldown_rows = 0;
+  /// model, so a fresh swap cannot re-arm on its own output. Unset = one
+  /// full buffer (see CooldownRows); an explicit 0 turns it off.
+  std::optional<int64_t> cooldown_rows;
   /// FineTune epochs per retrain.
   int64_t finetune_epochs = 5;
   /// Base seed for fine-tunes; generation g uses seed + g so repeated
@@ -60,6 +62,15 @@ struct RetrainOptions {
   /// 0 keeps the checkpoint's own seed (still deterministic).
   uint64_t seed = 0;
 };
+
+/// The cooldown a controller with `options` applies after each swap. When
+/// cooldown_rows is unset it is one full buffer of rows, so the swapped-in
+/// model serves a buffer's worth of traffic before its drift may trigger
+/// the next retrain; `dquag serve` leaves it unset unless
+/// --retrain-cooldown-rows is given, so both default through this.
+inline int64_t CooldownRows(const RetrainOptions& options) {
+  return options.cooldown_rows.value_or(options.max_buffer_rows);
+}
 
 /// InvalidArgument unless `options` can drive a controller: at least one
 /// buffered row and one trigger observation, and a buffer cap no smaller

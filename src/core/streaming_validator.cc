@@ -1,13 +1,12 @@
 #include "core/streaming_validator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <condition_variable>
 #include <map>
 #include <mutex>
 #include <utility>
-
-#include "engine/inference_context.h"
 
 namespace dquag {
 
@@ -56,6 +55,9 @@ struct Slot {
   RepairResult repair;
   int64_t rows = 0;
   int64_t chunk_index = -1;
+  /// Row blocks of the chunk not yet validated; the block that takes it
+  /// to zero finishes the chunk.
+  std::atomic<int64_t> blocks_left{0};
 };
 
 }  // namespace
@@ -164,6 +166,31 @@ StatusOr<StreamVerdict> StreamingValidator::Run(
     }
   };
 
+  // Validates one row block of a slot's chunk. The call that finishes the
+  // chunk's last block also finalizes its verdict, repairs its flagged
+  // rows when repairing, and publishes the slot for emission.
+  auto run_block = [&validator, &repairer, &mutex, &ready, &completed,
+                    repair = options_.repair,
+                    mode = options_.mode](Slot* slot, int64_t block) {
+    validator.ValidateBlockInto(slot->matrix, block,
+                                slot->verdict.instances.data(), mode);
+    // The decrement orders every block's verdicts before the last block's
+    // caller reads them.
+    if (slot->blocks_left.fetch_sub(1) != 1) return;
+    validator.FinalizeVerdict(slot->verdict);
+    if (repair) {
+      slot->repair = repairer.Repair(slot->chunk, slot->matrix,
+                                     slot->verdict);
+    }
+    // Notify while holding the mutex: once the caller's final wait can
+    // observe this completion it must also be past this notify, so the
+    // condition variable is never destroyed mid-notify when Run returns
+    // (its sync state lives on the caller's stack).
+    std::lock_guard<std::mutex> lock(mutex);
+    completed[slot->chunk_index] = slot;
+    ready.notify_all();
+  };
+
   Status failure = Status::Ok();
   for (;;) {
     // Acquire a free slot, emitting finished chunks while we wait so the
@@ -203,42 +230,20 @@ StatusOr<StreamVerdict> StreamingValidator::Run(
         std::max(stream.peak_in_flight_chunks, submitted - next_emit);
 
     // Preprocess on the reader thread (cheap, deterministic); fan the
-    // engine inference — validation, then repair of the flagged rows — out
-    // to the workers.
+    // chunk's model row blocks out to the workers.
     slot->matrix = preprocessor.Transform(slot->chunk);
     slot->verdict.threshold = stream.threshold;
     slot->verdict.instances.resize(static_cast<size_t>(slot->rows));
-    auto process_chunk = [&validator, &repairer, slot,
-                           repair = options_.repair, mode = options_.mode] {
-      validator.ValidateRowsInto(slot->matrix, 0, slot->rows,
-                                 InferenceContext::ThreadLocal(),
-                                 slot->verdict.instances.data(), mode);
-      validator.FinalizeVerdict(slot->verdict);
-      if (repair) {
-        slot->repair = repairer.Repair(slot->chunk, slot->matrix,
-                                       slot->verdict);
+    const int64_t blocks = Validator::NumBlocks(slot->rows);
+    slot->blocks_left.store(blocks);
+    for (int64_t b = 0; b < blocks; ++b) {
+      if (serial) {
+        run_block(slot, b);
+      } else {
+        pool.Submit([&run_block, slot, b] { run_block(slot, b); });
       }
-    };
-    if (serial) {
-      process_chunk();
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        completed[slot->chunk_index] = slot;
-      }
-      emit_ready();
-    } else {
-      pool.Submit([&mutex, &ready, &completed, slot, process_chunk] {
-        process_chunk();
-        // Notify while holding the mutex: once the caller's final wait can
-        // observe this completion it must also be past this notify, so the
-        // condition variable is never destroyed mid-notify when Run
-        // returns (its sync state lives on the caller's stack).
-        std::lock_guard<std::mutex> lock(mutex);
-        completed[slot->chunk_index] = slot;
-        ready.notify_all();
-      });
-      emit_ready();  // opportunistic, keeps the reorder window shallow
     }
+    emit_ready();  // serially: emits this chunk; else keeps the window shallow
   }
 
   if (!failure.ok()) {

@@ -2,12 +2,15 @@
 //
 // Every batch entry point in the pipeline requires the whole batch
 // materialized as one Table; StreamingValidator removes that ceiling. It
-// pulls fixed-size row chunks from a TableChunkReader, pipelines them
-// through the tape-free inference engine across the thread pool with a
-// bounded number of chunks in flight (validation and, when repairing, the
-// repair of the flagged rows both run on the workers), and emits per-chunk
-// verdicts IN CHUNK ORDER on the calling thread while aggregating a
-// whole-stream verdict.
+// pulls fixed-size row chunks from a TableChunkReader (the I/O unit) and
+// pipelines them through the tape-free inference engine with a bounded
+// number of chunks in flight. The pool's unit is the model row block, as
+// everywhere else: each chunk fans out as one task per
+// DquagModel::kRowBlock rows (Validator::ValidateBlockInto), and the task
+// that finishes a chunk's last block finalizes its verdict and, when
+// repairing, repairs its flagged rows. Per-chunk verdicts are emitted IN
+// CHUNK ORDER on the calling thread while a whole-stream verdict is
+// aggregated.
 //
 // The contract that makes streaming safe to deploy:
 //   * Verdicts are bit-identical to whole-table validation. Instances are
@@ -108,14 +111,15 @@ struct StreamingValidatorOptions {
   /// 0 = 2x the pool's thread count. This times the reader's chunk_rows is
   /// the memory bound.
   int64_t max_in_flight = 0;
-  /// Pool to fan chunk validation across; nullptr = GlobalThreadPool().
-  /// Falls back to in-line serial validation for single-thread pools or
-  /// when the caller is itself a pool worker (results are identical).
+  /// Pool to fan the chunks' row blocks across; nullptr =
+  /// GlobalThreadPool(). Falls back to in-line serial validation for
+  /// single-thread pools or when the caller is itself a pool worker
+  /// (results are identical).
   ThreadPool* pool = nullptr;
   /// Also repair each chunk's flagged cells. Repair runs on the pool worker
-  /// right after the chunk validates (forwarding only its flagged rows);
-  /// repaired chunks are handed to the callback, valid only during it, and
-  /// repair totals accumulate into the StreamVerdict.
+  /// that validated the chunk's last row block (forwarding only its
+  /// flagged rows); repaired chunks are handed to the callback, valid only
+  /// during it, and repair totals accumulate into the StreamVerdict.
   bool repair = false;
   /// Forward-pass mode for chunk validation (float by default; see
   /// ValidationMode for the quantized contract). Repair always runs float.

@@ -19,6 +19,19 @@ double Validator::batch_cutoff() const {
          config_.batch_flag_multiplier;
 }
 
+int64_t Validator::NumBlocks(int64_t rows) {
+  return (rows + DquagModel::kRowBlock - 1) / DquagModel::kRowBlock;
+}
+
+void Validator::ValidateBlockInto(const Tensor& matrix, int64_t block,
+                                  InstanceVerdict* instances,
+                                  const ValidationMode& mode) const {
+  const int64_t start = block * DquagModel::kRowBlock;
+  const int64_t end = std::min(matrix.dim(0), start + DquagModel::kRowBlock);
+  ValidateRowsInto(matrix, start, end, InferenceContext::ThreadLocal(),
+                   instances + start, mode);
+}
+
 void Validator::ValidateRowsInto(const Tensor& matrix, int64_t start,
                                  int64_t end, InferenceContext& ctx,
                                  InstanceVerdict* out,
@@ -160,14 +173,10 @@ BatchVerdict Validator::ValidateBlocks(ThreadPool* pool, const Tensor& matrix,
   BatchVerdict verdict;
   verdict.threshold = threshold_;
   verdict.instances.resize(static_cast<size_t>(rows));
-  const int64_t block = DquagModel::kRowBlock;
   const auto run_block = [&](int64_t b) {
-    const int64_t start = b * block;
-    const int64_t end = std::min(rows, start + block);
-    ValidateRowsInto(matrix, start, end, InferenceContext::ThreadLocal(),
-                     verdict.instances.data() + start, mode);
+    ValidateBlockInto(matrix, b, verdict.instances.data(), mode);
   };
-  const int64_t blocks = (rows + block - 1) / block;
+  const int64_t blocks = NumBlocks(rows);
   if (pool == nullptr) {
     for (int64_t b = 0; b < blocks; ++b) run_block(b);
   } else {

@@ -7,9 +7,12 @@
 //   * feature flagged    <=> its error > mu_i + k * sigma_i within the
 //                            flagged instance
 // Validation runs on the tape-free inference engine one model row block
-// (DquagModel::kRowBlock rows) at a time, on the calling thread or as one
-// pool task per block (ValidateMatrixOn). Rows are independent along the
-// batch axis, so any row partition produces identical verdicts.
+// (DquagModel::kRowBlock rows) at a time. ValidateBlockInto is the one
+// "validate block b of this matrix" body: ValidateMatrix runs the blocks in
+// order on the calling thread, ValidateMatrixOn as one pool task per
+// block, and StreamingValidator as one pool task per block of each reader
+// chunk. Rows are independent along the batch axis, so any row partition
+// produces identical verdicts.
 
 #ifndef DQUAG_CORE_VALIDATOR_H_
 #define DQUAG_CORE_VALIDATOR_H_
@@ -77,13 +80,24 @@ class Validator {
   BatchVerdict ValidateMatrixOn(ThreadPool& pool, const Tensor& matrix,
                                 const ValidationMode& mode = {}) const;
 
+  /// Number of DquagModel::kRowBlock-row blocks covering `rows` rows.
+  static int64_t NumBlocks(int64_t rows);
+
+  /// Validates row block `block` of `matrix` (rows [block * kRowBlock,
+  /// min(rows, (block + 1) * kRowBlock))) in the calling thread's
+  /// InferenceContext, writing each verdict to instances[row] — so
+  /// `instances` spans the whole matrix. Thread-safe for distinct blocks;
+  /// the fan-out unit of ValidateMatrixOn and the StreamingValidator.
+  void ValidateBlockInto(const Tensor& matrix, int64_t block,
+                         InstanceVerdict* instances,
+                         const ValidationMode& mode = {}) const;
+
   /// Engine-path validation of rows [start, end) of `matrix`, writing the
   /// per-instance verdicts into out[0 .. end-start). `ctx` is the calling
   /// thread's workspace (rewound internally). Thread-safe for disjoint row
-  /// ranges over one fitted model — the fan-out primitive of the
-  /// ValidationService and the StreamingValidator. With mode.quantized the
-  /// forward pass runs on the int8 engine and margin-band rows are
-  /// re-checked on the float path (see ValidationMode).
+  /// ranges over one fitted model. With mode.quantized the forward pass
+  /// runs on the int8 engine and margin-band rows are re-checked on the
+  /// float path (see ValidationMode).
   void ValidateRowsInto(const Tensor& matrix, int64_t start, int64_t end,
                         InferenceContext& ctx, InstanceVerdict* out,
                         const ValidationMode& mode = {}) const;

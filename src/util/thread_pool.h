@@ -1,9 +1,9 @@
 // Fixed-size worker pool and the one fan-out primitive built on it.
 //
 // Parallelism lives at the row level only: callers that own many
-// independent units of work (stream chunks, the model row blocks of a
-// pooled validation or calibration pass, trainer shards and their
-// per-parameter gradient reduction) split them into tasks and run them with
+// independent units of work (the model row blocks of a pooled validation,
+// stream or calibration pass, trainer shards and their per-parameter
+// gradient reduction) split them into tasks and run them with
 // RunTasksAndWait, or, for StreamingValidator's bounded slot loop, Submit
 // directly. Tensor kernels never fan out; they run serially on whichever
 // thread calls them. The pool is created once per process

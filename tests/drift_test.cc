@@ -323,14 +323,17 @@ TEST(RetrainControllerTest, RetrainIsBitIdenticalToManualFineTune) {
 
 // ---- Post-swap cooldown -----------------------------------------------------
 
-// After a successful swap, drift is ignored for `cooldown_rows` observed
-// rows; the trigger re-arms only after that many rows and a fresh streak.
-TEST(RetrainControllerTest, CooldownHoldsTheTriggerThenReArms) {
+/// Drives a controller with `retrain` over a shifted regime to its first
+/// swap (a no-op, so the service keeps seeing the shift as drift and only
+/// the cooldown can hold the trigger), then checks that `cooldown_batches`
+/// 200-row batches are ignored and a fresh streak re-arms the trigger.
+void ExpectCooldownHoldsThenReArms(const RetrainOptions& retrain,
+                                   int64_t cooldown_batches,
+                                   const std::string& checkpoint) {
   Rng rng(6);
   Table clean = datasets::GenerateCreditCard(600, rng);
   DquagPipeline pipeline(SmallConfig(12));
   ASSERT_TRUE(pipeline.Fit(clean).ok());
-  const std::string checkpoint = "/tmp/dquag_drift_cooldown.ckpt";
   ASSERT_TRUE(pipeline.Save(checkpoint).ok());
 
   ValidationServiceOptions service_options;
@@ -339,13 +342,6 @@ TEST(RetrainControllerTest, CooldownHoldsTheTriggerThenReArms) {
                                                    service_options);
   ASSERT_TRUE(service.ok());
 
-  RetrainOptions retrain;
-  retrain.min_buffer_rows = 64;
-  retrain.trigger_observations = 2;
-  retrain.cooldown_rows = 1000;
-  retrain.finetune_epochs = 1;
-  // The swap is a no-op, so the service keeps seeing the shifted regime
-  // as drift and only the cooldown can hold the trigger.
   RetrainController controller(checkpoint, retrain,
                                [](const std::string&) {
                                  return Status::Ok();
@@ -364,19 +360,58 @@ TEST(RetrainControllerTest, CooldownHoldsTheTriggerThenReArms) {
   auto path = controller.RetrainAndSwap();
   ASSERT_TRUE(path.ok()) << path.status().ToString();
 
-  // 1000 rows of cooldown = five 200-row batches, all ignored.
-  for (int batch = 0; batch < 5; ++batch) {
+  for (int64_t batch = 0; batch < cooldown_batches; ++batch) {
     observe();
     EXPECT_FALSE(controller.ShouldRetrain()) << "cooldown batch " << batch;
   }
   // Then a fresh streak of trigger_observations drifting batches re-arms.
-  observe();
-  EXPECT_FALSE(controller.ShouldRetrain());
+  for (int64_t i = 1; i < retrain.trigger_observations; ++i) {
+    observe();
+    EXPECT_FALSE(controller.ShouldRetrain());
+  }
   observe();
   EXPECT_TRUE(controller.ShouldRetrain());
 
   std::remove(checkpoint.c_str());
   std::remove(path->c_str());
+}
+
+// After a successful swap, drift is ignored for `cooldown_rows` observed
+// rows; the trigger re-arms only after that many rows and a fresh streak.
+TEST(RetrainControllerTest, CooldownHoldsTheTriggerThenReArms) {
+  RetrainOptions retrain;
+  retrain.min_buffer_rows = 64;
+  retrain.trigger_observations = 2;
+  retrain.cooldown_rows = 1000;
+  retrain.finetune_epochs = 1;
+  // 1000 rows of cooldown = five 200-row batches, all ignored.
+  ExpectCooldownHoldsThenReArms(retrain, 5,
+                                "/tmp/dquag_drift_cooldown.ckpt");
+}
+
+// Left unset, the cooldown is one full buffer: the library and `dquag
+// serve` share CooldownRows, and only an explicit 0 turns it off.
+// So a default controller cannot re-arm on its own output within a
+// buffer's worth of rows after a swap.
+TEST(RetrainControllerTest, DefaultCooldownIsOneBufferAfterASwap) {
+  RetrainOptions defaults;
+  EXPECT_FALSE(defaults.cooldown_rows.has_value());
+  EXPECT_EQ(CooldownRows(defaults), defaults.max_buffer_rows);
+  EXPECT_EQ(CooldownRows(defaults), 8192);
+  RetrainOptions off;
+  off.cooldown_rows = 0;
+  EXPECT_EQ(CooldownRows(off), 0);
+  EXPECT_TRUE(ValidateRetrainOptions(off).ok());
+
+  RetrainOptions retrain;
+  retrain.min_buffer_rows = 64;
+  retrain.max_buffer_rows = 600;
+  retrain.trigger_observations = 2;
+  retrain.finetune_epochs = 1;
+  EXPECT_EQ(CooldownRows(retrain), 600);
+  // 600 rows of cooldown = three 200-row batches, all ignored.
+  ExpectCooldownHoldsThenReArms(retrain, 3,
+                                "/tmp/dquag_drift_default_cooldown.ckpt");
 }
 
 // ---- Chaos: every retrain.* failpoint site fails closed --------------------

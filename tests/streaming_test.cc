@@ -6,9 +6,10 @@
 // per-instance errors and flags, the same suspect features (repair
 // targets), the same aggregate error statistics, the same dirty-batch
 // verdict, and (when repairing) the same repaired cells. These tests
-// enforce that contract across chunk sizes {1, 7, 256, > rows}, thread
-// counts {1, 4}, all six dataset generators, and the concurrent service
-// path; they run in the TSan and ASan CI jobs.
+// enforce that contract across chunk sizes {1, 7, 256, > rows} and the
+// row-block-straddling {255, 257, 769}, thread counts {1, 4}, all six
+// dataset generators, and the concurrent service path; they run in the
+// TSan and ASan CI jobs.
 
 #include <cmath>
 #include <cstdio>
@@ -318,12 +319,13 @@ class FailingChunkReader final : public TableChunkReader {
   int64_t calls_ = 0;
 };
 
-TEST(StreamingFailureTest, ReaderFailureWithChunksInFlightIsReturned) {
-  DquagPipeline pipeline = FitTaxiPipeline();
-  const Table fresh = DirtyTaxi(320);
-  constexpr int64_t kChunkRows = 16;  // 20 chunks
-  constexpr int64_t kFailAt = 9;
-
+/// Streams `fresh` in `chunk_rows` chunks through a reader that fails when
+/// asked for chunk `fail_at`, with up to 4 chunks in flight, on 4 and 1
+/// threads: the reader's status comes back, and only chunks read before
+/// the failure were emitted, in order.
+void ExpectReaderFailureReturned(const DquagPipeline& pipeline,
+                                 const Table& fresh, int64_t chunk_rows,
+                                 int64_t fail_at) {
   for (size_t threads : {size_t{4}, size_t{1}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ThreadPool pool(threads);
@@ -331,7 +333,7 @@ TEST(StreamingFailureTest, ReaderFailureWithChunksInFlightIsReturned) {
     options.pool = &pool;
     options.max_in_flight = 4;
     StreamingValidator streamer(&pipeline, options);
-    FailingChunkReader reader(&fresh, kChunkRows, kFailAt);
+    FailingChunkReader reader(&fresh, chunk_rows, fail_at);
     std::vector<int64_t> seen;
     auto verdict = streamer.Run(reader, [&](const StreamChunk& chunk) {
       seen.push_back(chunk.chunk_index);
@@ -341,15 +343,56 @@ TEST(StreamingFailureTest, ReaderFailureWithChunksInFlightIsReturned) {
     EXPECT_NE(verdict.status().message().find("row 1234"), std::string::npos)
         << verdict.status().ToString();
     for (size_t i = 0; i < seen.size(); ++i) {
-      EXPECT_LT(seen[i], kFailAt);
+      EXPECT_LT(seen[i], fail_at);
       if (i > 0) EXPECT_GT(seen[i], seen[i - 1]);
     }
     // Serially every chunk read before the failure is emitted first.
-    if (threads == 1) EXPECT_EQ(seen.size(), static_cast<size_t>(kFailAt));
+    if (threads == 1) EXPECT_EQ(seen.size(), static_cast<size_t>(fail_at));
   }
 }
 
+TEST(StreamingFailureTest, ReaderFailureWithChunksInFlightIsReturned) {
+  DquagPipeline pipeline = FitTaxiPipeline();
+  const Table fresh = DirtyTaxi(320);
+  // 16-row chunks (20 in all), each a single row block.
+  ExpectReaderFailureReturned(pipeline, fresh, 16, /*fail_at=*/9);
+}
+
+// 600-row chunks are three row-block tasks each (256 + 256 + 88), so when
+// the reader fails, blocks of several chunks are still queued or running;
+// Run must wait for every one before the slots they write go away (the
+// ASan and TSan legs check the lifetimes).
+TEST(StreamingFailureTest,
+     ReaderFailureWithMultiBlockChunksInFlightIsReturned) {
+  DquagPipeline pipeline = FitTaxiPipeline();
+  const Table fresh = DirtyTaxi(3600);
+  ExpectReaderFailureReturned(pipeline, fresh, 600, /*fail_at=*/4);
+}
+
 // ---- Streaming repair -------------------------------------------------------
+
+/// Asserts a repairing stream (its verdict and its chunks' repaired rows
+/// stitched in order) repaired exactly what the whole-table repair did.
+void ExpectSameRepair(const StreamVerdict& stream, const Table& stitched,
+                      const RepairResult& whole) {
+  EXPECT_EQ(stream.cells_repaired, whole.cells_repaired);
+  EXPECT_EQ(stream.instances_repaired, whole.instances_repaired);
+  ASSERT_EQ(stitched.num_rows(), whole.repaired.num_rows());
+  for (int64_t c = 0; c < stitched.num_columns(); ++c) {
+    if (stitched.schema().column(c).type == ColumnType::kNumeric) {
+      for (int64_t r = 0; r < stitched.num_rows(); ++r) {
+        const size_t i = static_cast<size_t>(r);
+        const double a = stitched.Numeric(c)[i];
+        const double b = whole.repaired.Numeric(c)[i];
+        EXPECT_TRUE(a == b || (std::isnan(a) && std::isnan(b)))
+            << "col " << c << " row " << r;
+      }
+    } else {
+      EXPECT_EQ(stitched.Categorical(c), whole.repaired.Categorical(c))
+          << "col " << c;
+    }
+  }
+}
 
 TEST(StreamingRepairTest, ChunkRepairsConcatenateToBatchRepair) {
   DquagPipeline pipeline = FitTaxiPipeline();
@@ -399,23 +442,62 @@ TEST(StreamingRepairTest, ChunkRepairsConcatenateToBatchRepair) {
           ASSERT_TRUE(verdict.ok());
 
           EXPECT_EQ(verdict->flagged_rows, batch.flagged_rows);
-          EXPECT_EQ(verdict->cells_repaired, whole.cells_repaired);
-          EXPECT_EQ(verdict->instances_repaired, whole.instances_repaired);
-          ASSERT_EQ(stitched.num_rows(), whole.repaired.num_rows());
-          for (int64_t c = 0; c < fresh.num_columns(); ++c) {
-            if (fresh.schema().column(c).type == ColumnType::kNumeric) {
-              for (int64_t r = 0; r < stitched.num_rows(); ++r) {
-                const size_t i = static_cast<size_t>(r);
-                const double a = stitched.Numeric(c)[i];
-                const double b = whole.repaired.Numeric(c)[i];
-                EXPECT_TRUE(a == b || (std::isnan(a) && std::isnan(b)))
-                    << "col " << c << " row " << r;
-              }
-            } else {
-              EXPECT_EQ(stitched.Categorical(c), whole.repaired.Categorical(c))
-                  << "col " << c;
-            }
-          }
+          ExpectSameRepair(*verdict, stitched, whole);
+        }
+      }
+    }
+  }
+}
+
+// ---- Chunks that straddle the row block -------------------------------------
+
+// Each chunk fans out as one task per DquagModel::kRowBlock rows, so chunk
+// sizes one below, one above and one past a multiple of the block leave a
+// short block in every chunk and a chunk boundary inside the whole table's
+// blocks. Validation and repair, float and int8, on 1 and 4 threads, must
+// still equal the whole-table verdict and repair bit for bit.
+TEST(StreamingEquivalenceTest, ChunksStraddlingTheRowBlockMatchWholeTable) {
+  DquagPipeline pipeline = FitTaxiPipeline();
+  const Table fresh = DirtyTaxi(1100);
+  const Tensor matrix = pipeline.preprocessor().Transform(fresh);
+  constexpr int64_t kBlock = DquagModel::kRowBlock;
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+
+  for (bool quantized : {false, true}) {
+    const ValidationMode mode{quantized, 0.25};
+    const BatchVerdict batch =
+        pipeline.validator().ValidateMatrix(matrix, mode);
+    ASSERT_FALSE(batch.flagged_rows.empty());
+    const RepairResult whole = pipeline.Repair(fresh, batch);
+    ASSERT_GT(whole.cells_repaired, 0);
+
+    for (ThreadPool* pool : {&pool1, &pool4}) {
+      for (int64_t chunk_rows : {kBlock - 1, kBlock + 1, 3 * kBlock + 1}) {
+        for (bool repair : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "quantized " << quantized << " threads "
+                       << pool->num_threads() << " chunk " << chunk_rows
+                       << " repair " << repair);
+          StreamingValidatorOptions options;
+          options.repair = repair;
+          options.mode = mode;
+          options.pool = pool;
+          StreamingValidator streamer(&pipeline, options);
+          TableViewChunkReader reader(&fresh, chunk_rows);
+          std::vector<InstanceVerdict> reassembled;
+          Table stitched(fresh.schema());
+          auto verdict = streamer.Run(reader, [&](const StreamChunk& chunk) {
+            reassembled.insert(reassembled.end(),
+                               chunk.verdict->instances.begin(),
+                               chunk.verdict->instances.end());
+            if (repair) stitched.AppendRows(chunk.repair->repaired);
+          });
+          ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+          ExpectStreamEqualsBatch(*verdict, reassembled, batch);
+          EXPECT_EQ(verdict->total_chunks,
+                    (fresh.num_rows() + chunk_rows - 1) / chunk_rows);
+          if (repair) ExpectSameRepair(*verdict, stitched, whole);
         }
       }
     }

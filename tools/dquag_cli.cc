@@ -21,7 +21,8 @@
 //                    [--retrain-min-rows R] [--retrain-buffer-rows B]
 //                    [--retrain-triggers K] [--retrain-cooldown-rows C]
 //                    [--retrain-seed S]]   (drift-triggered fine-tune +
-//                                           zero-drop hot swap)
+//                                           zero-drop hot swap; C defaults
+//                                           to B, 0 = no cooldown)
 //                                                    (socket-backed daemon)
 //   dquag deploy    --port P --tenant T --checkpoint model.ckpt [--host H]
 //                   [--quantized]
@@ -40,9 +41,11 @@
 //
 // validate and serve-sim stream their input through the ValidationService:
 // chunks of --chunk-rows rows (default 4096) are read, validated on the
-// tape-free inference engine across the process thread pool, and retired
-// with bounded memory. validate never materializes the file; the verdict is
-// bit-identical to validating the whole table at once, for any chunk size.
+// tape-free inference engine as one process-pool task per 256-row model
+// block (so --chunk-rows sets the I/O unit, not the parallelism), and
+// retired with bounded memory. validate never materializes the file; the
+// verdict is bit-identical to validating the whole table at once, for any
+// chunk size.
 // A malformed row past the first chunk fails the run with exit code 1 and
 // the row named on stderr. Data files may be CSV or the columnar .dqc
 // format produced by `dquag convert` — `--format` forces a reader,
@@ -478,7 +481,9 @@ int CmdServe(const Args& args) {
   options.retrain.min_buffer_rows = args.GetInt("retrain-min-rows", 256);
   options.retrain.max_buffer_rows = args.GetInt("retrain-buffer-rows", 8192);
   options.retrain.trigger_observations = args.GetInt("retrain-triggers", 3);
-  options.retrain.cooldown_rows = args.GetInt("retrain-cooldown-rows", 0);
+  if (args.Has("retrain-cooldown-rows")) {
+    options.retrain.cooldown_rows = args.GetInt("retrain-cooldown-rows", 0);
+  }
   options.retrain.seed =
       static_cast<uint64_t>(args.GetInt("retrain-seed", 0));
 
