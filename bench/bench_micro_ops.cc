@@ -11,7 +11,6 @@
 #include "core/model.h"
 #include "gnn/encoder.h"
 #include "nn/feature_tokenizer.h"
-#include "tensor/quantized.h"
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
@@ -362,58 +361,6 @@ void BM_SimdSegmentSoftmaxCsr(benchmark::State& state) {
   state.SetLabel(kt.name);
 }
 BENCHMARK(BM_SimdSegmentSoftmaxCsr)->Arg(0)->Arg(1);
-
-void BM_SimdQuantizeRows(benchmark::State& state) {
-  const simd::SimdKernelTable& kt = TableFor(state);
-  Rng rng(21);
-  Tensor x = Tensor::Randn({kRows, kDim}, rng);
-  std::vector<int8_t> qr(kRows * kDim), qg(kRows * kDim);
-  std::vector<float> sr(kRows), sg(kRows);
-  simd::ScalarKernels().quantize_rows(x.data(), kRows, kDim, kDim, qr.data(),
-                                      sr.data());
-  kt.quantize_rows(x.data(), kRows, kDim, kDim, qg.data(), sg.data());
-  if (std::memcmp(qr.data(), qg.data(), qr.size()) != 0 ||
-      !ParityOk(state, sr.data(), sg.data(), kRows)) {
-    state.SkipWithError("checksum mismatch vs scalar table");
-    return;
-  }
-  for (auto _ : state) {
-    kt.quantize_rows(x.data(), kRows, kDim, kDim, qg.data(), sg.data());
-    benchmark::DoNotOptimize(qg.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kRows);
-  state.SetLabel(kt.name);
-}
-BENCHMARK(BM_SimdQuantizeRows)->Arg(0)->Arg(1);
-
-void BM_SimdQgemm(benchmark::State& state) {
-  const simd::SimdKernelTable& kt = TableFor(state);
-  Rng rng(22);
-  Tensor x = Tensor::Randn({kRows, kDim}, rng);
-  Tensor w = Tensor::Randn({kDim, kDim}, rng);
-  Tensor bias = Tensor::Randn({kDim}, rng);
-  QuantizedWeight qw = QuantizeWeight(w);
-  PackQuantizedWeight(qw);
-  std::vector<int8_t> xq(kRows * kDim);
-  std::vector<float> xs(kRows);
-  simd::ScalarKernels().quantize_rows(x.data(), kRows, kDim, kDim, xq.data(),
-                                      xs.data());
-  std::vector<float> ref(kRows * kDim), got(kRows * kDim);
-  simd::ScalarKernels().qgemm(xq.data(), xs.data(), qw.packed.data(),
-                              qw.scales.data(), bias.data(), ref.data(),
-                              kRows, kDim, kDim);
-  kt.qgemm(xq.data(), xs.data(), qw.packed.data(), qw.scales.data(),
-           bias.data(), got.data(), kRows, kDim, kDim);
-  if (!ParityOk(state, ref.data(), got.data(), kRows * kDim)) return;
-  for (auto _ : state) {
-    kt.qgemm(xq.data(), xs.data(), qw.packed.data(), qw.scales.data(),
-             bias.data(), got.data(), kRows, kDim, kDim);
-    benchmark::DoNotOptimize(got.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kRows);
-  state.SetLabel(kt.name);
-}
-BENCHMARK(BM_SimdQgemm)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace dquag

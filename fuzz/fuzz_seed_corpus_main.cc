@@ -1,10 +1,12 @@
 // Seed-corpus generator for dquag_fuzz_checkpoint_load.
 //
 // Writes real checkpoints — tiny fitted pipelines over the synthetic
-// generator tables, with and without the quantized-weights section — into
-// the directory given as argv[1]. Starting libFuzzer from structurally
-// valid checkpoints lets its mutations reach the deep sections (parameter
-// tensors, quantized slots) instead of dying at the magic check.
+// generator tables — into the directory given as argv[1]. Starting
+// libFuzzer from structurally valid checkpoints lets its mutations reach
+// the deep sections (parameter tensors, the drift profile) instead of dying
+// at the magic check. CI adds tests/fixtures/checkpoint_dqq8.bin, a
+// checkpoint from an older build with the DQQ8 section that Load skips, so
+// the fuzzer reaches that code too.
 
 #include <cstdio>
 #include <string>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "tensor/quantized.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -163,15 +162,6 @@ Status DquagPipeline::FineTune(const Table& clean,
   DQUAG_LOG(INFO) << "fine-tuned " << report_.epochs_run
                   << " epochs, threshold "
                   << report_.error_statistics.threshold;
-
-  // The int8 caches hold weights quantized BEFORE this fine-tune; drop
-  // them so the next quantized inference (or Save) re-derives from the new
-  // floats. The caller must not be serving quantized inference on THIS
-  // pipeline object concurrently — retrain controllers fine-tune a
-  // privately loaded pipeline and swap it in afterwards.
-  std::vector<QuantizedSlot> slots;
-  model_->CollectQuantizedSlots(slots);
-  for (const QuantizedSlot& slot : slots) slot.cache->Reset();
 
   validator_ = std::make_unique<Validator>(
       model_.get(), report_.error_statistics.threshold, options_.config);

@@ -8,10 +8,11 @@
 //   per-column preprocessing statistics (vocabulary or min/max)
 //   error statistics (threshold, mean, stddev, min, max)
 //   model parameters, in Module::Parameters() order (deterministic)
-//   [optional] quantized weights: per-channel int8 + scales, in
-//     CollectQuantizedSlots() order. Absent in checkpoints written before
-//     the section existed — Load then derives the scales lazily, which is
-//     bit-identical because derivation is deterministic.
+//   [optional, read and discarded] "DQQ8" int8 weights, written by older
+//     builds: slot count, then per slot in, out, `out` float scales and
+//     in * out int8 bytes. Save no longer writes it.
+//   [optional] "DQDP" drift profile (per-column clean suspect rates and
+//     the clean flag rate).
 //
 // Load never trusts a length prefix: every count is bounded against the
 // bytes actually remaining in the buffer BEFORE any allocation sized by
@@ -23,7 +24,6 @@
 #include <cmath>
 
 #include "core/pipeline.h"
-#include "tensor/quantized.h"
 #include "util/binary_io.h"
 
 namespace dquag {
@@ -31,7 +31,8 @@ namespace dquag {
 namespace {
 
 constexpr uint64_t kMagic = 0x4741514400000001ULL;  // "DQAG" + version 1
-// "DQQ8" + version 1: start of the optional quantized-weights section.
+// "DQQ8" + version 1: start of the int8-weights section older builds wrote
+// after the parameters; Load skips it.
 constexpr uint64_t kQuantSectionMagic = 0x3851514400000001ULL;
 // "DQDP" + version 1: start of the optional drift-profile section (the
 // monitor's per-column clean suspect-rate baseline).
@@ -102,6 +103,39 @@ Status ReadConfig(BinaryReader& r, DquagConfig& config) {
     return Status::InvalidArgument("config: invalid inference chunk slot");
   }
   DQUAG_ASSIGN_OR_RETURN(config.seed, r.ReadU64());
+  return Status::Ok();
+}
+
+/// Reads past an older build's int8-weights section (its tag already
+/// consumed). Every count is bounded by the bytes remaining before anything
+/// is sized by it.
+Status SkipQuantizedSection(BinaryReader& r) {
+  // Smallest slot: in, out, the scale count and the byte-string length.
+  constexpr uint64_t kMinSlotBytes = 4 * sizeof(uint64_t);
+  DQUAG_ASSIGN_OR_RETURN(uint64_t num_slots, r.ReadU64());
+  if (num_slots > r.remaining() / kMinSlotBytes) {
+    return Status::InvalidArgument(
+        "checkpoint quantized slot count exceeds the file");
+  }
+  for (uint64_t slot = 0; slot < num_slots; ++slot) {
+    DQUAG_ASSIGN_OR_RETURN(int64_t in, r.ReadI64());
+    DQUAG_ASSIGN_OR_RETURN(int64_t out, r.ReadI64());
+    if (in < 0 || out < 0 ||
+        static_cast<uint64_t>(out) > r.remaining() / sizeof(float)) {
+      return Status::InvalidArgument(
+          "checkpoint quantized slot shape out of range");
+    }
+    std::vector<float> scales(static_cast<size_t>(out));
+    DQUAG_RETURN_IF_ERROR(r.ReadFloatArray(scales.data(), scales.size()));
+    DQUAG_ASSIGN_OR_RETURN(std::string bytes, r.ReadString());
+    // in * out cannot overflow once in is bounded by the byte count.
+    if (static_cast<uint64_t>(in) > bytes.size() ||
+        static_cast<uint64_t>(in) * static_cast<uint64_t>(out) !=
+            bytes.size()) {
+      return Status::InvalidArgument(
+          "checkpoint quantized data size mismatch");
+    }
+  }
   return Status::Ok();
 }
 
@@ -190,21 +224,6 @@ Status DquagPipeline::Save(const std::string& path) const {
     w.WriteI64(value.ndim());
     for (int64_t i = 0; i < value.ndim(); ++i) w.WriteI64(value.dim(i));
     w.WriteFloatArray(value.data(), static_cast<size_t>(value.numel()));
-  }
-
-  // Quantized weights, captured now so every loader of this checkpoint
-  // (any machine, any ISA) serves the exact same int8 model.
-  std::vector<QuantizedSlot> slots;
-  model_->CollectQuantizedSlots(slots);
-  w.WriteU64(kQuantSectionMagic);
-  w.WriteU64(slots.size());
-  for (const QuantizedSlot& slot : slots) {
-    const QuantizedWeight& qw = slot.cache->GetOrDerive(*slot.weight);
-    w.WriteI64(qw.in);
-    w.WriteI64(qw.out);
-    w.WriteFloatArray(qw.scales.data(), qw.scales.size());
-    w.WriteString(std::string(reinterpret_cast<const char*>(qw.data.data()),
-                              qw.data.size()));
   }
 
   // Drift profile, so a loaded service's monitor starts from the same
@@ -361,56 +380,23 @@ StatusOr<DquagPipeline> DquagPipeline::LoadFromBuffer(std::string buffer) {
         p->mutable_value().data(), static_cast<size_t>(p->value().numel())));
   }
 
-  // Optional quantized-weights section. Checkpoints written before it
-  // existed simply end here; their int8 weights are derived lazily on
-  // first quantized inference (bit-identical to the stored form).
+  // The sections after the parameters are optional, each behind its tag.
+  uint64_t tag = 0;  // 0: the checkpoint ends here
   if (!r.AtEnd()) {
-    DQUAG_ASSIGN_OR_RETURN(uint64_t quant_magic, r.ReadU64());
-    if (quant_magic != kQuantSectionMagic) {
-      return Status::InvalidArgument("checkpoint: bad quantized-section tag");
-    }
-    std::vector<QuantizedSlot> slots;
-    pipeline.model_->CollectQuantizedSlots(slots);
-    DQUAG_ASSIGN_OR_RETURN(uint64_t num_slots, r.ReadU64());
-    if (num_slots != slots.size()) {
-      return Status::InvalidArgument(
-          "checkpoint quantized slot count mismatch: stored " +
-          std::to_string(num_slots) + ", model has " +
-          std::to_string(slots.size()));
-    }
-    for (const QuantizedSlot& slot : slots) {
-      QuantizedWeight qw;
-      DQUAG_ASSIGN_OR_RETURN(qw.in, r.ReadI64());
-      DQUAG_ASSIGN_OR_RETURN(qw.out, r.ReadI64());
-      if (qw.in != slot.weight->dim(0) || qw.out != slot.weight->dim(1)) {
-        return Status::InvalidArgument(
-            "checkpoint quantized slot shape mismatch");
-      }
-      qw.scales.resize(static_cast<size_t>(qw.out));
-      DQUAG_RETURN_IF_ERROR(
-          r.ReadFloatArray(qw.scales.data(), qw.scales.size()));
-      for (float s : qw.scales) {
-        if (!std::isfinite(s) || s < 0.0f) {
-          return Status::InvalidArgument(
-              "checkpoint quantized scale not finite");
-        }
-      }
-      DQUAG_ASSIGN_OR_RETURN(std::string bytes, r.ReadString());
-      if (bytes.size() != static_cast<size_t>(qw.in * qw.out)) {
-        return Status::InvalidArgument(
-            "checkpoint quantized data size mismatch");
-      }
-      const int8_t* p = reinterpret_cast<const int8_t*>(bytes.data());
-      qw.data.assign(p, p + bytes.size());
-      slot.cache->Install(std::move(qw));
+    DQUAG_ASSIGN_OR_RETURN(tag, r.ReadU64());
+  }
+  if (tag == kQuantSectionMagic) {
+    DQUAG_RETURN_IF_ERROR(SkipQuantizedSection(r));
+    tag = 0;
+    if (!r.AtEnd()) {
+      DQUAG_ASSIGN_OR_RETURN(tag, r.ReadU64());
     }
   }
 
-  // Optional drift-profile section. Checkpoints written before it existed
-  // end here; their monitors fall back to an all-zero baseline.
-  if (!r.AtEnd()) {
-    DQUAG_ASSIGN_OR_RETURN(uint64_t drift_magic, r.ReadU64());
-    if (drift_magic != kDriftSectionMagic) {
+  // Drift-profile section. Checkpoints written before it existed end
+  // before it; their monitors fall back to an all-zero baseline.
+  if (tag != 0) {
+    if (tag != kDriftSectionMagic) {
       return Status::InvalidArgument("checkpoint: bad drift-section tag");
     }
     DQUAG_ASSIGN_OR_RETURN(uint64_t profile_columns, r.ReadU64());

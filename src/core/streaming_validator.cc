@@ -170,10 +170,9 @@ StatusOr<StreamVerdict> StreamingValidator::Run(
   // chunk's last block also finalizes its verdict, repairs its flagged
   // rows when repairing, and publishes the slot for emission.
   auto run_block = [&validator, &repairer, &mutex, &ready, &completed,
-                    repair = options_.repair,
-                    mode = options_.mode](Slot* slot, int64_t block) {
+                    repair = options_.repair](Slot* slot, int64_t block) {
     validator.ValidateBlockInto(slot->matrix, block,
-                                slot->verdict.instances.data(), mode);
+                                slot->verdict.instances.data());
     // The decrement orders every block's verdicts before the last block's
     // caller reads them.
     if (slot->blocks_left.fetch_sub(1) != 1) return;

@@ -121,9 +121,6 @@ struct StreamingValidatorOptions {
   /// flagged rows); repaired chunks are handed to the callback, valid only
   /// during it, and repair totals accumulate into the StreamVerdict.
   bool repair = false;
-  /// Forward-pass mode for chunk validation (float by default; see
-  /// ValidationMode for the quantized contract). Repair always runs float.
-  ValidationMode mode;
 };
 
 class StreamingValidator {

@@ -27,8 +27,7 @@ BatchVerdict ValidationService::Validate(const Table& batch) const {
 BatchVerdict ValidationService::ValidateMatrix(const Tensor& matrix) const {
   // Row blocks share the process-wide pool; each call waits on its own
   // latch, so concurrent callers never wait on each other's blocks.
-  return pipeline_.validator().ValidateMatrixOn(GlobalThreadPool(), matrix,
-                                                validation_mode());
+  return pipeline_.validator().ValidateMatrixOn(GlobalThreadPool(), matrix);
 }
 
 Status ValidationService::CheckSchema(const Table& batch) const {
@@ -57,7 +56,6 @@ StatusOr<StreamVerdict> ValidationService::ValidateStream(
     TableChunkReader& reader,
     const StreamingValidator::ChunkCallback& callback,
     StreamingValidatorOptions stream_options) const {
-  if (options_.quantized) stream_options.mode = validation_mode();
   StreamingValidator streamer(&pipeline_, stream_options);
   return streamer.Run(reader, callback);
 }

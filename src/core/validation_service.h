@@ -35,12 +35,9 @@ namespace dquag {
 struct ValidationServiceOptions {
   /// Stream-monitoring knobs for ObserveVerdict() / ObserveStream().
   MonitorOptions monitor;
-  /// Serve validation on the int8 quantized engine (see ValidationMode).
-  /// Repair always runs on the float path.
+  /// Accepted and ignored: every service runs the float engine. The
+  /// perfbench harness still sets it; it goes with ROADMAP item 11.
   bool quantized = false;
-  /// Margin-band width for the quantized float re-check, as a fraction of
-  /// the threshold.
-  double quantized_margin = 0.25;
 };
 
 class ValidationService {
@@ -124,11 +121,6 @@ class ValidationService {
 
   const DquagPipeline& pipeline() const { return pipeline_; }
   const ValidationServiceOptions& options() const { return options_; }
-
-  /// The forward-pass mode derived from the service options.
-  ValidationMode validation_mode() const {
-    return {options_.quantized, options_.quantized_margin};
-  }
 
  private:
   /// InvalidArgument unless `batch` has the fitted preprocessor's schema.

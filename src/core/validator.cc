@@ -24,18 +24,17 @@ int64_t Validator::NumBlocks(int64_t rows) {
 }
 
 void Validator::ValidateBlockInto(const Tensor& matrix, int64_t block,
-                                  InstanceVerdict* instances,
-                                  const ValidationMode& mode) const {
+                                  InstanceVerdict* instances) const {
   const int64_t start = block * DquagModel::kRowBlock;
   const int64_t end = std::min(matrix.dim(0), start + DquagModel::kRowBlock);
   ValidateRowsInto(matrix, start, end, InferenceContext::ThreadLocal(),
-                   instances + start, mode);
+                   instances + start);
 }
 
 void Validator::ValidateRowsInto(const Tensor& matrix, int64_t start,
                                  int64_t end, InferenceContext& ctx,
                                  InstanceVerdict* out,
-                                 const ValidationMode& mode) const {
+                                 const ValidationMode& /*mode*/) const {
   DQUAG_CHECK_EQ(matrix.ndim(), 2);
   DQUAG_CHECK_EQ(matrix.dim(1), model_->num_features());
   DQUAG_CHECK_GE(start, 0);
@@ -47,44 +46,8 @@ void Validator::ValidateRowsInto(const Tensor& matrix, int64_t start,
   Tensor& slice = ctx.Acquire({end - start, d});
   std::copy(matrix.data() + start * d, matrix.data() + end * d, slice.data());
 
-  if (!mode.quantized) {
-    const Tensor& reconstructed = model_->InferValidation(slice, ctx);
-    ScoreRowsInto(reconstructed.data(), slice.data(), end - start, out);
-    return;
-  }
-
-  // Quantized pass. The flag is restored before returning so a shared
-  // (thread-local) context never leaks quantized mode into float callers.
-  ctx.set_quantized(true);
-  const Tensor& recon_q = model_->InferValidation(slice, ctx);
-  ctx.set_quantized(false);
-  ScoreRowsInto(recon_q.data(), slice.data(), end - start, out);
-
-  // Rows whose quantized error landed inside the margin band around the
-  // threshold are re-validated on the float path, which is authoritative.
-  const double band = mode.recheck_margin * threshold_;
-  std::vector<int64_t> recheck;
-  for (int64_t r = 0; r < end - start; ++r) {
-    if (std::abs(out[r].error - threshold_) <= band) {
-      recheck.push_back(r);
-    }
-  }
-  if (recheck.empty()) return;
-
-  const size_t mark = ctx.Mark();
-  Tensor& sub = ctx.Acquire({static_cast<int64_t>(recheck.size()), d});
-  for (size_t i = 0; i < recheck.size(); ++i) {
-    const float* src = slice.data() + recheck[i] * d;
-    std::copy(src, src + d, sub.data() + static_cast<int64_t>(i) * d);
-  }
-  const Tensor& recon_f = model_->InferValidation(sub, ctx);
-  std::vector<InstanceVerdict> fixed(recheck.size());
-  ScoreRowsInto(recon_f.data(), sub.data(),
-                static_cast<int64_t>(recheck.size()), fixed.data());
-  for (size_t i = 0; i < recheck.size(); ++i) {
-    out[recheck[i]] = std::move(fixed[i]);
-  }
-  ctx.RewindTo(mark);
+  const Tensor& reconstructed = model_->InferValidation(slice, ctx);
+  ScoreRowsInto(reconstructed.data(), slice.data(), end - start, out);
 }
 
 void Validator::ScoreRowsInto(const float* prediction, const float* targets,
@@ -153,19 +116,17 @@ void Validator::FinalizeVerdict(BatchVerdict& verdict) const {
   verdict.is_dirty = verdict.flagged_fraction > batch_cutoff();
 }
 
-BatchVerdict Validator::ValidateMatrix(const Tensor& matrix,
-                                       const ValidationMode& mode) const {
-  return ValidateBlocks(nullptr, matrix, mode);
+BatchVerdict Validator::ValidateMatrix(const Tensor& matrix) const {
+  return ValidateBlocks(nullptr, matrix);
 }
 
 BatchVerdict Validator::ValidateMatrixOn(ThreadPool& pool,
-                                         const Tensor& matrix,
-                                         const ValidationMode& mode) const {
-  return ValidateBlocks(&pool, matrix, mode);
+                                         const Tensor& matrix) const {
+  return ValidateBlocks(&pool, matrix);
 }
 
-BatchVerdict Validator::ValidateBlocks(ThreadPool* pool, const Tensor& matrix,
-                                       const ValidationMode& mode) const {
+BatchVerdict Validator::ValidateBlocks(ThreadPool* pool,
+                                       const Tensor& matrix) const {
   DQUAG_CHECK_EQ(matrix.ndim(), 2);
   DQUAG_CHECK_EQ(matrix.dim(1), model_->num_features());
   const int64_t rows = matrix.dim(0);
@@ -174,7 +135,7 @@ BatchVerdict Validator::ValidateBlocks(ThreadPool* pool, const Tensor& matrix,
   verdict.threshold = threshold_;
   verdict.instances.resize(static_cast<size_t>(rows));
   const auto run_block = [&](int64_t b) {
-    ValidateBlockInto(matrix, b, verdict.instances.data(), mode);
+    ValidateBlockInto(matrix, b, verdict.instances.data());
   };
   const int64_t blocks = NumBlocks(rows);
   if (pool == nullptr) {

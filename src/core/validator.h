@@ -28,17 +28,9 @@ namespace dquag {
 
 class ThreadPool;
 
-/// How the validator runs the reconstruction forward pass.
-///
-/// The quantized mode trades the float GEMMs for int8 ones (per-channel
-/// symmetric weights, dynamic per-row activations). Quantization perturbs
-/// reconstruction errors slightly, so rows whose error lands within
-/// `recheck_margin * threshold` of the decision boundary are re-validated
-/// on the float path, which stays authoritative: a verdict can only differ
-/// from the float path when the quantized error lands clearly outside the
-/// margin band, i.e. when quantization noise exceeds 25% of the threshold.
-/// On clean data (errors far below threshold) this makes flips vanishingly
-/// rare.
+/// Accepted and ignored: every validation runs the float engine. The
+/// perfbench harness still passes one to ValidateRowsInto; it goes with the
+/// benchmark change of ROADMAP item 11.
 struct ValidationMode {
   bool quantized = false;
   double recheck_margin = 0.25;
@@ -71,14 +63,12 @@ class Validator {
 
   /// Validates an already-preprocessed matrix [B, d] on the calling
   /// thread, one DquagModel::kRowBlock-row block at a time.
-  BatchVerdict ValidateMatrix(const Tensor& matrix,
-                              const ValidationMode& mode = {}) const;
+  BatchVerdict ValidateMatrix(const Tensor& matrix) const;
 
   /// ValidateMatrix with one `pool` task per row block, waited on through a
   /// private latch (inline for a single block or when called from a pool
   /// worker). Rows are independent, so the verdict equals ValidateMatrix's.
-  BatchVerdict ValidateMatrixOn(ThreadPool& pool, const Tensor& matrix,
-                                const ValidationMode& mode = {}) const;
+  BatchVerdict ValidateMatrixOn(ThreadPool& pool, const Tensor& matrix) const;
 
   /// Number of DquagModel::kRowBlock-row blocks covering `rows` rows.
   static int64_t NumBlocks(int64_t rows);
@@ -89,15 +79,12 @@ class Validator {
   /// `instances` spans the whole matrix. Thread-safe for distinct blocks;
   /// the fan-out unit of ValidateMatrixOn and the StreamingValidator.
   void ValidateBlockInto(const Tensor& matrix, int64_t block,
-                         InstanceVerdict* instances,
-                         const ValidationMode& mode = {}) const;
+                         InstanceVerdict* instances) const;
 
   /// Engine-path validation of rows [start, end) of `matrix`, writing the
   /// per-instance verdicts into out[0 .. end-start). `ctx` is the calling
   /// thread's workspace (rewound internally). Thread-safe for disjoint row
-  /// ranges over one fitted model. With mode.quantized the forward pass
-  /// runs on the int8 engine and margin-band rows are re-checked on the
-  /// float path (see ValidationMode).
+  /// ranges over one fitted model. `mode` is ignored (see ValidationMode).
   void ValidateRowsInto(const Tensor& matrix, int64_t start, int64_t end,
                         InferenceContext& ctx, InstanceVerdict* out,
                         const ValidationMode& mode = {}) const;
@@ -115,12 +102,10 @@ class Validator {
  private:
   /// The body of ValidateMatrix (pool == nullptr: blocks run in order on
   /// the calling thread) and ValidateMatrixOn.
-  BatchVerdict ValidateBlocks(ThreadPool* pool, const Tensor& matrix,
-                              const ValidationMode& mode) const;
+  BatchVerdict ValidateBlocks(ThreadPool* pool, const Tensor& matrix) const;
 
   /// Scores `rows` reconstructed rows against their inputs: per-instance
-  /// error, flag, suspect features. Shared by the float and quantized
-  /// passes so the decision rule lives in one place.
+  /// error, flag, suspect features.
   void ScoreRowsInto(const float* pred, const float* target, int64_t rows,
                      InstanceVerdict* out) const;
 

@@ -59,20 +59,6 @@ class InferenceContext {
   /// calls after warm-up means the hot path has stopped allocating).
   int64_t capacity_floats() const;
 
-  /// Raw byte scratch for the int8 quantized path, backed by an ordinary
-  /// arena float buffer (rounded up to whole floats) so it shares the
-  /// rewind/recycle lifecycle. 4-byte aligned; AVX2 int8 loads are
-  /// alignment-free.
-  void* AcquireBytes(int64_t bytes) {
-    return Acquire({(bytes + 3) / 4}).data();
-  }
-
-  /// When set, module InferForward paths that have a quantized variant
-  /// (Linear, GCN/GAT projections) run int8 GEMMs instead of float ones.
-  /// Sticky per context; Validator sets and restores it around a pass.
-  bool quantized() const { return quantized_; }
-  void set_quantized(bool on) { quantized_ = on; }
-
   /// The calling thread's private context. Workers of the process-wide
   /// ThreadPool each see their own instance, which is what makes concurrent
   /// Validate calls on one fitted pipeline race-free.
@@ -82,7 +68,6 @@ class InferenceContext {
   // unique_ptr keeps Acquire()'d references stable while the vector grows.
   std::vector<std::unique_ptr<Tensor>> buffers_;
   size_t cursor_ = 0;
-  bool quantized_ = false;
 };
 
 }  // namespace dquag

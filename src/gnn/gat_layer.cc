@@ -1,7 +1,6 @@
 #include "gnn/gat_layer.h"
 
 #include "autograd/ops.h"
-#include "engine/quantized_linear.h"
 #include "nn/init.h"
 
 namespace dquag {
@@ -85,13 +84,8 @@ Tensor& GatLayer::InferForward(const Tensor& node_features,
       batched ? Shape{batch, num_nodes_, out_dim_} : Shape{num_nodes_, out_dim_};
   Tensor& out = ctx.Acquire(out_shape);
   Tensor& projected = ctx.Acquire(std::move(out_shape));
-  if (ctx.quantized()) {
-    QuantizedLinearInto(node_features, qcache_.GetOrDerive(weight_->value()),
-                        nullptr, ctx, projected);
-  } else {
-    LinearInto(node_features, weight_->value(), nullptr, /*elu=*/false,
-               projected);
-  }
+  LinearInto(node_features, weight_->value(), nullptr, /*elu=*/false,
+             projected);
   Tensor& logit_src = ctx.Acquire({batch, num_nodes_});
   Tensor& logit_dst = ctx.Acquire({batch, num_nodes_});
   DualMatVecInto(projected, attn_src_->value(), attn_dst_->value(), logit_src,
@@ -104,10 +98,6 @@ Tensor& GatLayer::InferForward(const Tensor& node_features,
   CsrAggregateInto(projected, csr_.offsets, csr_.order, src_, &alpha,
                    &bias_->value(), /*self_scale=*/0.0f, elu_out, out);
   return out;
-}
-
-void GatLayer::CollectQuantizedSlots(std::vector<QuantizedSlot>& out) const {
-  out.push_back({&weight_->value(), &qcache_});
 }
 
 }  // namespace dquag

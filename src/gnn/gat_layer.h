@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "gnn/layer.h"
-#include "tensor/quantized.h"
 #include "util/rng.h"
 
 namespace dquag {
@@ -72,8 +71,6 @@ class GatLayer : public GnnLayer {
   const std::vector<int32_t>& arc_src() const { return src_; }
   const std::vector<int32_t>& arc_dst() const { return dst_; }
 
-  void CollectQuantizedSlots(std::vector<QuantizedSlot>& out) const override;
-
  private:
   /// Slope of the attention-score LeakyReLU (the GAT paper's 0.2).
   static constexpr float kLeakySlope = 0.2f;
@@ -90,7 +87,6 @@ class GatLayer : public GnnLayer {
   VarPtr attn_src_;  // [out, 1]
   VarPtr attn_dst_;  // [out, 1]
   VarPtr bias_;      // [out]
-  QuantizedWeightCache qcache_;
 };
 
 }  // namespace dquag

@@ -1,7 +1,6 @@
 #include "gnn/gcn_layer.h"
 
 #include "autograd/ops.h"
-#include "engine/quantized_linear.h"
 #include "nn/init.h"
 
 namespace dquag {
@@ -56,23 +55,14 @@ Tensor& GcnLayer::InferForward(const Tensor& node_features,
   Shape shape = node_features.shape();
   shape.back() = out_dim_;
   Tensor& transformed = ctx.Acquire(shape);
-  if (ctx.quantized()) {
-    QuantizedLinearInto(node_features, qcache_.GetOrDerive(weight_->value()),
-                        nullptr, ctx, transformed);
-  } else {
-    LinearInto(node_features, weight_->value(), nullptr, /*elu=*/false,
-               transformed);
-  }
+  LinearInto(node_features, weight_->value(), nullptr, /*elu=*/false,
+             transformed);
   Tensor& out = ctx.Acquire(std::move(shape));
   // One pass per destination row: the bias, the normalized messages, then
   // the output's ELU (no [B, E, out] intermediate).
   CsrAggregateInto(transformed, csr_.offsets, csr_.order, src_, &norm_,
                    &bias_->value(), /*self_scale=*/0.0f, elu_out, out);
   return out;
-}
-
-void GcnLayer::CollectQuantizedSlots(std::vector<QuantizedSlot>& out) const {
-  out.push_back({&weight_->value(), &qcache_});
 }
 
 }  // namespace dquag

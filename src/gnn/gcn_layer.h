@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "gnn/layer.h"
-#include "tensor/quantized.h"
 #include "util/rng.h"
 
 namespace dquag {
@@ -32,8 +31,6 @@ class GcnLayer : public GnnLayer {
   int64_t in_dim() const override { return in_dim_; }
   int64_t out_dim() const override { return out_dim_; }
 
-  void CollectQuantizedSlots(std::vector<QuantizedSlot>& out) const override;
-
  private:
   int64_t in_dim_;
   int64_t out_dim_;
@@ -44,7 +41,6 @@ class GcnLayer : public GnnLayer {
   Tensor norm_;  // [E, 1] per-arc coefficients (constant)
   VarPtr weight_;
   VarPtr bias_;
-  QuantizedWeightCache qcache_;
 };
 
 }  // namespace dquag

@@ -1,7 +1,6 @@
 #include "nn/linear.h"
 
 #include "autograd/ops.h"
-#include "engine/quantized_linear.h"
 #include "nn/init.h"
 
 namespace dquag {
@@ -24,18 +23,8 @@ Tensor& Linear::InferForward(const Tensor& x, InferenceContext& ctx,
   Shape out_shape = x.shape();
   out_shape.back() = out_features_;
   Tensor& out = ctx.Acquire(std::move(out_shape));
-  if (ctx.quantized()) {
-    QuantizedLinearInto(x, qcache_.GetOrDerive(weight_->value()),
-                        &bias_->value(), ctx, out);
-    if (elu) EluInPlace(out);
-  } else {
-    LinearInto(x, weight_->value(), &bias_->value(), elu, out);
-  }
+  LinearInto(x, weight_->value(), &bias_->value(), elu, out);
   return out;
-}
-
-void Linear::CollectQuantizedSlots(std::vector<QuantizedSlot>& out) const {
-  out.push_back({&weight_->value(), &qcache_});
 }
 
 Mlp::Mlp(const std::vector<int64_t>& layer_sizes, Rng& rng,

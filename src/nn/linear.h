@@ -5,11 +5,11 @@
 #define DQUAG_NN_LINEAR_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "engine/inference_context.h"
 #include "nn/module.h"
-#include "tensor/quantized.h"
 #include "util/rng.h"
 
 namespace dquag {
@@ -23,22 +23,18 @@ class Linear : public Module {
   VarPtr Forward(const VarPtr& x) const;
 
   /// Tape-free forward into a workspace tensor (valid until ctx.Rewind()),
-  /// with ELU applied to the output when `elu` (inside the GEMM on the
-  /// float path).
+  /// with ELU applied to the output when `elu` (inside the GEMM).
   Tensor& InferForward(const Tensor& x, InferenceContext& ctx,
                        bool elu = false) const;
 
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }
 
-  void CollectQuantizedSlots(std::vector<QuantizedSlot>& out) const override;
-
  private:
   int64_t in_features_;
   int64_t out_features_;
   VarPtr weight_;  // [in, out]
   VarPtr bias_;    // [out]
-  QuantizedWeightCache qcache_;
 };
 
 /// Stack of Linear layers with ELU between them (none after the last layer

@@ -24,10 +24,6 @@ int64_t Module::NumParameters() const {
   return total;
 }
 
-void Module::CollectQuantizedSlots(std::vector<QuantizedSlot>& out) const {
-  for (const Module* child : children_) child->CollectQuantizedSlots(out);
-}
-
 void Module::CopyParametersFrom(const Module& other) {
   std::vector<VarPtr> mine = Parameters();
   std::vector<VarPtr> theirs = other.Parameters();

@@ -17,17 +17,6 @@
 
 namespace dquag {
 
-class QuantizedWeightCache;
-
-/// One quantizable weight matrix: the float source tensor plus its int8
-/// cache. Slots are enumerated in deterministic registration order (the
-/// same order as Parameters()), which the checkpoint quantized section
-/// relies on.
-struct QuantizedSlot {
-  const Tensor* weight = nullptr;
-  const QuantizedWeightCache* cache = nullptr;
-};
-
 /// Parameterized module base. Subclasses register parameters with
 /// RegisterParameter and sub-modules with RegisterModule; Parameters()
 /// returns the transitive closure.
@@ -49,12 +38,6 @@ class Module {
 
   /// Copies parameter values from another module with identical structure.
   void CopyParametersFrom(const Module& other);
-
-  /// Appends this module's quantizable weight slots (transitively, in
-  /// registration order). Default recurses into registered children;
-  /// modules owning a quantized GEMM weight (Linear, GCN/GAT projections)
-  /// override to append their slots.
-  virtual void CollectQuantizedSlots(std::vector<QuantizedSlot>& out) const;
 
  protected:
   Module() = default;

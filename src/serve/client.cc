@@ -307,13 +307,11 @@ StatusOr<WireRepair> ServeClient::Repair(const std::string& tenant,
 }
 
 Status ServeClient::Deploy(const std::string& tenant,
-                           const std::string& checkpoint_path,
-                           bool quantized) {
+                           const std::string& checkpoint_path) {
   WireRequest request;
   request.verb = WireVerb::kDeploy;
   request.tenant = tenant;
   request.body = checkpoint_path;
-  if (quantized) request.body += "\nquantized=1";
   DQUAG_ASSIGN_OR_RETURN(WireResponse response, Call(request));
   return StatusForResponse(response);
 }

@@ -96,11 +96,10 @@ class ServeClient {
   StatusOr<WireRepair> Repair(const std::string& tenant,
                               const std::string& csv_text);
 
-  /// Deploys (or hot-swaps) `checkpoint_path` under `tenant`. With
-  /// `quantized` the tenant serves on the int8 engine (margin re-checked
-  /// against the float path; see ValidationMode). Never retried.
+  /// Deploys (or hot-swaps) `checkpoint_path` under `tenant`. Never
+  /// retried.
   Status Deploy(const std::string& tenant,
-                const std::string& checkpoint_path, bool quantized = false);
+                const std::string& checkpoint_path);
 
   /// Per-tenant serving stats; `tenant` empty = all tenants.
   StatusOr<std::vector<TenantStatsSnapshot>> Stats(

@@ -31,12 +31,9 @@ ModelRegistry::ModelRegistry(ModelRegistryOptions options)
 }
 
 StatusOr<std::shared_ptr<const ValidationService>>
-ModelRegistry::LoadService(const std::string& path,
-                           const DeployOptions& deploy) const {
+ModelRegistry::LoadService(const std::string& path) const {
   DQUAG_FAILPOINT(failpoint::kRegistryLoad);
-  ValidationServiceOptions svc = options_.service;
-  if (deploy.quantized) svc.quantized = true;
-  auto service = ValidationService::FromCheckpoint(path, svc);
+  auto service = ValidationService::FromCheckpoint(path, options_.service);
   if (!service.ok()) return service.status();
   return std::shared_ptr<const ValidationService>(std::move(*service));
 }
@@ -66,13 +63,13 @@ void ModelRegistry::InstallAndEvict(
 }
 
 Status ModelRegistry::Deploy(const std::string& tenant,
-                             const std::string& checkpoint_path) {
-  return Deploy(tenant, checkpoint_path, DeployOptions{});
+                             const std::string& checkpoint_path,
+                             const DeployOptions& /*deploy*/) {
+  return Deploy(tenant, checkpoint_path);
 }
 
 Status ModelRegistry::Deploy(const std::string& tenant,
-                             const std::string& checkpoint_path,
-                             const DeployOptions& deploy) {
+                             const std::string& checkpoint_path) {
   if (tenant.empty()) {
     return Status::InvalidArgument("tenant key must be non-empty");
   }
@@ -87,7 +84,6 @@ Status ModelRegistry::Deploy(const std::string& tenant,
     if (!resident) {
       // Lazy path: record where the model lives; the first Acquire loads.
       entry->path = checkpoint_path;
-      entry->deploy = deploy;
       ++entry->deploy_seq;
       return Status::Ok();
     }
@@ -96,12 +92,11 @@ Status ModelRegistry::Deploy(const std::string& tenant,
   // old model serves every request until the replacement is ready, and a
   // failed load changes nothing. load_mutex keeps lazy loaders out.
   std::lock_guard<std::mutex> load_lock(entry->load_mutex);
-  auto service = LoadService(checkpoint_path, deploy);
+  auto service = LoadService(checkpoint_path);
   if (!service.ok()) return service.status();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     entry->path = checkpoint_path;
-    entry->deploy = deploy;
     ++entry->deploy_seq;
     entry->counters.RecordLoad();
     entry->counters.RecordSwap();
@@ -131,7 +126,6 @@ StatusOr<std::shared_ptr<const ValidationService>> ModelRegistry::Acquire(
   std::lock_guard<std::mutex> load_lock(entry->load_mutex);
   for (;;) {
     std::string path;
-    DeployOptions deploy;
     uint64_t seq = 0;
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -140,10 +134,9 @@ StatusOr<std::shared_ptr<const ValidationService>> ModelRegistry::Acquire(
         return entry->service;
       }
       path = entry->path;
-      deploy = entry->deploy;
       seq = entry->deploy_seq;
     }
-    auto service = LoadService(path, deploy);
+    auto service = LoadService(path);
     // Fail closed: a torn or missing checkpoint never installs a
     // half-initialized service — the entry simply stays non-resident (or,
     // after a failed re-deploy, keeps its old model) and the caller gets a
@@ -200,17 +193,6 @@ StatusOr<std::string> ModelRegistry::DeployedPath(
                             "'");
   }
   return it->second->path;
-}
-
-StatusOr<DeployOptions> ModelRegistry::GetDeployOptions(
-    const std::string& tenant) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(tenant);
-  if (it == entries_.end()) {
-    return Status::NotFound("no model deployed for tenant '" + tenant +
-                            "'");
-  }
-  return it->second->deploy;
 }
 
 std::vector<TenantStatsSnapshot> ModelRegistry::StatsSnapshot() const {

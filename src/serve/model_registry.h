@@ -38,10 +38,9 @@
 
 namespace dquag {
 
-/// Per-deployment knobs carried alongside the checkpoint path.
+/// Accepted and ignored: every tenant serves the float engine. The
+/// perfbench harness still deploys with it; it goes with ROADMAP item 11.
 struct DeployOptions {
-  /// Serve this tenant's validation on the int8 quantized engine (see
-  /// ValidationMode); the margin re-check keeps verdicts float-faithful.
   bool quantized = false;
 };
 
@@ -69,7 +68,7 @@ class ModelRegistry {
   Status Deploy(const std::string& tenant,
                 const std::string& checkpoint_path);
 
-  /// Deploy with per-tenant serving options (e.g. quantized inference).
+  /// The two-argument Deploy; `deploy` is ignored (see DeployOptions).
   Status Deploy(const std::string& tenant, const std::string& checkpoint_path,
                 const DeployOptions& deploy);
 
@@ -126,10 +125,6 @@ class ModelRegistry {
   /// unknown). The retrain loop seeds its fine-tune from this.
   StatusOr<std::string> DeployedPath(const std::string& tenant) const;
 
-  /// The per-tenant deploy options currently in effect (NotFound if
-  /// unknown), so a retrain swap preserves e.g. quantized serving.
-  StatusOr<DeployOptions> GetDeployOptions(const std::string& tenant) const;
-
   /// Snapshot of every tenant's stats, sorted by tenant key. Resident
   /// entries also report their service's live monitor state (rows folded,
   /// drifting-column count, alarm).
@@ -150,7 +145,6 @@ class ModelRegistry {
  private:
   struct Entry {
     std::string path;       // guarded by ModelRegistry::mutex_
-    DeployOptions deploy;   // guarded by mutex_
     uint64_t deploy_seq = 0;  // bumped per Deploy; guards lazy-load races
     std::shared_ptr<const ValidationService> service;  // guarded by mutex_
     uint64_t last_used = 0;                            // guarded by mutex_
@@ -159,10 +153,10 @@ class ModelRegistry {
     TenantCounters counters;
   };
 
-  /// Loads `path` into a service (no registry lock held), applying the
-  /// deployment's per-tenant options on top of the registry-wide ones.
+  /// Loads `path` into a service (no registry lock held) with the
+  /// registry-wide service options.
   StatusOr<std::shared_ptr<const ValidationService>> LoadService(
-      const std::string& path, const DeployOptions& deploy) const;
+      const std::string& path) const;
 
   /// Installs `service` for `entry` under mutex_, touches the LRU clock and
   /// evicts the least-recently-used other resident entry while over budget.

@@ -410,33 +410,14 @@ WireResponse ServeDaemon::HandleValidate(const WireRequest& request,
 }
 
 WireResponse ServeDaemon::HandleDeploy(const WireRequest& request) {
-  if (request.body.empty()) {
+  // Body: the checkpoint path alone. Deploy takes no options, so a body
+  // with a second line is refused rather than half-read.
+  if (request.body.empty() ||
+      request.body.find('\n') != std::string::npos) {
     return ErrorResponse(request.request_id, WireCode::kBadRequest,
-                         "deploy body must be a checkpoint path");
+                         "deploy body must be a checkpoint path alone");
   }
-  // Body: checkpoint path, optionally followed by newline-separated
-  // options ("quantized=1"). A bare path is the pre-options wire form.
-  std::string path = request.body;
-  DeployOptions deploy;
-  const size_t newline = path.find('\n');
-  if (newline != std::string::npos) {
-    std::string rest = path.substr(newline + 1);
-    path.resize(newline);
-    while (!rest.empty()) {
-      const size_t next = rest.find('\n');
-      const std::string option = rest.substr(0, next);
-      rest = next == std::string::npos ? "" : rest.substr(next + 1);
-      if (option == "quantized=1") {
-        deploy.quantized = true;
-      } else if (option == "quantized=0" || option.empty()) {
-        // accepted no-ops
-      } else {
-        return ErrorResponse(request.request_id, WireCode::kBadRequest,
-                             "unknown deploy option: " + option);
-      }
-    }
-  }
-  const Status status = registry_.Deploy(request.tenant, path, deploy);
+  const Status status = registry_.Deploy(request.tenant, request.body);
   if (!status.ok()) {
     const WireCode code = status.code() == StatusCode::kInvalidArgument
                               ? WireCode::kBadRequest
@@ -496,13 +477,10 @@ RetrainController* ServeDaemon::ControllerFor(const std::string& tenant) {
   if (!path.ok()) return nullptr;
   auto controller = std::make_unique<RetrainController>(
       *path, options_.retrain,
-      // The zero-drop swap: re-deploy through the registry, preserving the
-      // tenant's deploy options (e.g. quantized serving). A failed load
+      // The zero-drop swap: re-deploy through the registry. A failed load
       // inside Deploy leaves the old model serving.
       [this, tenant](const std::string& new_path) {
-        auto deploy = registry_.GetDeployOptions(tenant);
-        return registry_.Deploy(tenant, new_path,
-                                deploy.ok() ? *deploy : DeployOptions{});
+        return registry_.Deploy(tenant, new_path);
       });
   RetrainController* raw = controller.get();
   controllers_[tenant] = std::move(controller);

@@ -48,8 +48,7 @@ enum class WireVerb : uint64_t {
   kPing = 0,
   kValidate = 1,   // body: CSV text (header + rows) in the tenant's schema
   kRepair = 2,     // body: CSV text; response body: repaired CSV + totals
-  kDeploy = 3,     // body: checkpoint path on the server's filesystem,
-                   // optionally + "\nquantized=1" (int8 serving)
+  kDeploy = 3,     // body: checkpoint path on the server's filesystem
   kStats = 4,      // body: empty (all tenants) or a tenant name filter
   kShutdown = 5,   // asks the daemon to exit its serve loop
 };

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -24,12 +22,10 @@
 #define DQUAG_SIMD_HAVE_NEON 0
 #endif
 
-// The AVX-512 table needs BW (16-bit lane ops for the int8 GEMM) and VNNI
-// (vpdpwssd) on top of F; it also reuses AVX2 kernels (the dot-product
-// family, remainder strips and tails), so it only exists when the AVX2 table
-// does.
-#if DQUAG_SIMD_HAVE_AVX2 && defined(__AVX512F__) && defined(__AVX512BW__) && \
-    defined(__AVX512VNNI__)
+// The AVX-512 table needs only AVX-512F; it also reuses AVX2 kernels (the
+// dot-product family, remainder strips and tails), so it only exists when
+// the AVX2 table does.
+#if DQUAG_SIMD_HAVE_AVX2 && defined(__AVX512F__)
 #define DQUAG_SIMD_HAVE_AVX512 1
 #else
 #define DQUAG_SIMD_HAVE_AVX512 0
@@ -263,62 +259,11 @@ void SharedSegmentSoftmaxCsr(float* row, const int64_t* offsets,
   }
 }
 
-void ScalarQuantizeRows(const float* x, int64_t rows, int64_t k,
-                        int64_t k_padded, int8_t* xq, float* scales) {
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* xr = x + r * k;
-    int8_t* q = xq + r * k_padded;
-    float maxabs = 0.0f;
-    for (int64_t j = 0; j < k; ++j) {
-      maxabs = std::max(maxabs, std::fabs(xr[j]));
-    }
-    if (maxabs == 0.0f) {
-      scales[r] = 0.0f;
-      std::memset(q, 0, static_cast<size_t>(k_padded));
-      continue;
-    }
-    scales[r] = maxabs / 127.0f;
-    const float inv = 127.0f / maxabs;
-    for (int64_t j = 0; j < k; ++j) {
-      // Round-to-nearest-even (default mode), matching cvtps2dq lanes.
-      int32_t v = static_cast<int32_t>(std::lrintf(xr[j] * inv));
-      v = std::min(127, std::max(-127, v));
-      q[j] = static_cast<int8_t>(v);
-    }
-    for (int64_t j = k; j < k_padded; ++j) q[j] = 0;
-  }
-}
-
-void ScalarQgemm(const int8_t* xq, const float* x_scales,
-                 const int16_t* w_packed, const float* w_scales,
-                 const float* bias, float* out, int64_t rows, int64_t k_padded,
-                 int64_t n) {
-  const int64_t pairs = k_padded / 2;
-  for (int64_t r = 0; r < rows; ++r) {
-    const int8_t* xr = xq + r * k_padded;
-    const float xs = x_scales[r];
-    float* orow = out + r * n;
-    for (int64_t c = 0; c < n; ++c) {
-      const int16_t* wp = w_packed + c * 2;
-      int32_t acc = 0;
-      for (int64_t p = 0; p < pairs; ++p) {
-        acc += static_cast<int32_t>(xr[2 * p]) * wp[p * 2 * n + 0] +
-               static_cast<int32_t>(xr[2 * p + 1]) * wp[p * 2 * n + 1];
-      }
-      const float combined = xs * w_scales[c];
-      const float accf = static_cast<float>(acc);
-      orow[c] = bias != nullptr ? FusedMulAdd(accf, combined, bias[c])
-                                : accf * combined;
-    }
-  }
-}
-
 const SimdKernelTable kScalarTable = {
     "scalar",        ScalarMatMul,     ScalarMatMulTransA,
     ScalarMatMulTransB, ScalarDualMatVec, ScalarReadoutDot,
     ScalarExpInplace,   ScalarElu,        ScalarAxpy,
-    ScalarAddProduct,   SharedSegmentSoftmaxCsr, ScalarQuantizeRows,
-    ScalarQgemm,
+    ScalarAddProduct,   SharedSegmentSoftmaxCsr,
 };
 
 }  // namespace
@@ -685,210 +630,11 @@ void Avx2AddProduct(const float* a, const float* b, float s, float* out,
   }
 }
 
-void Avx2QuantizeRows(const float* x, int64_t rows, int64_t k,
-                      int64_t k_padded, int8_t* xq, float* scales) {
-  const __m256 absmask =
-      _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* xr = x + r * k;
-    int8_t* q = xq + r * k_padded;
-    // max|x| is order-independent over finite floats, so the vector
-    // reduction matches the scalar loop's value exactly.
-    __m256 mv = _mm256_setzero_ps();
-    int64_t j = 0;
-    for (; j + 8 <= k; j += 8) {
-      mv = _mm256_max_ps(mv, _mm256_and_ps(_mm256_loadu_ps(xr + j), absmask));
-    }
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, mv);
-    float maxabs = 0.0f;
-    for (int t = 0; t < 8; ++t) maxabs = std::max(maxabs, lanes[t]);
-    for (; j < k; ++j) maxabs = std::max(maxabs, std::fabs(xr[j]));
-    if (maxabs == 0.0f) {
-      scales[r] = 0.0f;
-      std::memset(q, 0, static_cast<size_t>(k_padded));
-      continue;
-    }
-    scales[r] = maxabs / 127.0f;
-    const float inv = 127.0f / maxabs;
-    const __m256 invv = _mm256_set1_ps(inv);
-    const __m256i lo = _mm256_set1_epi32(-127);
-    const __m256i hi = _mm256_set1_epi32(127);
-    j = 0;
-    for (; j + 8 <= k; j += 8) {
-      __m256i vi =
-          _mm256_cvtps_epi32(_mm256_mul_ps(_mm256_loadu_ps(xr + j), invv));
-      vi = _mm256_min_epi32(hi, _mm256_max_epi32(lo, vi));
-      const __m128i a = _mm256_castsi256_si128(vi);
-      const __m128i b = _mm256_extracti128_si256(vi, 1);
-      const __m128i w16 = _mm_packs_epi32(a, b);
-      const __m128i w8 = _mm_packs_epi16(w16, w16);
-      _mm_storel_epi64(reinterpret_cast<__m128i*>(q + j), w8);
-    }
-    for (; j < k; ++j) {
-      int32_t v = static_cast<int32_t>(std::lrintf(xr[j] * inv));
-      v = std::min(127, std::max(-127, v));
-      q[j] = static_cast<int8_t>(v);
-    }
-    for (j = k; j < k_padded; ++j) q[j] = 0;
-  }
-}
-
-/// int8 GEMM on the interleaved k-pair weight layout: vpmaddwd retires two
-/// k-steps per int32 lane, 8 output columns per vector. Activation pairs
-/// come from a cvtepi8_epi16 register, broadcast per pair with vpermd.
-/// Integer accumulation is exact, so this matches ScalarQgemm bit-for-bit;
-/// the single float requantization step uses the same mul+FMA sequence.
-void Avx2Qgemm(const int8_t* xq, const float* x_scales,
-               const int16_t* w_packed, const float* w_scales,
-               const float* bias, float* out, int64_t rows, int64_t k_padded,
-               int64_t n) {
-  const int64_t pairs = k_padded / 2;
-  const int64_t pair_groups = pairs / 8;  // 8 pairs = 16 activation bytes
-  int64_t r = 0;
-  auto scalar_cols = [&](int64_t row, int64_t c_begin) {
-    const int8_t* xr = xq + row * k_padded;
-    const float xs = x_scales[row];
-    float* orow = out + row * n;
-    for (int64_t c = c_begin; c < n; ++c) {
-      const int16_t* wp = w_packed + c * 2;
-      int32_t acc = 0;
-      for (int64_t p = 0; p < pairs; ++p) {
-        acc += static_cast<int32_t>(xr[2 * p]) * wp[p * 2 * n + 0] +
-               static_cast<int32_t>(xr[2 * p + 1]) * wp[p * 2 * n + 1];
-      }
-      const float combined = xs * w_scales[c];
-      const float accf = static_cast<float>(acc);
-      orow[c] = bias != nullptr ? FusedMulAdd(accf, combined, bias[c])
-                                : accf * combined;
-    }
-  };
-  for (; r + 4 <= rows; r += 4) {
-    const int8_t* x0 = xq + (r + 0) * k_padded;
-    const int8_t* x1 = xq + (r + 1) * k_padded;
-    const int8_t* x2 = xq + (r + 2) * k_padded;
-    const int8_t* x3 = xq + (r + 3) * k_padded;
-    int64_t c0 = 0;
-    for (; c0 + 8 <= n; c0 += 8) {
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      __m256i acc2 = _mm256_setzero_si256();
-      __m256i acc3 = _mm256_setzero_si256();
-      const int16_t* wbase = w_packed + c0 * 2;
-      for (int64_t g = 0; g < pair_groups; ++g) {
-        const int64_t pbase = g * 8;
-        const __m256i cv0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(x0 + 2 * pbase)));
-        const __m256i cv1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(x1 + 2 * pbase)));
-        const __m256i cv2 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(x2 + 2 * pbase)));
-        const __m256i cv3 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(x3 + 2 * pbase)));
-        for (int64_t q = 0; q < 8; ++q) {
-          const __m256i w = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-              wbase + (pbase + q) * 2 * n));
-          const __m256i sel = _mm256_set1_epi32(static_cast<int>(q));
-          acc0 = _mm256_add_epi32(
-              acc0, _mm256_madd_epi16(
-                        w, _mm256_permutevar8x32_epi32(cv0, sel)));
-          acc1 = _mm256_add_epi32(
-              acc1, _mm256_madd_epi16(
-                        w, _mm256_permutevar8x32_epi32(cv1, sel)));
-          acc2 = _mm256_add_epi32(
-              acc2, _mm256_madd_epi16(
-                        w, _mm256_permutevar8x32_epi32(cv2, sel)));
-          acc3 = _mm256_add_epi32(
-              acc3, _mm256_madd_epi16(
-                        w, _mm256_permutevar8x32_epi32(cv3, sel)));
-        }
-      }
-      for (int64_t p = pair_groups * 8; p < pairs; ++p) {  // pair tail
-        const __m256i w = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(wbase + p * 2 * n));
-        auto pair = [&](const int8_t* xr) {
-          const int32_t v =
-              static_cast<int32_t>(static_cast<uint16_t>(
-                  static_cast<int16_t>(xr[2 * p]))) |
-              (static_cast<int32_t>(xr[2 * p + 1]) << 16);
-          return _mm256_set1_epi32(v);
-        };
-        acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(w, pair(x0)));
-        acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(w, pair(x1)));
-        acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(w, pair(x2)));
-        acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(w, pair(x3)));
-      }
-      const __m256 ws = _mm256_loadu_ps(w_scales + c0);
-      const __m256 bv =
-          bias != nullptr ? _mm256_loadu_ps(bias + c0) : _mm256_setzero_ps();
-      auto store = [&](int64_t row, __m256i acc) {
-        const __m256 combined =
-            _mm256_mul_ps(_mm256_set1_ps(x_scales[row]), ws);
-        const __m256 accf = _mm256_cvtepi32_ps(acc);
-        const __m256 res = bias != nullptr
-                               ? _mm256_fmadd_ps(accf, combined, bv)
-                               : _mm256_mul_ps(accf, combined);
-        _mm256_storeu_ps(out + row * n + c0, res);
-      };
-      store(r + 0, acc0);
-      store(r + 1, acc1);
-      store(r + 2, acc2);
-      store(r + 3, acc3);
-    }
-    if (c0 < n) {
-      scalar_cols(r + 0, c0);
-      scalar_cols(r + 1, c0);
-      scalar_cols(r + 2, c0);
-      scalar_cols(r + 3, c0);
-    }
-  }
-  for (; r < rows; ++r) {  // row remainder
-    const int8_t* x0 = xq + r * k_padded;
-    int64_t c0 = 0;
-    for (; c0 + 8 <= n; c0 += 8) {
-      __m256i acc0 = _mm256_setzero_si256();
-      const int16_t* wbase = w_packed + c0 * 2;
-      for (int64_t g = 0; g < pair_groups; ++g) {
-        const int64_t pbase = g * 8;
-        const __m256i cv0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(x0 + 2 * pbase)));
-        for (int64_t q = 0; q < 8; ++q) {
-          const __m256i w = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-              wbase + (pbase + q) * 2 * n));
-          acc0 = _mm256_add_epi32(
-              acc0, _mm256_madd_epi16(
-                        w, _mm256_permutevar8x32_epi32(
-                               cv0, _mm256_set1_epi32(static_cast<int>(q)))));
-        }
-      }
-      for (int64_t p = pair_groups * 8; p < pairs; ++p) {
-        const __m256i w = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(wbase + p * 2 * n));
-        const int32_t v = static_cast<int32_t>(static_cast<uint16_t>(
-                              static_cast<int16_t>(x0[2 * p]))) |
-                          (static_cast<int32_t>(x0[2 * p + 1]) << 16);
-        acc0 = _mm256_add_epi32(acc0,
-                                _mm256_madd_epi16(w, _mm256_set1_epi32(v)));
-      }
-      const __m256 ws = _mm256_loadu_ps(w_scales + c0);
-      const __m256 combined = _mm256_mul_ps(_mm256_set1_ps(x_scales[r]), ws);
-      const __m256 accf = _mm256_cvtepi32_ps(acc0);
-      const __m256 res =
-          bias != nullptr
-              ? _mm256_fmadd_ps(accf, combined, _mm256_loadu_ps(bias + c0))
-              : _mm256_mul_ps(accf, combined);
-      _mm256_storeu_ps(out + r * n + c0, res);
-    }
-    if (c0 < n) scalar_cols(r, c0);
-  }
-}
-
 const SimdKernelTable kAvx2Table = {
     "avx2",          Avx2MatMul,     Avx2MatMulTransA,
     Avx2MatMulTransB,   Avx2DualMatVec, ScalarReadoutDot,
     Avx2ExpInplace,     Avx2Elu,        Avx2Axpy,
-    Avx2AddProduct,     SharedSegmentSoftmaxCsr, Avx2QuantizeRows,
-    Avx2Qgemm,
+    Avx2AddProduct,     SharedSegmentSoftmaxCsr,
 };
 
 }  // namespace
@@ -902,8 +648,8 @@ const SimdKernelTable kAvx2Table = {
 //    fused multiply-add per step, regardless of how many columns ride in a
 //    vector. Widening the column tile from ymm to zmm (4 rows x 64 columns
 //    here) therefore preserves every per-element IEEE sequence.
-//  * Elementwise kernels (exp, elu, axpy, add_product, the quantize scale
-//    pass) are per-lane pure, so any width matches the scalar loop.
+//  * Elementwise kernels (exp, elu, axpy, add_product) are per-lane pure, so
+//    any width matches the scalar loop.
 //  * The dot-product family (matmul n==1, matmul_trans_b, dual_matvec,
 //    readout_dot) is DEFINED as 8 strided lanes + ReduceTree8; a 16-lane
 //    accumulator along the dot would change the sum order. matmul_trans_b
@@ -912,9 +658,6 @@ const SimdKernelTable kAvx2Table = {
 //    dual_matvec stay on the AVX2 bodies; readout_dot runs the scalar body
 //    on both x86 tables (its 64-wide dots were slower through a ymm
 //    accumulator and a stack fold than as the compiler's own code).
-//  * qgemm accumulates in int32 — exact at any width — which is where
-//    AVX-512 VNNI's vpdpwssd (32 int16 MACs per instruction, accumulating)
-//    earns the table its keep.
 // ---------------------------------------------------------------------------
 
 #if DQUAG_SIMD_HAVE_AVX512
@@ -1194,506 +937,11 @@ void Avx512AddProduct(const float* a, const float* b, float s, float* out,
   Avx2AddProduct(a + i, b + i, s, out + i, n - i);
 }
 
-void Avx512QuantizeRows(const float* x, int64_t rows, int64_t k,
-                        int64_t k_padded, int8_t* xq, float* scales) {
-  // Pass 1: per-row max|x|. An exact (order-independent) reduction over
-  // finite floats, so the vector fold matches the scalar scan bitwise.
-  thread_local std::vector<float> maxbuf;
-  thread_local std::vector<float> invbuf;
-  maxbuf.resize(static_cast<size_t>(std::max<int64_t>(rows, 1)));
-  invbuf.resize(static_cast<size_t>(std::max<int64_t>(rows, 1)));
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* xr = x + r * k;
-    // (|x| via sign-bit mask and a shuffle-tree fold instead of
-    // _mm512_abs_ps/_mm512_reduce_max_ps: same values, but those two expand
-    // to masked builtins with an undefined operand that trips GCC's
-    // -Wmaybe-uninitialized.)
-    const __m512i absmask = _mm512_set1_epi32(0x7fffffff);
-    __m512 mv = _mm512_setzero_ps();
-    int64_t j = 0;
-    for (; j + 16 <= k; j += 16) {
-      // Integer-domain AND clears the sign bit (plain _mm512_and_ps would
-      // need AVX512DQ, which this table does not require).
-      const __m512 av = _mm512_castsi512_ps(_mm512_and_si512(
-          _mm512_castps_si512(_mm512_loadu_ps(xr + j)), absmask));
-      mv = _mm512_max_ps(mv, av);
-    }
-    // max is associative and exact, so the fold order cannot change the
-    // result versus the scalar scan.
-    __m512 t = _mm512_max_ps(mv, _mm512_shuffle_f32x4(mv, mv, 0x4E));
-    t = _mm512_max_ps(t, _mm512_shuffle_f32x4(t, t, 0xB1));
-    t = _mm512_max_ps(t, _mm512_permute_ps(t, 0x4E));
-    t = _mm512_max_ps(t, _mm512_permute_ps(t, 0xB1));
-    float maxabs = _mm512_cvtss_f32(t);
-    for (; j < k; ++j) maxabs = std::max(maxabs, std::fabs(xr[j]));
-    maxbuf[static_cast<size_t>(r)] = maxabs;
-  }
-  // Pass 2: scale = maxabs/127 and inv = 127/maxabs for 16 rows per vdivps
-  // (each lane is the same IEEE divide the scalar kernel issues per row,
-  // just batched — divss back-to-back per row costs more than the rest of
-  // the row's quantization). An all-zero row divides to +0.0 and +inf; the
-  // +0.0 is bitwise the scalar kernel's literal 0.0f scale and the inf is
-  // never read (pass 3 branches on maxabs, exactly like the scalar code).
-  {
-    const __m512 k127 = _mm512_set1_ps(127.0f);
-    int64_t r = 0;
-    for (; r + 16 <= rows; r += 16) {
-      const __m512 m = _mm512_loadu_ps(maxbuf.data() + r);
-      _mm512_storeu_ps(scales + r, _mm512_div_ps(m, k127));
-      _mm512_storeu_ps(invbuf.data() + r, _mm512_div_ps(k127, m));
-    }
-    for (; r < rows; ++r) {
-      const float m = maxbuf[static_cast<size_t>(r)];
-      scales[r] = m / 127.0f;
-      invbuf[static_cast<size_t>(r)] = 127.0f / m;
-    }
-  }
-  // Pass 3: quantize each row with its precomputed reciprocal scale.
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* xr = x + r * k;
-    int8_t* q = xq + r * k_padded;
-    if (maxbuf[static_cast<size_t>(r)] == 0.0f) {
-      scales[r] = 0.0f;
-      std::memset(q, 0, static_cast<size_t>(k_padded));
-      continue;
-    }
-    const float inv = invbuf[static_cast<size_t>(r)];
-    const __m512 invv = _mm512_set1_ps(inv);
-    const __m512i lo = _mm512_set1_epi32(-127);
-    const __m512i hi = _mm512_set1_epi32(127);
-    int64_t j = 0;
-    for (; j + 16 <= k; j += 16) {
-      // cvtps rounds to nearest-even, matching the scalar lrintf lanes.
-      __m512i vi =
-          _mm512_cvtps_epi32(_mm512_mul_ps(_mm512_loadu_ps(xr + j), invv));
-      vi = _mm512_min_epi32(hi, _mm512_max_epi32(lo, vi));
-      // maskz variant: all lanes kept, but the zeroed source operand keeps
-      // GCC's -Wmaybe-uninitialized quiet (the plain form passes undef).
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(q + j),
-                       _mm512_maskz_cvtsepi32_epi8(0xFFFF, vi));
-    }
-    for (; j < k; ++j) {
-      int32_t v = static_cast<int32_t>(std::lrintf(xr[j] * inv));
-      v = std::min(127, std::max(-127, v));
-      q[j] = static_cast<int8_t>(v);
-    }
-    for (j = k; j < k_padded; ++j) q[j] = 0;
-  }
-}
-
-/// int8 GEMM on the same interleaved k-pair layout as Avx2Qgemm, but with
-/// VNNI: vpdpwssd retires 16 column-pairs (32 MACs) per instruction with the
-/// accumulate folded in — no permute or separate add. Activation rows are
-/// pre-widened once into sign-extended int16 pairs so the inner loop
-/// broadcasts each pair with a single vpbroadcastd load. Integer
-/// accumulation is exact, so results match ScalarQgemm bit-for-bit.
-/// Small-batch fallback for Avx512Qgemm below, which repacks the weights per
-/// call — only worth it when enough rows amortize the repack.
-void Avx512QgemmPairs(const int8_t* xq, const float* x_scales,
-                      const int16_t* w_packed, const float* w_scales,
-                      const float* bias, float* out, int64_t rows,
-                      int64_t k_padded, int64_t n) {
-  const int64_t pairs = k_padded / 2;
-  auto scalar_cols = [&](int64_t row, int64_t c_begin) {
-    const int8_t* xr = xq + row * k_padded;
-    const float xs = x_scales[row];
-    float* orow = out + row * n;
-    for (int64_t c = c_begin; c < n; ++c) {
-      const int16_t* wp = w_packed + c * 2;
-      int32_t acc = 0;
-      for (int64_t p = 0; p < pairs; ++p) {
-        acc += static_cast<int32_t>(xr[2 * p]) * wp[p * 2 * n + 0] +
-               static_cast<int32_t>(xr[2 * p + 1]) * wp[p * 2 * n + 1];
-      }
-      const float combined = xs * w_scales[c];
-      const float accf = static_cast<float>(acc);
-      orow[c] = bias != nullptr ? FusedMulAdd(accf, combined, bias[c])
-                                : accf * combined;
-    }
-  };
-  // Per-thread staging for the widened activation pairs (4 rows in flight).
-  thread_local std::vector<int32_t> widened;
-  widened.resize(static_cast<size_t>(4 * std::max<int64_t>(pairs, 1)));
-  auto widen_row = [&](const int8_t* xr, int32_t* buf) {
-    int64_t p = 0;
-    for (; (p + 16) * 2 <= k_padded; p += 16) {
-      const __m256i bytes = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(xr + 2 * p));
-      _mm512_storeu_si512(buf + p, _mm512_cvtepi8_epi16(bytes));
-    }
-    for (; p < pairs; ++p) {
-      buf[p] = static_cast<int32_t>(static_cast<uint16_t>(
-                   static_cast<int16_t>(xr[2 * p]))) |
-               (static_cast<int32_t>(xr[2 * p + 1]) << 16);
-    }
-  };
-  int64_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    int32_t* b0 = widened.data();
-    int32_t* b1 = b0 + pairs;
-    int32_t* b2 = b1 + pairs;
-    int32_t* b3 = b2 + pairs;
-    widen_row(xq + (r + 0) * k_padded, b0);
-    widen_row(xq + (r + 1) * k_padded, b1);
-    widen_row(xq + (r + 2) * k_padded, b2);
-    widen_row(xq + (r + 3) * k_padded, b3);
-    // Requantize one 16-column stripe of one row. Same op order everywhere:
-    // combined = xs * ws, then fmadd(accf, combined, bias) or mul.
-    auto store16 = [&](int64_t row, int64_t c0, __m512i acc) {
-      const __m512 ws = _mm512_loadu_ps(w_scales + c0);
-      const __m512 combined = _mm512_mul_ps(_mm512_set1_ps(x_scales[row]), ws);
-      const __m512 accf = _mm512_cvtepi32_ps(acc);
-      const __m512 res =
-          bias != nullptr
-              ? _mm512_fmadd_ps(accf, combined, _mm512_loadu_ps(bias + c0))
-              : _mm512_mul_ps(accf, combined);
-      _mm512_storeu_ps(out + row * n + c0, res);
-    };
-    int64_t c0 = 0;
-    // 4 rows x 64 columns: the four activation broadcasts are hoisted across
-    // four weight stripes, so each pair costs 4 loads + 4 broadcasts + 16
-    // vpdpwssd for 512 MACs (vs 16 broadcasts when striping 16 columns at a
-    // time). 16 accumulators + 4 weight vectors stay within 32 zmm regs.
-    for (; c0 + 64 <= n; c0 += 64) {
-      __m512i acc00 = _mm512_setzero_si512(), acc01 = _mm512_setzero_si512();
-      __m512i acc02 = _mm512_setzero_si512(), acc03 = _mm512_setzero_si512();
-      __m512i acc10 = _mm512_setzero_si512(), acc11 = _mm512_setzero_si512();
-      __m512i acc12 = _mm512_setzero_si512(), acc13 = _mm512_setzero_si512();
-      __m512i acc20 = _mm512_setzero_si512(), acc21 = _mm512_setzero_si512();
-      __m512i acc22 = _mm512_setzero_si512(), acc23 = _mm512_setzero_si512();
-      __m512i acc30 = _mm512_setzero_si512(), acc31 = _mm512_setzero_si512();
-      __m512i acc32 = _mm512_setzero_si512(), acc33 = _mm512_setzero_si512();
-      const int16_t* wbase = w_packed + c0 * 2;
-      for (int64_t p = 0; p < pairs; ++p) {
-        const int16_t* wp = wbase + p * 2 * n;
-        const __m512i w0 = _mm512_loadu_si512(wp);
-        const __m512i w1 = _mm512_loadu_si512(wp + 32);
-        const __m512i w2 = _mm512_loadu_si512(wp + 64);
-        const __m512i w3 = _mm512_loadu_si512(wp + 96);
-        const __m512i a0 = _mm512_set1_epi32(b0[p]);
-        const __m512i a1 = _mm512_set1_epi32(b1[p]);
-        const __m512i a2 = _mm512_set1_epi32(b2[p]);
-        const __m512i a3 = _mm512_set1_epi32(b3[p]);
-        acc00 = _mm512_dpwssd_epi32(acc00, w0, a0);
-        acc01 = _mm512_dpwssd_epi32(acc01, w1, a0);
-        acc02 = _mm512_dpwssd_epi32(acc02, w2, a0);
-        acc03 = _mm512_dpwssd_epi32(acc03, w3, a0);
-        acc10 = _mm512_dpwssd_epi32(acc10, w0, a1);
-        acc11 = _mm512_dpwssd_epi32(acc11, w1, a1);
-        acc12 = _mm512_dpwssd_epi32(acc12, w2, a1);
-        acc13 = _mm512_dpwssd_epi32(acc13, w3, a1);
-        acc20 = _mm512_dpwssd_epi32(acc20, w0, a2);
-        acc21 = _mm512_dpwssd_epi32(acc21, w1, a2);
-        acc22 = _mm512_dpwssd_epi32(acc22, w2, a2);
-        acc23 = _mm512_dpwssd_epi32(acc23, w3, a2);
-        acc30 = _mm512_dpwssd_epi32(acc30, w0, a3);
-        acc31 = _mm512_dpwssd_epi32(acc31, w1, a3);
-        acc32 = _mm512_dpwssd_epi32(acc32, w2, a3);
-        acc33 = _mm512_dpwssd_epi32(acc33, w3, a3);
-      }
-      store16(r + 0, c0, acc00);
-      store16(r + 0, c0 + 16, acc01);
-      store16(r + 0, c0 + 32, acc02);
-      store16(r + 0, c0 + 48, acc03);
-      store16(r + 1, c0, acc10);
-      store16(r + 1, c0 + 16, acc11);
-      store16(r + 1, c0 + 32, acc12);
-      store16(r + 1, c0 + 48, acc13);
-      store16(r + 2, c0, acc20);
-      store16(r + 2, c0 + 16, acc21);
-      store16(r + 2, c0 + 32, acc22);
-      store16(r + 2, c0 + 48, acc23);
-      store16(r + 3, c0, acc30);
-      store16(r + 3, c0 + 16, acc31);
-      store16(r + 3, c0 + 32, acc32);
-      store16(r + 3, c0 + 48, acc33);
-    }
-    for (; c0 + 16 <= n; c0 += 16) {
-      __m512i acc0 = _mm512_setzero_si512();
-      __m512i acc1 = _mm512_setzero_si512();
-      __m512i acc2 = _mm512_setzero_si512();
-      __m512i acc3 = _mm512_setzero_si512();
-      const int16_t* wbase = w_packed + c0 * 2;
-      for (int64_t p = 0; p < pairs; ++p) {
-        const __m512i w = _mm512_loadu_si512(wbase + p * 2 * n);
-        acc0 = _mm512_dpwssd_epi32(acc0, w, _mm512_set1_epi32(b0[p]));
-        acc1 = _mm512_dpwssd_epi32(acc1, w, _mm512_set1_epi32(b1[p]));
-        acc2 = _mm512_dpwssd_epi32(acc2, w, _mm512_set1_epi32(b2[p]));
-        acc3 = _mm512_dpwssd_epi32(acc3, w, _mm512_set1_epi32(b3[p]));
-      }
-      store16(r + 0, c0, acc0);
-      store16(r + 1, c0, acc1);
-      store16(r + 2, c0, acc2);
-      store16(r + 3, c0, acc3);
-    }
-    if (c0 < n) {
-      scalar_cols(r + 0, c0);
-      scalar_cols(r + 1, c0);
-      scalar_cols(r + 2, c0);
-      scalar_cols(r + 3, c0);
-    }
-  }
-  for (; r < rows; ++r) {  // row remainder
-    int32_t* b0 = widened.data();
-    widen_row(xq + r * k_padded, b0);
-    int64_t c0 = 0;
-    for (; c0 + 16 <= n; c0 += 16) {
-      __m512i acc0 = _mm512_setzero_si512();
-      const int16_t* wbase = w_packed + c0 * 2;
-      for (int64_t p = 0; p < pairs; ++p) {
-        const __m512i w = _mm512_loadu_si512(wbase + p * 2 * n);
-        acc0 = _mm512_dpwssd_epi32(acc0, w, _mm512_set1_epi32(b0[p]));
-      }
-      const __m512 ws = _mm512_loadu_ps(w_scales + c0);
-      const __m512 combined = _mm512_mul_ps(_mm512_set1_ps(x_scales[r]), ws);
-      const __m512 accf = _mm512_cvtepi32_ps(acc0);
-      const __m512 res =
-          bias != nullptr
-              ? _mm512_fmadd_ps(accf, combined, _mm512_loadu_ps(bias + c0))
-              : _mm512_mul_ps(accf, combined);
-      _mm512_storeu_ps(out + r * n + c0, res);
-    }
-    if (c0 < n) scalar_cols(r, c0);
-  }
-}
-
-/// Large-batch int8 GEMM: repacks the k-pair weights into k-quads once per
-/// call and runs vpdpbusd, which retires 16 column-quads (64 MACs) per
-/// instruction — double the pair kernel's density. vpdpbusd multiplies
-/// unsigned-by-signed, so activations are biased by +128 (one XOR on the
-/// broadcast word) and the exact bias contribution 128 * sum_k(Wq[k][c]) is
-/// subtracted from each int32 accumulator before requantization. All of
-/// that is exact integer math (|acc_biased| <= k * 255 * 127 fits easily),
-/// so results still match ScalarQgemm bit-for-bit; the float requantize
-/// sequence is byte-for-byte the one every other variant uses. The repack
-/// touches each weight once (one row's worth of GEMM work), which is why
-/// small batches take Avx512QgemmPairs instead.
-void Avx512Qgemm(const int8_t* xq, const float* x_scales,
-                 const int16_t* w_packed, const float* w_scales,
-                 const float* bias, float* out, int64_t rows, int64_t k_padded,
-                 int64_t n) {
-  if (rows < 64 || n < 16) {
-    Avx512QgemmPairs(xq, x_scales, w_packed, w_scales, bias, out, rows,
-                     k_padded, n);
-    return;
-  }
-  const int64_t pairs = k_padded / 2;
-  const int64_t full_quads = k_padded / 4;
-  const bool tail_pair = (k_padded & 3) != 0;  // k_padded is even
-  const int64_t quads = full_quads + (tail_pair ? 1 : 0);
-
-  // Weight repack [quads][n][4] int8 plus the +128-bias correction per
-  // column, staged per thread so steady-state serving allocates nothing.
-  thread_local std::vector<int8_t> wq8;
-  thread_local std::vector<int32_t> corr;
-  wq8.resize(static_cast<size_t>(quads * n * 4));
-  corr.resize(static_cast<size_t>(n));
-  for (int64_t q = 0; q < full_quads; ++q) {
-    const int16_t* p0 = w_packed + (2 * q) * n * 2;
-    const int16_t* p1 = w_packed + (2 * q + 1) * n * 2;
-    int8_t* dst = wq8.data() + q * n * 4;
-    for (int64_t c = 0; c < n; ++c) {
-      dst[4 * c + 0] = static_cast<int8_t>(p0[2 * c + 0]);
-      dst[4 * c + 1] = static_cast<int8_t>(p0[2 * c + 1]);
-      dst[4 * c + 2] = static_cast<int8_t>(p1[2 * c + 0]);
-      dst[4 * c + 3] = static_cast<int8_t>(p1[2 * c + 1]);
-    }
-  }
-  if (tail_pair) {
-    const int16_t* p0 = w_packed + (2 * full_quads) * n * 2;
-    int8_t* dst = wq8.data() + full_quads * n * 4;
-    for (int64_t c = 0; c < n; ++c) {
-      dst[4 * c + 0] = static_cast<int8_t>(p0[2 * c + 0]);
-      dst[4 * c + 1] = static_cast<int8_t>(p0[2 * c + 1]);
-      dst[4 * c + 2] = 0;
-      dst[4 * c + 3] = 0;
-    }
-  }
-  for (int64_t c = 0; c < n; ++c) {
-    int32_t s = 0;
-    for (int64_t p = 0; p < pairs; ++p) {
-      s += w_packed[(p * n + c) * 2 + 0] + w_packed[(p * n + c) * 2 + 1];
-    }
-    corr[static_cast<size_t>(c)] = s * 128;
-  }
-
-  auto scalar_cols = [&](int64_t row, int64_t c_begin) {
-    const int8_t* xr = xq + row * k_padded;
-    const float xs = x_scales[row];
-    float* orow = out + row * n;
-    for (int64_t c = c_begin; c < n; ++c) {
-      const int16_t* wp = w_packed + c * 2;
-      int32_t acc = 0;
-      for (int64_t p = 0; p < pairs; ++p) {
-        acc += static_cast<int32_t>(xr[2 * p]) * wp[p * 2 * n + 0] +
-               static_cast<int32_t>(xr[2 * p + 1]) * wp[p * 2 * n + 1];
-      }
-      const float combined = xs * w_scales[c];
-      const float accf = static_cast<float>(acc);
-      orow[c] = bias != nullptr ? FusedMulAdd(accf, combined, bias[c])
-                                : accf * combined;
-    }
-  };
-
-  // Per-row activation quads, biased to unsigned (XOR 0x80 per byte). The
-  // tail quad is built from the two real bytes so no load crosses into the
-  // next row; its zero weight lanes make the 0x80 filler contribute nothing.
-  thread_local std::vector<uint32_t> aquads;
-  aquads.resize(static_cast<size_t>(4 * quads));
-  auto build_row = [&](const int8_t* xr, uint32_t* buf) {
-    for (int64_t q = 0; q < full_quads; ++q) {
-      uint32_t v;
-      std::memcpy(&v, xr + 4 * q, 4);
-      buf[q] = v ^ 0x80808080u;
-    }
-    if (tail_pair) {
-      const uint32_t v =
-          static_cast<uint32_t>(static_cast<uint8_t>(xr[4 * full_quads])) |
-          (static_cast<uint32_t>(static_cast<uint8_t>(xr[4 * full_quads + 1]))
-           << 8);
-      buf[full_quads] = v ^ 0x80808080u;
-    }
-  };
-
-  // Requantize one 16-column stripe: undo the +128 bias exactly, then the
-  // same mul+FMA float sequence as every other variant.
-  auto store16 = [&](int64_t row, int64_t c0, __m512i accb) {
-    const __m512i acc = _mm512_sub_epi32(
-        accb, _mm512_loadu_si512(corr.data() + c0));
-    const __m512 ws = _mm512_loadu_ps(w_scales + c0);
-    const __m512 combined = _mm512_mul_ps(_mm512_set1_ps(x_scales[row]), ws);
-    const __m512 accf = _mm512_cvtepi32_ps(acc);
-    const __m512 res =
-        bias != nullptr
-            ? _mm512_fmadd_ps(accf, combined, _mm512_loadu_ps(bias + c0))
-            : _mm512_mul_ps(accf, combined);
-    _mm512_storeu_ps(out + row * n + c0, res);
-  };
-
-  int64_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    uint32_t* a0 = aquads.data();
-    uint32_t* a1 = a0 + quads;
-    uint32_t* a2 = a1 + quads;
-    uint32_t* a3 = a2 + quads;
-    build_row(xq + (r + 0) * k_padded, a0);
-    build_row(xq + (r + 1) * k_padded, a1);
-    build_row(xq + (r + 2) * k_padded, a2);
-    build_row(xq + (r + 3) * k_padded, a3);
-    int64_t c0 = 0;
-    // 4 rows x 64 columns: per quad, 4 weight loads + 4 broadcasts + 16
-    // vpdpbusd retire 1024 MACs.
-    for (; c0 + 64 <= n; c0 += 64) {
-      __m512i acc00 = _mm512_setzero_si512(), acc01 = _mm512_setzero_si512();
-      __m512i acc02 = _mm512_setzero_si512(), acc03 = _mm512_setzero_si512();
-      __m512i acc10 = _mm512_setzero_si512(), acc11 = _mm512_setzero_si512();
-      __m512i acc12 = _mm512_setzero_si512(), acc13 = _mm512_setzero_si512();
-      __m512i acc20 = _mm512_setzero_si512(), acc21 = _mm512_setzero_si512();
-      __m512i acc22 = _mm512_setzero_si512(), acc23 = _mm512_setzero_si512();
-      __m512i acc30 = _mm512_setzero_si512(), acc31 = _mm512_setzero_si512();
-      __m512i acc32 = _mm512_setzero_si512(), acc33 = _mm512_setzero_si512();
-      for (int64_t q = 0; q < quads; ++q) {
-        const int8_t* wb = wq8.data() + (q * n + c0) * 4;
-        const __m512i w0 = _mm512_loadu_si512(wb);
-        const __m512i w1 = _mm512_loadu_si512(wb + 64);
-        const __m512i w2 = _mm512_loadu_si512(wb + 128);
-        const __m512i w3 = _mm512_loadu_si512(wb + 192);
-        const __m512i v0 = _mm512_set1_epi32(static_cast<int>(a0[q]));
-        const __m512i v1 = _mm512_set1_epi32(static_cast<int>(a1[q]));
-        const __m512i v2 = _mm512_set1_epi32(static_cast<int>(a2[q]));
-        const __m512i v3 = _mm512_set1_epi32(static_cast<int>(a3[q]));
-        acc00 = _mm512_dpbusd_epi32(acc00, v0, w0);
-        acc01 = _mm512_dpbusd_epi32(acc01, v0, w1);
-        acc02 = _mm512_dpbusd_epi32(acc02, v0, w2);
-        acc03 = _mm512_dpbusd_epi32(acc03, v0, w3);
-        acc10 = _mm512_dpbusd_epi32(acc10, v1, w0);
-        acc11 = _mm512_dpbusd_epi32(acc11, v1, w1);
-        acc12 = _mm512_dpbusd_epi32(acc12, v1, w2);
-        acc13 = _mm512_dpbusd_epi32(acc13, v1, w3);
-        acc20 = _mm512_dpbusd_epi32(acc20, v2, w0);
-        acc21 = _mm512_dpbusd_epi32(acc21, v2, w1);
-        acc22 = _mm512_dpbusd_epi32(acc22, v2, w2);
-        acc23 = _mm512_dpbusd_epi32(acc23, v2, w3);
-        acc30 = _mm512_dpbusd_epi32(acc30, v3, w0);
-        acc31 = _mm512_dpbusd_epi32(acc31, v3, w1);
-        acc32 = _mm512_dpbusd_epi32(acc32, v3, w2);
-        acc33 = _mm512_dpbusd_epi32(acc33, v3, w3);
-      }
-      store16(r + 0, c0, acc00);
-      store16(r + 0, c0 + 16, acc01);
-      store16(r + 0, c0 + 32, acc02);
-      store16(r + 0, c0 + 48, acc03);
-      store16(r + 1, c0, acc10);
-      store16(r + 1, c0 + 16, acc11);
-      store16(r + 1, c0 + 32, acc12);
-      store16(r + 1, c0 + 48, acc13);
-      store16(r + 2, c0, acc20);
-      store16(r + 2, c0 + 16, acc21);
-      store16(r + 2, c0 + 32, acc22);
-      store16(r + 2, c0 + 48, acc23);
-      store16(r + 3, c0, acc30);
-      store16(r + 3, c0 + 16, acc31);
-      store16(r + 3, c0 + 32, acc32);
-      store16(r + 3, c0 + 48, acc33);
-    }
-    for (; c0 + 16 <= n; c0 += 16) {
-      __m512i acc0 = _mm512_setzero_si512();
-      __m512i acc1 = _mm512_setzero_si512();
-      __m512i acc2 = _mm512_setzero_si512();
-      __m512i acc3 = _mm512_setzero_si512();
-      for (int64_t q = 0; q < quads; ++q) {
-        const __m512i w =
-            _mm512_loadu_si512(wq8.data() + (q * n + c0) * 4);
-        acc0 = _mm512_dpbusd_epi32(acc0,
-                                   _mm512_set1_epi32(static_cast<int>(a0[q])),
-                                   w);
-        acc1 = _mm512_dpbusd_epi32(acc1,
-                                   _mm512_set1_epi32(static_cast<int>(a1[q])),
-                                   w);
-        acc2 = _mm512_dpbusd_epi32(acc2,
-                                   _mm512_set1_epi32(static_cast<int>(a2[q])),
-                                   w);
-        acc3 = _mm512_dpbusd_epi32(acc3,
-                                   _mm512_set1_epi32(static_cast<int>(a3[q])),
-                                   w);
-      }
-      store16(r + 0, c0, acc0);
-      store16(r + 1, c0, acc1);
-      store16(r + 2, c0, acc2);
-      store16(r + 3, c0, acc3);
-    }
-    if (c0 < n) {
-      scalar_cols(r + 0, c0);
-      scalar_cols(r + 1, c0);
-      scalar_cols(r + 2, c0);
-      scalar_cols(r + 3, c0);
-    }
-  }
-  for (; r < rows; ++r) {  // row remainder
-    uint32_t* a0 = aquads.data();
-    build_row(xq + r * k_padded, a0);
-    int64_t c0 = 0;
-    for (; c0 + 16 <= n; c0 += 16) {
-      __m512i acc0 = _mm512_setzero_si512();
-      for (int64_t q = 0; q < quads; ++q) {
-        const __m512i w =
-            _mm512_loadu_si512(wq8.data() + (q * n + c0) * 4);
-        acc0 = _mm512_dpbusd_epi32(acc0,
-                                   _mm512_set1_epi32(static_cast<int>(a0[q])),
-                                   w);
-      }
-      store16(r, c0, acc0);
-    }
-    if (c0 < n) scalar_cols(r, c0);
-  }
-}
-
 const SimdKernelTable kAvx512Table = {
     "avx512",        Avx512MatMul,   Avx512MatMulTransA,
     Avx512MatMulTransB, Avx2DualMatVec, ScalarReadoutDot,
     Avx512ExpInplace,   Avx512Elu,      Avx512Axpy,
-    Avx512AddProduct,   SharedSegmentSoftmaxCsr, Avx512QuantizeRows,
-    Avx512Qgemm,
+    Avx512AddProduct,   SharedSegmentSoftmaxCsr,
 };
 
 #pragma GCC diagnostic pop
@@ -1704,8 +952,8 @@ const SimdKernelTable kAvx512Table = {
 // ---------------------------------------------------------------------------
 // NEON kernels: the dot-product family and elementwise math, emulating the
 // 8-lane semantics with paired float32x4 accumulators (lanes 0-3 / 4-7) so
-// the fixed reduction tree matches. The GEMM and int8 kernels fall back to
-// the scalar reference, which autovectorizes well on aarch64.
+// the fixed reduction tree matches. The GEMM kernels fall back to the scalar
+// reference, which autovectorizes well on aarch64.
 // ---------------------------------------------------------------------------
 
 #if DQUAG_SIMD_HAVE_NEON
@@ -1787,8 +1035,7 @@ const SimdKernelTable kNeonTable = {
     "neon",          ScalarMatMul,   ScalarMatMulTransA,
     NeonMatMulTransB,   NeonDualMatVec, NeonReadoutDot,
     ScalarExpInplace,   ScalarElu,      NeonAxpy,
-    NeonAddProduct,     SharedSegmentSoftmaxCsr, ScalarQuantizeRows,
-    ScalarQgemm,
+    NeonAddProduct,     SharedSegmentSoftmaxCsr,
 };
 
 }  // namespace
@@ -1819,9 +1066,7 @@ std::vector<const SimdKernelTable*> SupportedKernelTables() {
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     tables.push_back(&kAvx2Table);
 #if DQUAG_SIMD_HAVE_AVX512
-    if (__builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512bw") &&
-        __builtin_cpu_supports("avx512vnni")) {
+    if (__builtin_cpu_supports("avx512f")) {
       tables.push_back(&kAvx512Table);
     }
 #endif

@@ -7,14 +7,13 @@
 //
 //   * SimdKernelTable is a function-pointer table of the hot primitives
 //     (float GEMMs — the forward one with its bias and ELU epilogue —
-//     dual mat-vec, per-feature read-out dots, FastExpf, ELU, fused
-//     backward accumulators, and the int8 quantized GEMM).
+//     dual mat-vec, per-feature read-out dots, FastExpf, ELU and the fused
+//     backward accumulators).
 //   * Four implementations exist behind compile-time guards: a scalar
-//     reference that always builds, an AVX2+FMA table (x86), an
-//     AVX-512+VNNI table (elementwise kernels at 16 lanes, zmm column
-//     tiles for matmul and matmul_trans_a, matmul_trans_b's dots 16
-//     outputs at a time, vpdpbusd for the int8 GEMM), and a NEON table
-//     (aarch64) for the bandwidth-bound kernels.
+//     reference that always builds, an AVX2+FMA table (x86), an AVX-512F
+//     table (elementwise kernels at 16 lanes, zmm column tiles for matmul
+//     and matmul_trans_a, matmul_trans_b's dots 16 outputs at a time), and
+//     a NEON table (aarch64) for the bandwidth-bound kernels.
 //   * ActiveKernels() picks a table once per process via runtime CPUID
 //     detection (__builtin_cpu_supports), honoring DQUAG_FORCE_SCALAR=1 as
 //     an environment override so the fallback is continuously provable on
@@ -96,32 +95,13 @@ struct SimdKernelTable {
   /// inside; sums accumulate in CSR index order.
   void (*segment_softmax_csr)(float* row, const int64_t* offsets,
                               size_t num_segments, const int32_t* order);
-
-  /// Dynamic per-row symmetric int8 quantization: for each row of x[rows,k]
-  /// write xq[r, 0..k) = clamp(rint(x * 127/maxabs), -127, 127), zero-pad
-  /// to k_padded (even), and scales[r] = maxabs/127 (0 for an all-zero
-  /// row). Rounding is round-to-nearest-even in every variant.
-  void (*quantize_rows)(const float* x, int64_t rows, int64_t k,
-                        int64_t k_padded, int8_t* xq, float* scales);
-
-  /// int8 GEMM with int32 accumulation and float requantization:
-  ///   acc[r,c]  = sum_p xq[r,2p]*wp[p,c,0] + xq[r,2p+1]*wp[p,c,1]  (exact)
-  ///   out[r,c]  = fma(float(acc), x_scales[r]*w_scales[c], bias[c])
-  /// w_packed is the interleaved k-pair layout [k_padded/2][n][2] produced
-  /// by PackQuantizedWeight (tensor/quantized.h). bias may be null (plain
-  /// multiply then). Integer math is exact, so every variant agrees by
-  /// construction; only the one-FMA requantization step touches floats.
-  void (*qgemm)(const int8_t* xq, const float* x_scales,
-                const int16_t* w_packed, const float* w_scales,
-                const float* bias, float* out, int64_t rows, int64_t k_padded,
-                int64_t n);
 };
 
 /// The portable reference table (always available).
 const SimdKernelTable& ScalarKernels();
 
 /// The table selected for this process: DQUAG_FORCE_SCALAR=1 forces scalar;
-/// otherwise the best table the CPU supports (AVX-512+VNNI, then AVX2+FMA,
+/// otherwise the best table the CPU supports (AVX-512F, then AVX2+FMA,
 /// via CPUID on x86; NEON on aarch64; scalar elsewhere). Resolved once, then
 /// cached.
 const SimdKernelTable& ActiveKernels();

@@ -603,10 +603,6 @@ void DualMatVecInto(const Tensor& x, const Tensor& w1, const Tensor& w2,
                                     out1.data(), out2.data(), rows, k);
 }
 
-void EluInPlace(Tensor& t) {
-  simd::ActiveKernels().elu(t.data(), t.data(), t.numel(), 1.0f);
-}
-
 void ArcScoreInto(const Tensor& logit_src, const Tensor& logit_dst,
                   const std::vector<int32_t>& src,
                   const std::vector<int32_t>& dst, float negative_slope,

@@ -124,11 +124,6 @@ void LinearInto(const Tensor& x, const Tensor& w, const Tensor* bias,
 void DualMatVecInto(const Tensor& x, const Tensor& w1, const Tensor& w2,
                     Tensor& out1, Tensor& out2);
 
-/// t = elu(t) in place (alpha 1), through the same dispatched kernel as
-/// Elu. The float engine applies ELU inside matmul and CsrAggregateInto;
-/// only the int8 Linear calls this.
-void EluInPlace(Tensor& t);
-
 /// The message-passing aggregation of a GNN layer, one destination row at
 /// a time in CSR-by-destination order (FeatureGraph::csr_by_dst: `offsets`
 /// has N + 1 entries and order[offsets[v] .. offsets[v+1]) lists the arcs

@@ -6,14 +6,18 @@
 // byte-level mutation of a valid checkpoint can produce a crash, a checked
 // abort, or a hostile allocation — only a Status. The corpus is a real
 // checkpoint from a tiny fitted pipeline, small enough to try truncation at
-// EVERY prefix length and corruption at EVERY byte. Runs in the ASan CI
-// job, where an out-of-bounds read or pathological allocation faults
-// instead of passing silently.
+// EVERY prefix length and corruption at EVERY byte. A second corpus is a
+// checkpoint written by an older build (tests/fixtures/checkpoint_dqq8.bin),
+// whose DQQ8 section Load must skip just as carefully. Runs in the
+// ASan CI job, where an out-of-bounds read or pathological allocation
+// faults instead of passing silently.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -45,10 +49,19 @@ class CheckpointFuzzTest : public ::testing::Test {
     corpus_ = new std::string(buf.str());
     std::remove(path.c_str());
     ASSERT_FALSE(corpus_->empty());
+
+    std::ifstream old(std::string(DQUAG_FIXTURE_DIR) + "/checkpoint_dqq8.bin",
+                      std::ios::binary);
+    ASSERT_TRUE(old.good());
+    std::ostringstream old_buf;
+    old_buf << old.rdbuf();
+    old_corpus_ = new std::string(old_buf.str());
   }
   static void TearDownTestSuite() {
     delete corpus_;
     corpus_ = nullptr;
+    delete old_corpus_;
+    old_corpus_ = nullptr;
   }
 
   /// Writes `bytes` to a scratch file and returns Load's status.
@@ -63,52 +76,79 @@ class CheckpointFuzzTest : public ::testing::Test {
     return loaded.ok() ? Status::Ok() : loaded.status();
   }
 
+  /// Tries every prefix of `corpus`. Only the prefixes in `loadable` (each
+  /// ends where an optional trailing section starts, so it is a well-formed
+  /// checkpoint without that section) may load.
+  static void ExpectEveryPrefixFailsCleanly(
+      const std::string& corpus, const std::vector<size_t>& loadable) {
+    for (size_t len = 0; len < corpus.size(); ++len) {
+      const Status status = TryLoad(corpus.substr(0, len));
+      if (std::find(loadable.begin(), loadable.end(), len) != loadable.end()) {
+        EXPECT_TRUE(status.ok()) << "prefix " << len << " must load";
+      } else {
+        EXPECT_FALSE(status.ok()) << "truncated to " << len << " of "
+                                  << corpus.size() << " bytes loaded anyway";
+      }
+    }
+  }
+
+  /// Flips every byte of `corpus` in turn. Any Status is fine; surviving
+  /// the call is the test.
+  static void ExpectEveryByteFlipSurvives(std::string corpus) {
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      const char original = corpus[i];
+      corpus[i] = static_cast<char>(corpus[i] ^ 0xFF);
+      (void)TryLoad(corpus);
+      corpus[i] = original;
+    }
+  }
+
+  // The optional-section magics as little-endian file bytes: the section
+  // older builds wrote ("DQQ8") and the drift profile ("DQDP").
+  static inline const std::string kQuantMagic{
+      "\x01\x00\x00\x00\x44\x51\x51\x38", 8};
+  static inline const std::string kDriftMagic{
+      "\x01\x00\x00\x00\x44\x51\x44\x50", 8};
+
   static std::string* corpus_;
+  static std::string* old_corpus_;
 };
 
 std::string* CheckpointFuzzTest::corpus_ = nullptr;
+std::string* CheckpointFuzzTest::old_corpus_ = nullptr;
 
 TEST_F(CheckpointFuzzTest, IntactCorpusLoads) {
   EXPECT_TRUE(TryLoad(*corpus_).ok());
+  EXPECT_TRUE(TryLoad(*old_corpus_).ok());
+  EXPECT_EQ(corpus_->find(kQuantMagic), std::string::npos)
+      << "Save writes no DQQ8 section";
 }
 
 // Every possible truncation point. Each must come back as a Status; a
 // crash, abort, or ASan fault here means a reader consumed a length it
-// never had. Two prefix lengths are special: cutting exactly at the start
-// of an optional trailing section (quantized weights, drift profile)
-// yields a well-formed older-format checkpoint, which loads by design.
+// never had. Cutting exactly at the start of an optional trailing section
+// yields a well-formed checkpoint without it, which loads by design: the
+// drift profile in a fresh checkpoint, and in the older build's file also
+// its DQQ8 section.
 TEST_F(CheckpointFuzzTest, TruncationAtEveryPrefixFailsCleanly) {
-  // The optional-section magics as little-endian file bytes, in the order
-  // Save writes them (quantized weights, then the drift profile).
-  const std::string quant_magic("\x01\x00\x00\x00\x44\x51\x51\x38", 8);
-  const std::string drift_magic("\x01\x00\x00\x00\x44\x51\x44\x50", 8);
-  const size_t quant_len = corpus_->rfind(quant_magic);
-  const size_t drift_len = corpus_->rfind(drift_magic);
-  ASSERT_NE(quant_len, std::string::npos);
+  const size_t drift_len = corpus_->rfind(kDriftMagic);
   ASSERT_NE(drift_len, std::string::npos);
-  ASSERT_LT(quant_len, drift_len);
-  for (size_t len = 0; len < corpus_->size(); ++len) {
-    const Status status = TryLoad(corpus_->substr(0, len));
-    if (len == quant_len || len == drift_len) {
-      EXPECT_TRUE(status.ok()) << "older-format prefix must load";
-    } else {
-      EXPECT_FALSE(status.ok()) << "truncated to " << len << " of "
-                                << corpus_->size() << " bytes loaded anyway";
-    }
-  }
+  ExpectEveryPrefixFailsCleanly(*corpus_, {drift_len});
+
+  const size_t old_quant_len = old_corpus_->rfind(kQuantMagic);
+  const size_t old_drift_len = old_corpus_->rfind(kDriftMagic);
+  ASSERT_NE(old_quant_len, std::string::npos);
+  ASSERT_NE(old_drift_len, std::string::npos);
+  ASSERT_LT(old_quant_len, old_drift_len);
+  ExpectEveryPrefixFailsCleanly(*old_corpus_, {old_quant_len, old_drift_len});
 }
 
 // Every single-byte corruption. Most mutations must fail with a Status;
 // some (e.g. a low mantissa bit of a weight) legitimately still load —
 // the invariant under test is only "never crash, never hostile-allocate".
 TEST_F(CheckpointFuzzTest, CorruptionAtEveryByteNeverCrashes) {
-  std::string bytes = *corpus_;
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    const char original = bytes[i];
-    bytes[i] = static_cast<char>(bytes[i] ^ 0xFF);
-    (void)TryLoad(bytes);  // any Status is fine; surviving the call is the test
-    bytes[i] = original;
-  }
+  ExpectEveryByteFlipSurvives(*corpus_);
+  ExpectEveryByteFlipSurvives(*old_corpus_);
 }
 
 // A few targeted hostile payloads on top of the blind sweep: absurd counts

@@ -4,13 +4,12 @@
 // stack at full width (hidden 64, 4 layers) on enough Hotel Booking rows
 // that every mini-batch splits into the default 8 trainer shards, and a
 // Table 2 GCN+GIN stack on NY Taxi — and each is pinned by FNV-1a 64 hashes
-// of five byte streams: its checkpoint (Save), its validation verdict on a
-// seeded dirty table, that verdict on the int8 engine, its repair of that
-// table, and the explanation of every row. Any change to a kernel's
-// per-element operation sequence, the trainer's shard reduction, the loss or
-// the optimizer moves at least the checkpoint hash; the int8 and explain
-// hashes pin the quantized forward and the tape forward with its attention
-// record, which the float verdict does not reach.
+// of four byte streams: its checkpoint (Save), its validation verdict on a
+// seeded dirty table, its repair of that table, and the explanation of
+// every row. Any change to a kernel's per-element operation sequence, the
+// trainer's shard reduction, the loss or the optimizer moves at least the
+// checkpoint hash; the explain hash pins the tape forward with its
+// attention record, which the verdict does not reach.
 //
 // The pinned hashes belong to the build toolchain: compiler, build type and
 // flags (an ASan RelWithDebInfo build already trains different bits, since
@@ -160,19 +159,18 @@ uint64_t ExplanationHash(const InstanceExplanation& e, uint64_t h) {
   return HashValue(int64_t{-2}, h);  // instance separator
 }
 
-/// One model's five pinned byte streams, hashed.
+/// One model's four pinned byte streams, hashed.
 struct ModelHashes {
   uint64_t save = 0;
   uint64_t validate = 0;
-  uint64_t validate_int8 = 0;
   uint64_t repair = 0;
   uint64_t explain = 0;
   bool operator==(const ModelHashes&) const = default;
 };
 
 /// Fits `config` on `clean` with the active kernel table and hashes the
-/// checkpoint, the float and int8 validate outputs, the repair output and
-/// the explanation of every row on `dirty`.
+/// checkpoint, the validate output, the repair output and the explanation
+/// of every row on `dirty`.
 ModelHashes FitAndHash(const std::string& name, const DquagConfig& config,
                        const Table& clean, const Table& dirty) {
   DquagPipelineOptions options;
@@ -187,13 +185,6 @@ ModelHashes FitAndHash(const std::string& name, const DquagConfig& config,
   EXPECT_EQ(static_cast<int64_t>(verdict.instances.size()), dirty.num_rows());
   hashes.validate = VerdictHash(verdict);
   hashes.repair = RepairHash(pipeline.Repair(dirty, verdict));
-  // A zero re-check margin sends no row back to the float path, so every
-  // instance keeps its int8 error.
-  ValidationMode int8_mode;
-  int8_mode.quantized = true;
-  int8_mode.recheck_margin = 0.0;
-  hashes.validate_int8 = VerdictHash(pipeline.validator().ValidateMatrix(
-      pipeline.preprocessor().Transform(dirty), int8_mode));
   const Explainer explainer(&pipeline);
   hashes.explain = kFnv1a64Offset;
   for (int64_t row = 0; row < dirty.num_rows(); ++row) {
@@ -278,7 +269,6 @@ TEST(ModelGoldenTest, ScalarTableMatchesPinnedHashes) {
     const ModelHashes& h = runs.front().hashes;
     ExpectMatchesGolden(name + ".save", h.save);
     ExpectMatchesGolden(name + ".validate", h.validate);
-    ExpectMatchesGolden(name + ".validate_int8", h.validate_int8);
     ExpectMatchesGolden(name + ".repair", h.repair);
     ExpectMatchesGolden(name + ".explain", h.explain);
   }
@@ -290,8 +280,6 @@ TEST(ModelGoldenTest, EveryKernelTableReproducesTheScalarHashes) {
       SCOPED_TRACE(name + " on kernel table " + run.table->name);
       EXPECT_EQ(Hex(run.hashes.save), Hex(runs.front().hashes.save));
       EXPECT_EQ(Hex(run.hashes.validate), Hex(runs.front().hashes.validate));
-      EXPECT_EQ(Hex(run.hashes.validate_int8),
-                Hex(runs.front().hashes.validate_int8));
       EXPECT_EQ(Hex(run.hashes.repair), Hex(runs.front().hashes.repair));
       EXPECT_EQ(Hex(run.hashes.explain), Hex(runs.front().hashes.explain));
     }

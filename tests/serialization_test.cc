@@ -292,6 +292,64 @@ TEST_F(CheckpointTest, OutOfRangePercentileOrCalibrationFractionIsRejected) {
                   .ok());
 }
 
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// A checkpoint written by an older build, which stored an int8 copy of the
+// weights ("DQQ8") between the parameters and the drift profile. Load reads
+// that section and discards it, so the file validates bit for bit like the
+// same bytes with the section cut out, and re-saving it writes exactly those
+// bytes.
+TEST(CheckpointCompatTest, OldInt8SectionIsReadAndDiscarded) {
+  const std::string bytes =
+      ReadFileBytes(std::string(DQUAG_FIXTURE_DIR) + "/checkpoint_dqq8.bin");
+  ASSERT_EQ(bytes.size(), 4247u);
+  // The section magics ("DQQ8" / "DQDP" + version 1) as little-endian bytes.
+  const size_t quant_start =
+      bytes.find(std::string("\x01\x00\x00\x00\x44\x51\x51\x38", 8));
+  const size_t drift_start =
+      bytes.find(std::string("\x01\x00\x00\x00\x44\x51\x44\x50", 8));
+  ASSERT_EQ(quant_start, 3527u);
+  ASSERT_EQ(drift_start - quant_start, 656u);
+  const std::string cut =
+      bytes.substr(0, quant_start) + bytes.substr(drift_start);
+
+  auto old_format = DquagPipeline::LoadFromBuffer(bytes);
+  ASSERT_TRUE(old_format.ok()) << old_format.status().ToString();
+  auto without = DquagPipeline::LoadFromBuffer(cut);
+  ASSERT_TRUE(without.ok()) << without.status().ToString();
+
+  Rng rng(31);
+  const Table probe = datasets::GenerateNyTaxi(300, rng, /*dims=*/5);
+  ErrorInjector injector(32);
+  const Table dirty =
+      injector.InjectNumericAnomalies(probe, {"fare_amount"}, 0.2).table;
+  const BatchVerdict a = old_format->Validate(dirty);
+  const BatchVerdict b = without->Validate(dirty);
+  ASSERT_EQ(a.instances.size(), b.instances.size());
+  for (size_t r = 0; r < a.instances.size(); ++r) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.instances[r].error),
+              std::bit_cast<uint64_t>(b.instances[r].error))
+        << "row " << r;
+    EXPECT_EQ(a.instances[r].flagged, b.instances[r].flagged) << "row " << r;
+    EXPECT_EQ(a.instances[r].suspect_features,
+              b.instances[r].suspect_features)
+        << "row " << r;
+  }
+  EXPECT_EQ(a.flagged_rows, b.flagged_rows);
+  EXPECT_EQ(a.is_dirty, b.is_dirty);
+  EXPECT_FALSE(a.flagged_rows.empty());
+
+  const std::string path = "/tmp/dquag_checkpoint_resaved.bin";
+  ASSERT_TRUE(old_format->Save(path).ok());
+  EXPECT_TRUE(ReadFileBytes(path) == cut);
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointErrorTest, SaveUnfittedFails) {
   DquagPipeline pipeline;
   EXPECT_EQ(pipeline.Save("/tmp/never.bin").code(),

@@ -485,6 +485,13 @@ TEST(ServeIntegrationTest, BadBatchesAreBadRequestsNotAborts) {
   ASSERT_FALSE(wrong.ok());
   EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
 
+  // A deploy body is the checkpoint path alone: an option line after it
+  // (the retired int8 switch) is a bad request, and acme keeps its model.
+  const Status with_option = client->Deploy(
+      "acme", Checkpoint(Dataset::kNyTaxi, 42) + "\nquantized=1");
+  EXPECT_EQ(with_option.code(), StatusCode::kInvalidArgument)
+      << with_option.ToString();
+
   // Deploying a path that is not a checkpoint fails without killing the
   // old deployment (the tenant is not resident yet, so the load error
   // surfaces on first use and re-deploy heals it). The registry fails

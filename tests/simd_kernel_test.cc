@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "tensor/fast_math.h"
-#include "tensor/quantized.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -267,60 +266,6 @@ TEST(SimdKernelTest, SegmentSoftmaxMatchesScalar) {
     vec.segment_softmax_csr(r1.data(), offsets.data(), num_segments,
                              order.data());
     ExpectBytesEqual(r0, r1, "segment_softmax_csr");
-  });
-}
-
-TEST(SimdKernelTest, QuantizePathMatchesScalar) {
-  const simd::SimdKernelTable& scalar = simd::ScalarKernels();
-  ForEachVectorTable([&](const simd::SimdKernelTable& vec) {
-    Rng rng(105);
-    for (int64_t rows : kMs) {
-      for (int64_t k : kKs) {
-        for (int64_t n : kNs) {
-          const std::string label = "rows=" + std::to_string(rows) +
-                                    " k=" + std::to_string(k) +
-                                    " n=" + std::to_string(n);
-          const int64_t kp = (k + 1) & ~int64_t{1};
-          std::vector<float> x = RandomVector(rows * k, rng);
-          if (rows > 2) {
-            // An all-zero row exercises the scale-0 path.
-            std::fill(x.begin() + static_cast<size_t>(k),
-                      x.begin() + static_cast<size_t>(2 * k), 0.0f);
-          }
-
-          std::vector<int8_t> q0(rows * kp, 99), q1(rows * kp, 99);
-          std::vector<float> s0(rows), s1(rows);
-          scalar.quantize_rows(x.data(), rows, k, kp, q0.data(), s0.data());
-          vec.quantize_rows(x.data(), rows, k, kp, q1.data(), s1.data());
-          ASSERT_EQ(0, std::memcmp(q0.data(), q1.data(), q0.size()))
-              << "quantize_rows values " << label;
-          ExpectBytesEqual(s0, s1, "quantize_rows scales " + label);
-
-          // Weights through the production quantize + pack pipeline.
-          Tensor w({k, n});
-          for (int64_t i = 0; i < w.numel(); ++i) {
-            w.data()[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
-          }
-          QuantizedWeight qw = QuantizeWeight(w);
-          PackQuantizedWeight(qw);
-          ASSERT_EQ(qw.in_padded(), kp) << label;
-          std::vector<float> bias = RandomVector(n, rng);
-
-          for (const float* pb :
-               {static_cast<const float*>(bias.data()),
-                static_cast<const float*>(nullptr)}) {
-            std::vector<float> g0(rows * n, -7.0f), g1(rows * n, -7.0f);
-            scalar.qgemm(q0.data(), s0.data(), qw.packed.data(),
-                         qw.scales.data(), pb, g0.data(), rows, kp, n);
-            vec.qgemm(q0.data(), s0.data(), qw.packed.data(), qw.scales.data(),
-                       pb, g1.data(), rows, kp, n);
-            ExpectBytesEqual(g0, g1,
-                             std::string("qgemm ") +
-                                 (pb != nullptr ? "bias " : "nobias ") + label);
-          }
-        }
-      }
-    }
   });
 }
 

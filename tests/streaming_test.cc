@@ -400,50 +400,31 @@ TEST(StreamingRepairTest, ChunkRepairsConcatenateToBatchRepair) {
   ThreadPool pool1(1);
   ThreadPool pool4(4);
   const Tensor matrix = pipeline.preprocessor().Transform(fresh);
-  const BatchVerdict float_batch = pipeline.validator().ValidateMatrix(matrix);
+  const BatchVerdict batch = pipeline.validator().ValidateMatrix(matrix);
+  const RepairResult whole = pipeline.Repair(fresh, batch);
+  ASSERT_GT(whole.cells_repaired, 0);
 
-  for (bool quantized : {false, true}) {
-    const ValidationMode mode{quantized, 0.25};
-    const BatchVerdict batch =
-        pipeline.validator().ValidateMatrix(matrix, mode);
-    const RepairResult whole = pipeline.Repair(fresh, batch);
-    ASSERT_GT(whole.cells_repaired, 0);
+  for (ThreadPool* pool : {&pool1, &pool4}) {
+    for (int64_t max_in_flight : {1, 8}) {
+      for (int64_t chunk_rows : {1, 7, 256, 1000}) {
+        SCOPED_TRACE(testing::Message()
+                     << "threads " << pool->num_threads() << " in_flight "
+                     << max_in_flight << " chunk " << chunk_rows);
+        StreamingValidatorOptions options;
+        options.repair = true;
+        options.pool = pool;
+        options.max_in_flight = max_in_flight;
+        StreamingValidator streamer(&pipeline, options);
+        TableViewChunkReader reader(&fresh, chunk_rows);
+        Table stitched(fresh.schema());
+        auto verdict = streamer.Run(reader, [&](const StreamChunk& chunk) {
+          ASSERT_NE(chunk.repair, nullptr);
+          stitched.AppendRows(chunk.repair->repaired);
+        });
+        ASSERT_TRUE(verdict.ok());
 
-    // The int8 contract (ValidationMode): at most 0.5% of row verdicts
-    // flip versus the float path.
-    ASSERT_EQ(batch.instances.size(), float_batch.instances.size());
-    int64_t flips = 0;
-    for (size_t r = 0; r < batch.instances.size(); ++r) {
-      if (batch.instances[r].flagged != float_batch.instances[r].flagged) {
-        ++flips;
-      }
-    }
-    EXPECT_LE(flips, fresh.num_rows() / 200) << "quantized " << quantized;
-
-    for (ThreadPool* pool : {&pool1, &pool4}) {
-      for (int64_t max_in_flight : {1, 8}) {
-        for (int64_t chunk_rows : {1, 7, 256, 1000}) {
-          SCOPED_TRACE(testing::Message()
-                       << "quantized " << quantized << " threads "
-                       << pool->num_threads() << " in_flight "
-                       << max_in_flight << " chunk " << chunk_rows);
-          StreamingValidatorOptions options;
-          options.repair = true;
-          options.mode = mode;
-          options.pool = pool;
-          options.max_in_flight = max_in_flight;
-          StreamingValidator streamer(&pipeline, options);
-          TableViewChunkReader reader(&fresh, chunk_rows);
-          Table stitched(fresh.schema());
-          auto verdict = streamer.Run(reader, [&](const StreamChunk& chunk) {
-            ASSERT_NE(chunk.repair, nullptr);
-            stitched.AppendRows(chunk.repair->repaired);
-          });
-          ASSERT_TRUE(verdict.ok());
-
-          EXPECT_EQ(verdict->flagged_rows, batch.flagged_rows);
-          ExpectSameRepair(*verdict, stitched, whole);
-        }
+        EXPECT_EQ(verdict->flagged_rows, batch.flagged_rows);
+        ExpectSameRepair(*verdict, stitched, whole);
       }
     }
   }
@@ -454,8 +435,8 @@ TEST(StreamingRepairTest, ChunkRepairsConcatenateToBatchRepair) {
 // Each chunk fans out as one task per DquagModel::kRowBlock rows, so chunk
 // sizes one below, one above and one past a multiple of the block leave a
 // short block in every chunk and a chunk boundary inside the whole table's
-// blocks. Validation and repair, float and int8, on 1 and 4 threads, must
-// still equal the whole-table verdict and repair bit for bit.
+// blocks. Validation and repair, on 1 and 4 threads, must still equal the
+// whole-table verdict and repair bit for bit.
 TEST(StreamingEquivalenceTest, ChunksStraddlingTheRowBlockMatchWholeTable) {
   DquagPipeline pipeline = FitTaxiPipeline();
   const Table fresh = DirtyTaxi(1100);
@@ -464,41 +445,35 @@ TEST(StreamingEquivalenceTest, ChunksStraddlingTheRowBlockMatchWholeTable) {
   ThreadPool pool1(1);
   ThreadPool pool4(4);
 
-  for (bool quantized : {false, true}) {
-    const ValidationMode mode{quantized, 0.25};
-    const BatchVerdict batch =
-        pipeline.validator().ValidateMatrix(matrix, mode);
-    ASSERT_FALSE(batch.flagged_rows.empty());
-    const RepairResult whole = pipeline.Repair(fresh, batch);
-    ASSERT_GT(whole.cells_repaired, 0);
+  const BatchVerdict batch = pipeline.validator().ValidateMatrix(matrix);
+  ASSERT_FALSE(batch.flagged_rows.empty());
+  const RepairResult whole = pipeline.Repair(fresh, batch);
+  ASSERT_GT(whole.cells_repaired, 0);
 
-    for (ThreadPool* pool : {&pool1, &pool4}) {
-      for (int64_t chunk_rows : {kBlock - 1, kBlock + 1, 3 * kBlock + 1}) {
-        for (bool repair : {false, true}) {
-          SCOPED_TRACE(testing::Message()
-                       << "quantized " << quantized << " threads "
-                       << pool->num_threads() << " chunk " << chunk_rows
-                       << " repair " << repair);
-          StreamingValidatorOptions options;
-          options.repair = repair;
-          options.mode = mode;
-          options.pool = pool;
-          StreamingValidator streamer(&pipeline, options);
-          TableViewChunkReader reader(&fresh, chunk_rows);
-          std::vector<InstanceVerdict> reassembled;
-          Table stitched(fresh.schema());
-          auto verdict = streamer.Run(reader, [&](const StreamChunk& chunk) {
-            reassembled.insert(reassembled.end(),
-                               chunk.verdict->instances.begin(),
-                               chunk.verdict->instances.end());
-            if (repair) stitched.AppendRows(chunk.repair->repaired);
-          });
-          ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
-          ExpectStreamEqualsBatch(*verdict, reassembled, batch);
-          EXPECT_EQ(verdict->total_chunks,
-                    (fresh.num_rows() + chunk_rows - 1) / chunk_rows);
-          if (repair) ExpectSameRepair(*verdict, stitched, whole);
-        }
+  for (ThreadPool* pool : {&pool1, &pool4}) {
+    for (int64_t chunk_rows : {kBlock - 1, kBlock + 1, 3 * kBlock + 1}) {
+      for (bool repair : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "threads " << pool->num_threads() << " chunk "
+                     << chunk_rows << " repair " << repair);
+        StreamingValidatorOptions options;
+        options.repair = repair;
+        options.pool = pool;
+        StreamingValidator streamer(&pipeline, options);
+        TableViewChunkReader reader(&fresh, chunk_rows);
+        std::vector<InstanceVerdict> reassembled;
+        Table stitched(fresh.schema());
+        auto verdict = streamer.Run(reader, [&](const StreamChunk& chunk) {
+          reassembled.insert(reassembled.end(),
+                             chunk.verdict->instances.begin(),
+                             chunk.verdict->instances.end());
+          if (repair) stitched.AppendRows(chunk.repair->repaired);
+        });
+        ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+        ExpectStreamEqualsBatch(*verdict, reassembled, batch);
+        EXPECT_EQ(verdict->total_chunks,
+                  (fresh.num_rows() + chunk_rows - 1) / chunk_rows);
+        if (repair) ExpectSameRepair(*verdict, stitched, whole);
       }
     }
   }

@@ -7,7 +7,6 @@
 //                   [--block-rows N]      (CSV -> columnar .dqc, out-of-core)
 //   dquag validate  --model model.ckpt --data new.csv [--verbose]
 //                   [--chunk-rows N] [--format csv|columnar]
-//                   [--quantized [--quantized-margin F]]  (int8 inference)
 //   dquag repair    --model model.ckpt --data new.csv --out repaired.csv
 //   dquag explain   --model model.ckpt --data new.csv --row K
 //   dquag serve-sim --model model.ckpt --data new.csv [--threads T]
@@ -16,7 +15,6 @@
 //                   [--max-connections C]
 //                   [--io-timeout-ms MS]  (disconnect stalled peers; 0=off)
 //                   [--deploy tenant=model.ckpt[,t2=m2.ckpt...]]
-//                     (append @quantized to a checkpoint for int8 serving)
 //                   [--auto-retrain [--retrain-epochs N]
 //                    [--retrain-min-rows R] [--retrain-buffer-rows B]
 //                    [--retrain-triggers K] [--retrain-cooldown-rows C]
@@ -25,7 +23,6 @@
 //                                           to B, 0 = no cooldown)
 //                                                    (socket-backed daemon)
 //   dquag deploy    --port P --tenant T --checkpoint model.ckpt [--host H]
-//                   [--quantized]
 //   dquag stats     --port P [--tenant T] [--host H]
 //   dquag shutdown  --port P [--host H]
 //
@@ -98,7 +95,8 @@ class Args {
         if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
           values_[key] = argv[++i];
         } else {
-          values_[key] = "1";  // boolean flag
+          // A boolean flag.
+          values_.insert_or_assign(key, std::string(1, '1'));
         }
       } else {
         positional_.push_back(std::move(token));
@@ -118,11 +116,6 @@ class Args {
     auto it = values_.find(key);
     return it == values_.end() ? fallback
                                : std::strtoll(it->second.c_str(), nullptr, 10);
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
   }
 
  private:
@@ -287,13 +280,7 @@ StatusOr<std::unique_ptr<ValidationService>> LoadService(const Args& args) {
   if (model_path.empty() || data_path.empty()) {
     return Status::InvalidArgument("--model and --data are required");
   }
-  ValidationServiceOptions options;
-  options.quantized = args.Has("quantized");
-  options.quantized_margin = args.GetDouble("quantized-margin", 0.25);
-  if (options.quantized_margin < 0.0) {
-    return Status::InvalidArgument("--quantized-margin must be >= 0");
-  }
-  return ValidationService::FromCheckpoint(model_path, options);
+  return ValidationService::FromCheckpoint(model_path);
 }
 
 StatusOr<std::unique_ptr<ValidationService>> LoadServiceAndData(
@@ -429,14 +416,13 @@ int CmdServeSim(const Args& args) {
 volatile std::sig_atomic_t g_interrupted = 0;
 void HandleSigint(int) { g_interrupted = 1; }
 
-/// One --deploy entry: tenant, checkpoint path, serving options.
+/// One --deploy entry: tenant and checkpoint path.
 struct DeploySpecEntry {
   std::string tenant;
   std::string path;
-  DeployOptions options;
 };
 
-/// Parses "tenant=path[@quantized][,tenant=path...]" from --deploy.
+/// Parses "tenant=path[,tenant=path...]" from --deploy.
 Status ParseDeploySpec(const std::string& spec,
                        std::vector<DeploySpecEntry>* out) {
   size_t start = 0;
@@ -452,16 +438,6 @@ Status ParseDeploySpec(const std::string& spec,
     DeploySpecEntry parsed;
     parsed.tenant = entry.substr(0, eq);
     parsed.path = entry.substr(eq + 1);
-    // Only a literal trailing "@quantized" is an option marker — an '@'
-    // anywhere else stays part of the path.
-    constexpr const char kQuantSuffix[] = "@quantized";
-    constexpr size_t kQuantSuffixLen = sizeof(kQuantSuffix) - 1;
-    if (parsed.path.size() > kQuantSuffixLen &&
-        parsed.path.compare(parsed.path.size() - kQuantSuffixLen,
-                            kQuantSuffixLen, kQuantSuffix) == 0) {
-      parsed.path.resize(parsed.path.size() - kQuantSuffixLen);
-      parsed.options.quantized = true;
-    }
     out->push_back(std::move(parsed));
     start = comma + 1;
   }
@@ -516,15 +492,13 @@ int CmdServe(const Args& args) {
   Status status = daemon.Start();
   if (!status.ok()) return Fail(status);
   for (const DeploySpecEntry& deploy : deploys) {
-    status = daemon.registry().Deploy(deploy.tenant, deploy.path,
-                                      deploy.options);
+    status = daemon.registry().Deploy(deploy.tenant, deploy.path);
     if (!status.ok()) {
       daemon.Stop();
       return Fail(status);
     }
-    std::printf("deployed %s <- %s (lazy%s)\n", deploy.tenant.c_str(),
-                deploy.path.c_str(),
-                deploy.options.quantized ? ", quantized" : "");
+    std::printf("deployed %s <- %s (lazy)\n", deploy.tenant.c_str(),
+                deploy.path.c_str());
   }
   std::printf("dquag serve: listening on %s:%d (%zu tenants, capacity %lld,"
               " max-inflight %lld%s)\n",
@@ -576,11 +550,9 @@ int CmdDeploy(const Args& args) {
   }
   auto client = ConnectFromArgs(args);
   if (!client.ok()) return Fail(client.status());
-  const bool quantized = args.Has("quantized");
-  Status status = client->Deploy(tenant, checkpoint, quantized);
+  Status status = client->Deploy(tenant, checkpoint);
   if (!status.ok()) return Fail(status);
-  std::printf("deployed %s <- %s%s\n", tenant.c_str(), checkpoint.c_str(),
-              quantized ? " (quantized)" : "");
+  std::printf("deployed %s <- %s\n", tenant.c_str(), checkpoint.c_str());
   return 0;
 }
 
