@@ -1,15 +1,14 @@
-// Tape vs engine vs SIMD-dispatched inference throughput.
+// SIMD-dispatched inference throughput of the engine.
 //
-// Phase 2 is the deployed hot path; this bench quantifies each rung of the
-// ladder on the Figure-4 data shape (NY Taxi, 18 columns):
-//   part 1 — tape (NoGrad autograd ops) vs the tape-free engine;
-//   part 2 — the engine under the forced-scalar kernel table (the portable
+// Phase 2 is the deployed hot path; this bench measures it on the Figure-4
+// data shape (NY Taxi, 18 columns):
+//   part 1 — the engine under the forced-scalar kernel table (the portable
 //             baseline, and a stand-in for the pre-dispatch float path) vs
 //             the runtime-dispatched table, single-thread in 2048-row
 //             slices, timed as kPairs adjacent scalar/dispatched pass pairs
 //             whose median ratio is the speedup; also verifies the scalar
 //             and dispatched tables produce BYTE-IDENTICAL verdicts;
-//   part 3 — ValidationService scaling across concurrent client threads.
+//   part 2 — ValidationService scaling across concurrent client threads.
 //
 // Exits non-zero if the speedup gate fails (dispatched vs forced-scalar
 // float, kMinSpeedup = 2.0x) or if scalar/dispatched verdicts diverge — CI
@@ -87,51 +86,7 @@ int RunAll() {
   const int64_t d = matrix.dim(1);
   const DquagModel& model = pipeline->model();
 
-  std::printf("=== tape vs engine: validation-head reconstruction ===\n");
-  std::printf("(%lld eval rows, 18 columns, hidden %lld, single client)\n",
-              static_cast<long long>(eval_rows),
-              static_cast<long long>(model.encoder().config().hidden_dim));
-  std::printf("%10s  %14s  %14s  %8s\n", "batch", "tape rows/s",
-              "engine rows/s", "speedup");
-  // Request sizes of two, eight and 32 model row blocks
-  // (DquagModel::kRowBlock); the engine walks each in 256-row blocks.
-  for (const int64_t batch : {512LL, 2048LL, 8192LL}) {
-    auto run_chunks = [&](auto&& body) {
-      for (int64_t start = 0; start < eval_rows; start += batch) {
-        const int64_t end = std::min(eval_rows, start + batch);
-        body(start, end);
-      }
-    };
-    // Tape: NoGrad autograd ops, allocating per op (the pre-engine path).
-    Stopwatch tape_timer;
-    run_chunks([&](int64_t start, int64_t end) {
-      Tensor slice({end - start, d});
-      std::copy(matrix.data() + start * d, matrix.data() + end * d,
-                slice.data());
-      Tensor out = model.ReconstructValidationTape(slice);
-      (void)out;
-    });
-    const double tape_s = tape_timer.ElapsedSeconds();
-
-    // Engine: fused kernels over a reused per-thread workspace.
-    InferenceContext& ctx = InferenceContext::ThreadLocal();
-    Stopwatch engine_timer;
-    run_chunks([&](int64_t start, int64_t end) {
-      ctx.Rewind();
-      Tensor& slice = ctx.Acquire({end - start, d});
-      std::copy(matrix.data() + start * d, matrix.data() + end * d,
-                slice.data());
-      const Tensor& out = model.InferValidation(slice, ctx);
-      (void)out;
-    });
-    const double engine_s = engine_timer.ElapsedSeconds();
-
-    std::printf("%10lld  %14.0f  %14.0f  %7.2fx\n",
-                static_cast<long long>(batch), eval_rows / tape_s,
-                eval_rows / engine_s, tape_s / engine_s);
-  }
-
-  std::printf("\n=== SIMD dispatch (single thread, batch 2048, median of "
+  std::printf("=== SIMD dispatch (single thread, batch 2048, median of "
               "%d pass pairs) ===\n",
               kPairs);
   std::printf("(active kernel table: %s)\n", simd::ActiveKernels().name);

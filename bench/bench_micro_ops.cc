@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/model.h"
+#include "engine/inference_context.h"
 #include "gnn/encoder.h"
 #include "nn/feature_tokenizer.h"
 #include "tensor/simd.h"
@@ -77,22 +78,26 @@ void BM_SegmentSoftmax(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentSoftmax);
 
-/// One layer forward per encoder family (inference mode, batch 128).
+/// One engine layer forward per encoder family, with the output ELU the
+/// encoder applies to every layer but the last (batch 128, one reused
+/// workspace).
 void BM_LayerForward(benchmark::State& state) {
   const int64_t kind = state.range(0);
   Rng rng(1);
-  NoGradGuard no_grad;
   FeatureGraph graph = FeatureGraph::Chain(12);
-  VarPtr h = MakeVar(Tensor::Randn({128, 12, 64}, rng));
+  const Tensor h = Tensor::Randn({128, 12, 64}, rng);
   std::unique_ptr<GnnLayer> layer;
   switch (kind) {
     case 0: layer = std::make_unique<GcnLayer>(graph, 64, 64, rng); break;
     case 1: layer = std::make_unique<GatLayer>(graph, 64, 64, rng); break;
     default: layer = std::make_unique<GinLayer>(graph, 64, 64, rng); break;
   }
+  InferenceContext ctx;
   for (auto _ : state) {
-    VarPtr out = layer->Forward(h);
-    benchmark::DoNotOptimize(out->value().data());
+    ctx.Rewind();
+    Tensor& out = layer->InferForward(h, ctx, /*elu_out=*/true);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetLabel(kind == 0 ? "GCN" : kind == 1 ? "GAT" : "GIN");
 }

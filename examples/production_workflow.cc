@@ -1,15 +1,12 @@
-// Production workflow: checkpointing, explanation, cleaning, selection.
+// Production workflow: checkpointing and explanation.
 //
 // Demonstrates the deployment-oriented features built on top of the paper:
 //   1. train once, Save() the pipeline, Load() it in a serving process;
 //   2. explain WHY an instance was flagged (per-feature error shares +
-//      GAT attention influences);
-//   3. clean an incoming dataset (repair what is repairable, drop the
-//      rest) and select the most trustworthy rows for training.
+//      GAT attention influences).
 
 #include <cstdio>
 
-#include "core/cleaner.h"
 #include "core/explainer.h"
 #include "core/pipeline.h"
 #include "data/error_injector.h"
@@ -65,29 +62,5 @@ int main() {
     std::printf("\nexplanation for row %zu:\n%s\n", row,
                 explainer.Explain(dirty, row).ToString().c_str());
   }
-
-  // --- Clean: repair the repairable, drop the hopeless.
-  CleaningPolicy policy;
-  policy.drop_unrepairable = true;
-  DataCleaner cleaner(&pipeline, policy);
-  CleaningResult cleaned = cleaner.Clean(dirty);
-  std::printf("\ncleaning: kept %lld rows (repaired %lld, dropped %lld, "
-              "%lld cells fixed)\n",
-              static_cast<long long>(cleaned.cleaned.num_rows()),
-              static_cast<long long>(cleaned.rows_repaired),
-              static_cast<long long>(cleaned.rows_dropped),
-              static_cast<long long>(cleaned.cells_repaired));
-  BatchVerdict after = pipeline.Validate(cleaned.cleaned);
-  std::printf("cleaned batch re-validates as: %s (%.1f%% flagged)\n",
-              after.is_dirty ? "still DIRTY" : "clean",
-              after.flagged_fraction * 100.0);
-
-  // --- Data selection: the 500 most trustworthy rows.
-  Table best = cleaner.SelectCleanest(dirty, 500);
-  BatchVerdict best_verdict = pipeline.Validate(best);
-  std::printf("\nselected cleanest 500 rows: %.1f%% flagged (vs %.1f%% in "
-              "the full batch)\n",
-              best_verdict.flagged_fraction * 100.0,
-              verdict.flagged_fraction * 100.0);
   return 0;
 }

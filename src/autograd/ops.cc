@@ -18,7 +18,7 @@ bool AnyRequiresGrad(const std::vector<VarPtr>& parents) {
 /// participates in gradient computation.
 VarPtr MakeOp(Tensor value, std::vector<VarPtr> parents,
               std::function<void(Variable&)> backward_fn) {
-  const bool track = GradEnabled() && AnyRequiresGrad(parents);
+  const bool track = AnyRequiresGrad(parents);
   VarPtr out = MakeVar(std::move(value), track);
   if (track) out->set_backward(std::move(parents), std::move(backward_fn));
   return out;

@@ -6,18 +6,6 @@
 
 namespace dquag {
 
-namespace {
-thread_local bool g_grad_enabled = true;
-}  // namespace
-
-bool GradEnabled() { return g_grad_enabled; }
-
-NoGradGuard::NoGradGuard() : previous_(g_grad_enabled) {
-  g_grad_enabled = false;
-}
-
-NoGradGuard::~NoGradGuard() { g_grad_enabled = previous_; }
-
 Tensor& Variable::grad_ref() {
   // Only grad-requiring leaves can have sinks; tape temporaries skip the
   // map lookup entirely.

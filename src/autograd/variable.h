@@ -94,23 +94,6 @@ inline VarPtr Detach(const VarPtr& v) {
 /// reachable Variable with requires_grad or with grad-requiring ancestors.
 void Backward(const VarPtr& root);
 
-/// True unless a NoGradGuard is active on this thread.
-bool GradEnabled();
-
-/// RAII scope that disables tape construction (inference mode). Ops executed
-/// under the guard compute values only; no backward closures or parent
-/// references are stored, so memory stays O(live tensors).
-class NoGradGuard {
- public:
-  NoGradGuard();
-  ~NoGradGuard();
-  NoGradGuard(const NoGradGuard&) = delete;
-  NoGradGuard& operator=(const NoGradGuard&) = delete;
-
- private:
-  bool previous_;
-};
-
 }  // namespace dquag
 
 #endif  // DQUAG_AUTOGRAD_VARIABLE_H_

@@ -4,7 +4,7 @@
 #include <map>
 #include <sstream>
 
-#include "nn/losses.h"
+#include "engine/inference_context.h"
 
 namespace dquag {
 
@@ -17,32 +17,38 @@ InstanceExplanation Explainer::Explain(const Table& batch, size_t row) const {
   DQUAG_CHECK_LT(static_cast<int64_t>(row), batch.num_rows());
   const Table single = batch.SliceRows(static_cast<int64_t>(row), 1);
   const Tensor x = pipeline_->preprocessor().Transform(single);
-  const DquagModel& model = pipeline_->model();
 
-  // Forward the single instance on the tape path with an explicit
-  // attention recorder — the interpretability hook the engine's hot path
-  // deliberately does not pay for.
-  NoGradGuard no_grad;
-  AttentionRecorder recorder;
-  const DquagForward forward = model.Forward(MakeVar(x), &recorder);
-  const Tensor& reconstruction = forward.validation->value();
-  const Tensor& suggestion = forward.repair->value();
-  const Tensor feature_errors = PerFeatureErrors(reconstruction, x);
-
-  const int64_t d = x.dim(1);
-  double total_error = 0.0;
-  for (int64_t c = 0; c < d; ++c) total_error += feature_errors(0, c);
-
-  InstanceExplanation explanation;
-  explanation.threshold = pipeline_->threshold();
-  explanation.error = total_error / static_cast<double>(d);
-  explanation.flagged = explanation.error > explanation.threshold;
-  if (!explanation.flagged) return explanation;
-
-  // Reuse the validator's feature rule by validating the single row.
+  // The verdict is the validator's own, so explain and validate agree on
+  // the row's error, flag and suspect features bit for bit.
   const BatchVerdict verdict = pipeline_->validator().ValidateMatrix(x);
   DQUAG_CHECK_EQ(verdict.instances.size(), 1u);
   const InstanceVerdict& inst = verdict.instances[0];
+  InstanceExplanation explanation;
+  explanation.threshold = pipeline_->threshold();
+  explanation.error = inst.error;
+  explanation.flagged = inst.flagged;
+  if (!explanation.flagged) return explanation;
+
+  // Forward the row again on the engine with an attention recorder — the
+  // interpretability hook the validation hot path does not pay for — and
+  // through the repair head for the suggestions.
+  const DquagModel& model = pipeline_->model();
+  InferenceContext& ctx = InferenceContext::ThreadLocal();
+  ctx.Rewind();
+  AttentionRecorder recorder;
+  const Tensor& reconstruction = model.InferValidation(x, ctx, &recorder);
+  const Tensor& suggestion = model.InferRepair(x, ctx);
+
+  // Per-feature errors by the validator's rule: double deltas, summed in
+  // column order.
+  const int64_t d = x.dim(1);
+  std::vector<double> feature_errors(static_cast<size_t>(d));
+  double total_error = 0.0;
+  for (int64_t c = 0; c < d; ++c) {
+    const double delta = static_cast<double>(reconstruction(0, c)) - x(0, c);
+    feature_errors[static_cast<size_t>(c)] = delta * delta;
+    total_error += delta * delta;
+  }
 
   // Aggregate incoming attention per destination feature across GAT layers.
   std::map<int64_t, std::map<int64_t, double>> attention_in;
@@ -61,8 +67,9 @@ InstanceExplanation Explainer::Explain(const Table& batch, size_t row) const {
     FeatureExplanation fe;
     fe.feature = c;
     fe.feature_name = batch.schema().column(c).name;
-    fe.error_share =
-        total_error > 0.0 ? feature_errors(0, c) / total_error : 0.0;
+    fe.error_share = total_error > 0.0
+                         ? feature_errors[static_cast<size_t>(c)] / total_error
+                         : 0.0;
     fe.observed = x(0, c);
     fe.suggested = suggestion(0, c);
     auto it = attention_in.find(c);

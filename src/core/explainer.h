@@ -54,8 +54,11 @@ class Explainer {
  public:
   explicit Explainer(const DquagPipeline* pipeline);
 
-  /// Explains one row of `batch` (0-based). Unflagged instances return an
-  /// explanation with flagged = false and no feature entries.
+  /// Explains one row of `batch` (0-based). The error, the flag and the
+  /// explained (suspect) features are the validator's verdict on the row;
+  /// shares, suggestions and attention come from the same inference
+  /// engine. Unflagged instances return an explanation with flagged = false
+  /// and no feature entries.
   InstanceExplanation Explain(const Table& batch, size_t row) const;
 
  private:

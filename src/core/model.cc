@@ -74,14 +74,12 @@ DquagModel::DquagModel(const FeatureGraph& graph, const DquagConfig& config,
   RegisterModule(repair_decoder_.get());
 }
 
-DquagForward DquagModel::Forward(const VarPtr& x,
-                                 AttentionRecorder* recorder) const {
+DquagForward DquagModel::Forward(const VarPtr& x) const {
   DQUAG_CHECK_EQ(x->value().ndim(), 2);
   DQUAG_CHECK_EQ(x->value().dim(1), num_features_);
   VarPtr tokens = tokenizer_->Forward(x);
-  VarPtr z = encoder_->Forward(tokens, x, recorder);
+  VarPtr z = encoder_->Forward(tokens, x);
   DquagForward out;
-  out.embeddings = z;
   out.validation = validation_decoder_->Forward(z);
   out.repair = repair_decoder_->Forward(z);
   return out;
@@ -89,7 +87,7 @@ DquagForward DquagModel::Forward(const VarPtr& x,
 
 const Tensor& DquagModel::InferReconstruction(
     const Tensor& x, InferenceContext& ctx,
-    const ReconstructionDecoder& decoder) const {
+    const ReconstructionDecoder& decoder, AttentionRecorder* recorder) const {
   DQUAG_CHECK_EQ(x.ndim(), 2);
   DQUAG_CHECK_EQ(x.dim(1), num_features_);
   const int64_t rows = x.dim(0);
@@ -113,7 +111,7 @@ const Tensor& DquagModel::InferReconstruction(
               block.data());
     const Tensor& tokens =
         tokenize ? tokenizer_->InferForward(block, ctx) : block;
-    Tensor& z = encoder_->InferForward(tokens, block, ctx);
+    Tensor& z = encoder_->InferForward(tokens, block, ctx, recorder);
     const Tensor& head = decoder.InferForward(z, ctx);
     std::copy(head.data(), head.data() + head.numel(),
               out.data() + start * num_features_);
@@ -122,13 +120,14 @@ const Tensor& DquagModel::InferReconstruction(
 }
 
 const Tensor& DquagModel::InferValidation(const Tensor& x,
-                                          InferenceContext& ctx) const {
-  return InferReconstruction(x, ctx, *validation_decoder_);
+                                          InferenceContext& ctx,
+                                          AttentionRecorder* recorder) const {
+  return InferReconstruction(x, ctx, *validation_decoder_, recorder);
 }
 
 const Tensor& DquagModel::InferRepair(const Tensor& x,
                                       InferenceContext& ctx) const {
-  return InferReconstruction(x, ctx, *repair_decoder_);
+  return InferReconstruction(x, ctx, *repair_decoder_, /*recorder=*/nullptr);
 }
 
 Tensor DquagModel::ReconstructValidation(const Tensor& x) const {
@@ -141,22 +140,6 @@ Tensor DquagModel::ReconstructRepair(const Tensor& x) const {
   InferenceContext& ctx = InferenceContext::ThreadLocal();
   ctx.Rewind();
   return InferRepair(x, ctx);
-}
-
-Tensor DquagModel::ReconstructValidationTape(const Tensor& x) const {
-  NoGradGuard no_grad;
-  VarPtr input = MakeVar(x);
-  VarPtr tokens = tokenizer_->Forward(input);
-  VarPtr z = encoder_->Forward(tokens, input);
-  return validation_decoder_->Forward(z)->value();
-}
-
-Tensor DquagModel::ReconstructRepairTape(const Tensor& x) const {
-  NoGradGuard no_grad;
-  VarPtr input = MakeVar(x);
-  VarPtr tokens = tokenizer_->Forward(input);
-  VarPtr z = encoder_->Forward(tokens, input);
-  return repair_decoder_->Forward(z)->value();
 }
 
 }  // namespace dquag

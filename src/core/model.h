@@ -59,7 +59,6 @@ class ReconstructionDecoder : public Module {
 struct DquagForward {
   VarPtr validation;  // X_hat   [B, d]
   VarPtr repair;      // X_tilde [B, d]
-  VarPtr embeddings;  // Z       [B, d, h]
 };
 
 class DquagModel : public Module {
@@ -67,10 +66,9 @@ class DquagModel : public Module {
   /// `graph` is the feature graph over the (preprocessed) columns.
   DquagModel(const FeatureGraph& graph, const DquagConfig& config, Rng& rng);
 
-  /// Full forward through both decoders. `x` is [B, d] preprocessed rows.
-  /// With a recorder, GAT layers snapshot their attention (diagnostics).
-  DquagForward Forward(const VarPtr& x,
-                       AttentionRecorder* recorder = nullptr) const;
+  /// Full tape forward through both decoders (training). `x` is [B, d]
+  /// preprocessed rows.
+  DquagForward Forward(const VarPtr& x) const;
 
   // ---- Tape-free inference engine -----------------------------------------
   //
@@ -88,8 +86,11 @@ class DquagModel : public Module {
   /// Rows are independent, so the partition never changes a result.
   static constexpr int64_t kRowBlock = 256;
 
-  /// Engine forward of the validation head: [B, d] -> [B, d].
-  const Tensor& InferValidation(const Tensor& x, InferenceContext& ctx) const;
+  /// Engine forward of the validation head: [B, d] -> [B, d]. With a
+  /// recorder, every GAT layer appends the attention of each block's first
+  /// row (diagnostics; a one-row x records that row's attention).
+  const Tensor& InferValidation(const Tensor& x, InferenceContext& ctx,
+                                AttentionRecorder* recorder = nullptr) const;
 
   /// Engine forward of the repair head: [B, d] -> [B, d].
   const Tensor& InferRepair(const Tensor& x, InferenceContext& ctx) const;
@@ -99,18 +100,14 @@ class DquagModel : public Module {
   Tensor ReconstructValidation(const Tensor& x) const;
   Tensor ReconstructRepair(const Tensor& x) const;
 
-  /// Tape-path reference reconstructions (NoGrad, allocating): what the
-  /// engine is asserted against in tests and benchmarked against.
-  Tensor ReconstructValidationTape(const Tensor& x) const;
-  Tensor ReconstructRepairTape(const Tensor& x) const;
-
   int64_t num_features() const { return num_features_; }
   const GnnEncoder& encoder() const { return *encoder_; }
 
  private:
   /// Engine forward of one decoder head in kRowBlock-row blocks.
   const Tensor& InferReconstruction(const Tensor& x, InferenceContext& ctx,
-                                    const ReconstructionDecoder& decoder) const;
+                                    const ReconstructionDecoder& decoder,
+                                    AttentionRecorder* recorder) const;
 
   int64_t num_features_;
   std::unique_ptr<FeatureTokenizer> tokenizer_;

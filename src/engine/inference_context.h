@@ -1,9 +1,10 @@
 // Per-thread workspace for the tape-free inference engine.
 //
-// Phase-2 serving runs the same model shapes millions of times; going
-// through the autograd tape costs a shared_ptr tape node plus a freshly
-// zero-initialized Tensor per op even under NoGradGuard. InferenceContext
-// replaces that with a rewindable arena of reusable tensors: every
+// Every inference pass (validation, repair, calibration errors and the
+// explainer's attention-recording forward) runs the same model shapes
+// millions of times on the engine; the autograd tape, with a shared_ptr
+// node and a freshly zero-initialized Tensor per op, serves training only.
+// InferenceContext is a rewindable arena of reusable tensors: every
 // InferForward op Acquire()s its output, and once each buffer has reached
 // its high-water size no call allocates again.
 //

@@ -80,17 +80,12 @@ GnnEncoder::GnnEncoder(const FeatureGraph& graph, GnnEncoderConfig config,
   }
 }
 
-VarPtr GnnEncoder::Forward(const VarPtr& tokens, const VarPtr& raw_rows,
-                           AttentionRecorder* recorder) const {
+VarPtr GnnEncoder::Forward(const VarPtr& tokens,
+                           const VarPtr& raw_rows) const {
   if (graph2vec_) return graph2vec_->Forward(raw_rows);
   VarPtr h = tokens;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    if (const auto* gat = dynamic_cast<const GatLayer*>(layers_[i].get());
-        gat != nullptr && recorder != nullptr) {
-      h = gat->Forward(h, recorder);
-    } else {
-      h = layers_[i]->Forward(h);
-    }
+    h = layers_[i]->Forward(h);
     if (i + 1 < layers_.size()) {
       h = ag::Elu(h);
     }
@@ -99,26 +94,21 @@ VarPtr GnnEncoder::Forward(const VarPtr& tokens, const VarPtr& raw_rows,
 }
 
 Tensor& GnnEncoder::InferForward(const Tensor& tokens, const Tensor& raw_rows,
-                                 InferenceContext& ctx) const {
+                                 InferenceContext& ctx,
+                                 AttentionRecorder* recorder) const {
   if (graph2vec_) return graph2vec_->InferForward(raw_rows, ctx);
   const Tensor* h = &tokens;
   Tensor* out = nullptr;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    out = &layers_[i]->InferForward(*h, ctx,
-                                    /*elu_out=*/i + 1 < layers_.size());
+    const bool elu_out = i + 1 < layers_.size();
+    const auto* gat =
+        recorder != nullptr ? dynamic_cast<const GatLayer*>(layers_[i].get())
+                            : nullptr;
+    out = gat != nullptr ? &gat->InferForward(*h, ctx, elu_out, recorder)
+                         : &layers_[i]->InferForward(*h, ctx, elu_out);
     h = out;
   }
   return *out;
-}
-
-std::vector<const GatLayer*> GnnEncoder::gat_layers() const {
-  std::vector<const GatLayer*> result;
-  for (const auto& layer : layers_) {
-    if (const auto* gat = dynamic_cast<const GatLayer*>(layer.get())) {
-      result.push_back(gat);
-    }
-  }
-  return result;
 }
 
 }  // namespace dquag

@@ -48,21 +48,18 @@ class GnnEncoder : public Module {
   GnnEncoder(const FeatureGraph& graph, GnnEncoderConfig config, Rng& rng);
 
   /// tokens: [B, N, H] tokenized node features; raw_rows: [B, N] raw
-  /// preprocessed values (used only by the Graph2Vec variant). When a
-  /// recorder is passed, every GAT layer snapshots its attention (opt-in
-  /// diagnostic; the default path records nothing).
-  VarPtr Forward(const VarPtr& tokens, const VarPtr& raw_rows,
-                 AttentionRecorder* recorder = nullptr) const;
+  /// preprocessed values (used only by the Graph2Vec variant).
+  VarPtr Forward(const VarPtr& tokens, const VarPtr& raw_rows) const;
 
   /// Tape-free forward through the stack; each layer but the last applies
-  /// ELU inside the pass that writes its output.
+  /// ELU inside the pass that writes its output. When a recorder is
+  /// passed, every GAT layer snapshots its attention (opt-in diagnostic;
+  /// the default path records nothing).
   Tensor& InferForward(const Tensor& tokens, const Tensor& raw_rows,
-                       InferenceContext& ctx) const;
+                       InferenceContext& ctx,
+                       AttentionRecorder* recorder = nullptr) const;
 
   const GnnEncoderConfig& config() const { return config_; }
-
-  /// The GAT layers in the stack (diagnostics / attention inspection).
-  std::vector<const GatLayer*> gat_layers() const;
 
  private:
   GnnEncoderConfig config_;

@@ -39,11 +39,6 @@ GatLayer::GatLayer(const FeatureGraph& graph, int64_t in_dim, int64_t out_dim,
 }
 
 VarPtr GatLayer::Forward(const VarPtr& node_features) const {
-  return Forward(node_features, /*recorder=*/nullptr);
-}
-
-VarPtr GatLayer::Forward(const VarPtr& node_features,
-                         AttentionRecorder* recorder) const {
   DQUAG_CHECK_EQ(node_features->value().dim(-1), in_dim_);
   const bool batched = node_features->value().ndim() == 3;
   const int64_t batch = batched ? node_features->value().dim(0) : 1;
@@ -62,10 +57,6 @@ VarPtr GatLayer::Forward(const VarPtr& node_features,
   Shape flat_shape = batched ? Shape{batch, num_arcs} : Shape{num_arcs};
   VarPtr alpha = ag::SegmentSoftmaxAxis1(ag::Reshape(scores, flat_shape),
                                          dst_, num_nodes_);
-  if (recorder != nullptr) {
-    const float* pa = alpha->value().data();
-    recorder->StartLayer(this).alpha.assign(pa, pa + num_arcs);
-  }
   Shape alpha_shape = batched ? Shape{batch, num_arcs, 1} : Shape{num_arcs, 1};
   VarPtr alpha3 = ag::Reshape(alpha, std::move(alpha_shape));
   VarPtr messages = ag::GatherAxis1(projected, src_);  // [B, E, out]
@@ -75,6 +66,12 @@ VarPtr GatLayer::Forward(const VarPtr& node_features,
 
 Tensor& GatLayer::InferForward(const Tensor& node_features,
                                InferenceContext& ctx, bool elu_out) const {
+  return InferForward(node_features, ctx, elu_out, /*recorder=*/nullptr);
+}
+
+Tensor& GatLayer::InferForward(const Tensor& node_features,
+                               InferenceContext& ctx, bool elu_out,
+                               AttentionRecorder* recorder) const {
   DQUAG_CHECK_EQ(node_features.dim(-1), in_dim_);
   const bool batched = node_features.ndim() == 3;
   const int64_t batch = batched ? node_features.dim(0) : 1;
@@ -93,6 +90,10 @@ Tensor& GatLayer::InferForward(const Tensor& node_features,
   Tensor& alpha = ctx.Acquire({batch, num_arcs});
   ArcScoreInto(logit_src, logit_dst, src_, dst_, kLeakySlope, alpha);
   SegmentSoftmaxCsrInPlace(alpha, csr_.offsets, csr_.order);
+  if (recorder != nullptr) {
+    recorder->StartLayer(this).alpha.assign(alpha.data(),
+                                            alpha.data() + num_arcs);
+  }
   // One pass per destination row: the bias, the attention-weighted
   // messages, then the output's ELU.
   CsrAggregateInto(projected, csr_.offsets, csr_.order, src_, &alpha,

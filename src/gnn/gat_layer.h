@@ -7,9 +7,10 @@
 // importance automatically, removing the need for manual edge weights in
 // the feature graph (§3.1.2).
 //
-// Forward is const and side-effect free: attention coefficients are only
-// captured when the caller passes an AttentionRecorder explicitly, so
-// concurrent inference over one fitted layer is race-free.
+// Forward and InferForward are const and side-effect free: attention
+// coefficients are only captured when the caller passes an
+// AttentionRecorder to the engine forward explicitly, so concurrent
+// inference over one fitted layer is race-free.
 
 #ifndef DQUAG_GNN_GAT_LAYER_H_
 #define DQUAG_GNN_GAT_LAYER_H_
@@ -25,22 +26,21 @@ namespace dquag {
 class GatLayer;
 
 /// Opt-in capture of post-softmax attention coefficients (diagnostics /
-/// interpretability). A recorder is single-use per forward pass: pass a
-/// fresh one (or Clear() it) to GnnEncoder::Forward / DquagModel::Forward
-/// and read the per-layer snapshots afterwards.
+/// interpretability). Pass a fresh recorder to the engine forward
+/// (GatLayer / GnnEncoder::InferForward, DquagModel::InferValidation) and
+/// read the per-layer snapshots afterwards.
 class AttentionRecorder {
  public:
   struct LayerAttention {
     const GatLayer* layer = nullptr;
-    /// α over the layer's arcs, first batch element.
+    /// α over the layer's arcs, first row of the forwarded block.
     std::vector<float> alpha;
   };
 
-  void Clear() { layers_.clear(); }
   const std::vector<LayerAttention>& layers() const { return layers_; }
 
   /// Appends (and returns) the snapshot slot for `layer`; called by
-  /// GatLayer::Forward when recording.
+  /// GatLayer::InferForward when recording.
   LayerAttention& StartLayer(const GatLayer* layer);
 
  private:
@@ -57,13 +57,13 @@ class GatLayer : public GnnLayer {
 
   VarPtr Forward(const VarPtr& node_features) const override;
 
-  /// Forward that additionally snapshots the attention coefficients of the
-  /// first batch element into `recorder` (may be null).
-  VarPtr Forward(const VarPtr& node_features,
-                 AttentionRecorder* recorder) const;
-
   Tensor& InferForward(const Tensor& node_features, InferenceContext& ctx,
                        bool elu_out) const override;
+
+  /// InferForward that additionally copies the attention coefficients of
+  /// the first row into `recorder` (may be null).
+  Tensor& InferForward(const Tensor& node_features, InferenceContext& ctx,
+                       bool elu_out, AttentionRecorder* recorder) const;
 
   int64_t in_dim() const override { return in_dim_; }
   int64_t out_dim() const override { return out_dim_; }

@@ -1,5 +1,5 @@
 // Autograd correctness: every differentiable op is checked against central
-// finite differences, plus tape-mechanics tests (accumulation, NoGrad,
+// finite differences, plus tape-mechanics tests (accumulation, no-grad leaves,
 // broadcast reduction, diamond-shaped graphs).
 
 #include <cmath>
@@ -202,17 +202,6 @@ TEST(AutogradTest, NoGradLeavesReceiveNothing) {
   Backward(ag::SumAll(ag::Mul(x, w)));
   EXPECT_FALSE(x->has_grad());
   EXPECT_FLOAT_EQ(w->grad()[0], 2.0f);
-}
-
-TEST(AutogradTest, NoGradGuardDisablesTape) {
-  VarPtr w = MakeVar(Tensor::Scalar(3.0f), /*requires_grad=*/true);
-  VarPtr y;
-  {
-    NoGradGuard guard;
-    y = ag::Square(w);
-  }
-  EXPECT_FALSE(y->has_backward());
-  EXPECT_FALSE(y->requires_grad());
 }
 
 TEST(AutogradTest, ZeroGradResets) {

@@ -4,7 +4,8 @@
 # that the chunk size changes nothing: --chunk-rows 2 (three chunks of the
 # tiny fixture) must give EXACTLY the same output and exit code as the
 # default (one chunk). A malformed row past the first chunk must fail the
-# run cleanly with the row named.
+# run cleanly with the row named. explain must agree with validate on the
+# first flagged row: FLAGGED, with the same suspect columns in order.
 # Invoked by ctest as:
 #   cmake -DDQUAG_CLI=<binary> -DFIXTURE=<csv> -DWORK_DIR=<dir>
 #         -P cli_stream_test.cmake
@@ -66,7 +67,55 @@ if(NOT one_out MATCHES "instances flagged")
   message(FATAL_ERROR "unexpected validate output:\n${one_out}")
 endif()
 
-# 4. serve-sim: the deterministic summary line (flagged / dirty / monitor
+# 4. explain the first row validate flagged: FLAGGED, and the explained
+# features are validate's suspect columns, in order. With no flagged row,
+# row 0 must explain as ok. A row index equal to the row count fails.
+string(REGEX MATCH "of ([0-9]+) instances" _ "${one_out}")
+set(row_count ${CMAKE_MATCH_1})
+string(REGEX MATCH "\nrow ([0-9]+): error [^;]*; suspect:([^\n]*)" flagged_line
+       "${one_out}")
+if(flagged_line STREQUAL "")
+  set(explain_row 0)
+  set(want_state "-> ok")
+else()
+  set(explain_row ${CMAKE_MATCH_1})
+  string(STRIP "${CMAKE_MATCH_2}" suspects)
+  string(REPLACE " " ";" suspects "${suspects}")
+  set(want_state "-> FLAGGED")
+endif()
+execute_process(
+  COMMAND ${DQUAG_CLI} explain --model ${model} --data ${FIXTURE}
+          --row ${explain_row}
+  OUTPUT_VARIABLE explain_out
+  ERROR_VARIABLE err
+  RESULT_VARIABLE code)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "explain --row ${explain_row} exited with ${code}\n"
+                      "stderr: ${err}")
+endif()
+string(FIND "${explain_out}" "${want_state}" state_at)
+if(state_at EQUAL -1)
+  message(FATAL_ERROR "explain --row ${explain_row} does not say "
+                      "'${want_state}':\n${explain_out}")
+endif()
+string(REGEX MATCHALL "\n  [^:\n]+:" explained "${explain_out}")
+string(REGEX REPLACE "\n  ([^:\n]+):" "\\1" explained "${explained}")
+if(NOT "${explained}" STREQUAL "${suspects}")
+  message(FATAL_ERROR "explain --row ${explain_row} features '${explained}' "
+                      "differ from validate's suspects '${suspects}'")
+endif()
+execute_process(
+  COMMAND ${DQUAG_CLI} explain --model ${model} --data ${FIXTURE}
+          --row ${row_count}
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err
+  RESULT_VARIABLE code)
+if(NOT code EQUAL 1)
+  message(FATAL_ERROR "explain --row ${row_count} (the row count) exited "
+                      "with ${code} (want 1)\nstdout: ${out}")
+endif()
+
+# 5. serve-sim: the deterministic summary line (flagged / dirty / monitor
 # state) must not depend on the chunk size; the throughput line is
 # timing-dependent and excluded.
 function(extract_flagged_line text out_var)
@@ -103,7 +152,7 @@ if(NOT one_flagged STREQUAL chunked_flagged)
                       "\n  chunk-rows 2: ${chunked_flagged}")
 endif()
 
-# 5. A non-numeric cell in the second chunk: the first chunk is already in
+# 6. A non-numeric cell in the second chunk: the first chunk is already in
 # flight when the reader fails, and validate must exit 1 naming the row.
 set(bad ${WORK_DIR}/bad_second_chunk.csv)
 file(READ ${FIXTURE} fixture_text)

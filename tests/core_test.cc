@@ -44,7 +44,6 @@ TEST(DquagModelTest, ForwardShapes) {
   DquagForward out = model.Forward(x);
   EXPECT_EQ(out.validation->value().shape(), (Shape{10, 4}));
   EXPECT_EQ(out.repair->value().shape(), (Shape{10, 4}));
-  EXPECT_EQ(out.embeddings->value().shape(), (Shape{10, 4, 16}));
 }
 
 TEST(DquagModelTest, DualDecodersAreIndependent) {

@@ -67,12 +67,12 @@ TEST_P(EngineEquivalenceTest, MatchesTapeWithin1e5) {
   Table fresh = datasets::GenerateNyTaxi(64, rng, /*dims=*/10);
   const Tensor x = pipeline.preprocessor().Transform(fresh);
   const DquagModel& model = pipeline.model();
+  const DquagForward tape = model.Forward(MakeVar(x));
 
   EXPECT_LE(MaxAbsDiff(model.ReconstructValidation(x),
-                       model.ReconstructValidationTape(x)),
+                       tape.validation->value()),
             1e-5f);
-  EXPECT_LE(MaxAbsDiff(model.ReconstructRepair(x),
-                       model.ReconstructRepairTape(x)),
+  EXPECT_LE(MaxAbsDiff(model.ReconstructRepair(x), tape.repair->value()),
             1e-5f);
 }
 

@@ -82,7 +82,9 @@ TEST(GatLayerTest, AttentionIsNormalizedPerDestination) {
   GatLayer layer(g, 4, 4, rng);
   // Attention capture is an explicit opt-in: pass a recorder.
   AttentionRecorder recorder;
-  layer.Forward(MakeVar(Tensor::Randn({1, 4, 4}, rng)), &recorder);
+  InferenceContext ctx;
+  layer.InferForward(Tensor::Randn({1, 4, 4}, rng), ctx, /*elu_out=*/false,
+                     &recorder);
   ASSERT_EQ(recorder.layers().size(), 1u);
   EXPECT_EQ(recorder.layers()[0].layer, &layer);
   const std::vector<float>& alpha = recorder.layers()[0].alpha;
@@ -98,10 +100,11 @@ TEST(GatLayerTest, AttentionIsNormalizedPerDestination) {
 TEST(GatLayerTest, ForwardWithoutRecorderCapturesNothing) {
   Rng rng(5);
   GatLayer layer(TestGraph(), 4, 4, rng);
-  // The plain Forward takes no recorder and must leave a passed-in one
-  // untouched — attention capture never happens implicitly.
+  // The plain InferForward takes no recorder and must leave a passed-in
+  // one untouched — attention capture never happens implicitly.
   AttentionRecorder recorder;
-  layer.Forward(MakeVar(Tensor::Randn({1, 4, 4}, rng)));
+  InferenceContext ctx;
+  layer.InferForward(Tensor::Randn({1, 4, 4}, rng), ctx, /*elu_out=*/false);
   EXPECT_TRUE(recorder.layers().empty());
 }
 
@@ -229,9 +232,16 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(EncoderTest, GatGinStackAlternates) {
   Rng rng(13);
   GnnEncoderConfig config;  // default GAT+GIN, 4 layers
+  config.hidden_dim = 8;
   GnnEncoder encoder(TestGraph(), config, rng);
-  // Two GAT layers in a 4-layer GAT-GIN-GAT-GIN stack.
-  EXPECT_EQ(encoder.gat_layers().size(), 2u);
+  // Two GAT layers in a 4-layer GAT-GIN-GAT-GIN stack record attention.
+  AttentionRecorder recorder;
+  InferenceContext ctx;
+  encoder.InferForward(Tensor::Randn({1, 4, 8}, rng),
+                       Tensor::RandUniform({1, 4}, rng, 0.0f, 1.0f), ctx,
+                       &recorder);
+  ASSERT_EQ(recorder.layers().size(), 2u);
+  EXPECT_NE(recorder.layers()[0].layer, recorder.layers()[1].layer);
 }
 
 // The engine forward of each layer kind equals its tape forward, with the
@@ -248,7 +258,6 @@ TEST(LayerEngineTest, InferForwardMatchesTapeWithAndWithoutElu) {
   const GatLayer gat(graph, 8, 6, rng);
   const GinLayer gin(graph, 8, 6, rng);
   const Tensor x = Tensor::Randn({3, 5, 8}, rng);
-  NoGradGuard guard;
   for (const GnnLayer* layer : {static_cast<const GnnLayer*>(&gcn),
                                 static_cast<const GnnLayer*>(&gat),
                                 static_cast<const GnnLayer*>(&gin)}) {
@@ -263,18 +272,6 @@ TEST(LayerEngineTest, InferForwardMatchesTapeWithAndWithoutElu) {
           << (elu ? " elu" : " identity");
     }
   }
-}
-
-TEST(EncoderTest, InferenceUnderNoGradBuildsNoTape) {
-  Rng rng(14);
-  GnnEncoderConfig config;
-  config.hidden_dim = 8;
-  GnnEncoder encoder(TestGraph(), config, rng);
-  NoGradGuard guard;
-  VarPtr tokens = MakeVar(Tensor::Randn({2, 4, 8}, rng));
-  VarPtr raw = MakeVar(Tensor::RandUniform({2, 4}, rng, 0.0f, 1.0f));
-  VarPtr z = encoder.Forward(tokens, raw);
-  EXPECT_FALSE(z->has_backward());
 }
 
 }  // namespace

@@ -8,8 +8,11 @@
 // seeded dirty table, its repair of that table, and the explanation of
 // every row. Any change to a kernel's per-element operation sequence, the
 // trainer's shard reduction, the loss or the optimizer moves at least the
-// checkpoint hash; the explain hash pins the tape forward with its
-// attention record, which the verdict does not reach.
+// checkpoint hash; the explain hash pins the error shares, the repair
+// suggestions and the engine's attention record, which the verdict does not
+// reach. Every explanation must also agree with the verdict on its row bit
+// for bit: the same error and flag, and the verdict's suspect features as
+// the explained ones, in order.
 //
 // The pinned hashes belong to the build toolchain: compiler, build type and
 // flags (an ASan RelWithDebInfo build already trains different bits, since
@@ -32,6 +35,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -159,18 +163,42 @@ uint64_t ExplanationHash(const InstanceExplanation& e, uint64_t h) {
   return HashValue(int64_t{-2}, h);  // instance separator
 }
 
-/// One model's four pinned byte streams, hashed.
+/// Empty when `explanation` agrees with `verdict` (error and flag bits,
+/// explained features = suspect features in order), else what differs.
+std::string ExplainDisagreement(const InstanceExplanation& explanation,
+                                const InstanceVerdict& verdict) {
+  std::vector<int64_t> explained;
+  for (const FeatureExplanation& fe : explanation.features) {
+    explained.push_back(fe.feature);
+  }
+  std::ostringstream out;
+  if (std::memcmp(&explanation.error, &verdict.error, sizeof(double)) != 0) {
+    out << " error " << explanation.error << " vs " << verdict.error;
+  }
+  if (explanation.flagged != verdict.flagged) {
+    out << " flagged " << explanation.flagged << " vs " << verdict.flagged;
+  }
+  if (explained != verdict.suspect_features) out << " features differ";
+  return out.str();
+}
+
+/// One model's four pinned byte streams, hashed, plus the explain-verdict
+/// agreement check (not hashed).
 struct ModelHashes {
   uint64_t save = 0;
   uint64_t validate = 0;
   uint64_t repair = 0;
   uint64_t explain = 0;
-  bool operator==(const ModelHashes&) const = default;
+  /// Rows the verdict flagged, so the agreement check is not vacuous.
+  int64_t flagged_rows = 0;
+  /// One "row K: ..." line per row whose explanation disagrees with the
+  /// verdict.
+  std::vector<std::string> explain_disagreements;
 };
 
 /// Fits `config` on `clean` with the active kernel table and hashes the
 /// checkpoint, the validate output, the repair output and the explanation
-/// of every row on `dirty`.
+/// of every row on `dirty`, checking each explanation against the verdict.
 ModelHashes FitAndHash(const std::string& name, const DquagConfig& config,
                        const Table& clean, const Table& dirty) {
   DquagPipelineOptions options;
@@ -187,9 +215,17 @@ ModelHashes FitAndHash(const std::string& name, const DquagConfig& config,
   hashes.repair = RepairHash(pipeline.Repair(dirty, verdict));
   const Explainer explainer(&pipeline);
   hashes.explain = kFnv1a64Offset;
+  hashes.flagged_rows = static_cast<int64_t>(verdict.flagged_rows.size());
   for (int64_t row = 0; row < dirty.num_rows(); ++row) {
-    hashes.explain = ExplanationHash(
-        explainer.Explain(dirty, static_cast<size_t>(row)), hashes.explain);
+    const size_t r = static_cast<size_t>(row);
+    const InstanceExplanation explanation = explainer.Explain(dirty, r);
+    hashes.explain = ExplanationHash(explanation, hashes.explain);
+    const std::string disagreement =
+        ExplainDisagreement(explanation, verdict.instances[r]);
+    if (!disagreement.empty()) {
+      hashes.explain_disagreements.push_back("row " + std::to_string(row) +
+                                             ":" + disagreement);
+    }
   }
   return hashes;
 }
@@ -282,6 +318,18 @@ TEST(ModelGoldenTest, EveryKernelTableReproducesTheScalarHashes) {
       EXPECT_EQ(Hex(run.hashes.validate), Hex(runs.front().hashes.validate));
       EXPECT_EQ(Hex(run.hashes.repair), Hex(runs.front().hashes.repair));
       EXPECT_EQ(Hex(run.hashes.explain), Hex(runs.front().hashes.explain));
+    }
+  }
+}
+
+TEST(ModelGoldenTest, ExplainAgreesWithTheVerdictOnEveryTable) {
+  for (const auto& [name, runs] : RunsPerModel()) {
+    for (const TableRun& run : runs) {
+      SCOPED_TRACE(name + " on kernel table " + run.table->name);
+      EXPECT_GT(run.hashes.flagged_rows, 0);
+      for (const std::string& line : run.hashes.explain_disagreements) {
+        ADD_FAILURE() << line;
+      }
     }
   }
 }

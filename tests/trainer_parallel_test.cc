@@ -183,7 +183,6 @@ TEST(TrainerParallelTest, FusedBackwardMatchesFiniteDifference) {
   const Tensor x = Tensor::RandUniform({5, kFeatures}, data_rng, 0.0f, 1.0f);
 
   const auto loss_value = [&]() -> double {
-    NoGradGuard no_grad;
     VarPtr input = MakeVar(x);
     VarPtr target = MakeVar(x);
     DquagForward out = model.Forward(input);

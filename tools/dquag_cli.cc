@@ -54,9 +54,14 @@
 // It runs until SIGINT or a client's shutdown request, then prints one
 // stats line per tenant — the same schema serve-sim reports.
 //
+// Every command names the flags it reads; any other --flag fails the run
+// with exit code 1 ("unknown flag --X for <command>"), so a misspelt or
+// retired flag is never silently ignored.
+//
 // Exit code: 0 on success (validate: also when the batch is clean),
 // 2 when validate classifies the batch dirty, 1 on errors.
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -116,6 +121,16 @@ class Args {
     auto it = values_.find(key);
     return it == values_.end() ? fallback
                                : std::strtoll(it->second.c_str(), nullptr, 10);
+  }
+
+  /// The first flag given that is not in `known`, or "" when all are.
+  std::string UnknownFlag(const std::vector<std::string>& known) const {
+    for (const auto& [key, value] : values_) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        return key;
+      }
+    }
+    return "";
   }
 
  private:
@@ -649,17 +664,48 @@ int Run(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
   const std::string command = argv[1];
   Args args(argc, argv);
-  if (command == "train") return CmdTrain(args);
-  if (command == "convert") return CmdConvert(args);
-  if (command == "validate") return CmdValidate(args);
-  if (command == "repair") return CmdRepair(args);
-  if (command == "explain") return CmdExplain(args);
-  if (command == "serve-sim") return CmdServeSim(args);
-  if (command == "serve") return CmdServe(args);
-  if (command == "deploy") return CmdDeploy(args);
-  if (command == "stats") return CmdStats(args);
-  if (command == "shutdown") return CmdShutdown(args);
-  if (command == "schema-template") return CmdSchemaTemplate(args);
+  // Each command with the flags it reads; ConnectFromArgs reads the
+  // client flags.
+  const auto client = [](std::vector<std::string> flags) {
+    flags.insert(flags.end(), {"host", "port", "timeout-ms", "retries",
+                               "connect-timeout-ms"});
+    return flags;
+  };
+  const struct {
+    const char* name;
+    int (*run)(const Args&);
+    std::vector<std::string> flags;
+  } commands[] = {
+      {"train", CmdTrain,
+       {"clean", "schema", "out", "epochs", "seed", "encoder",
+        "relationships", "format"}},
+      {"convert", CmdConvert, {"data", "out", "schema", "block-rows"}},
+      {"validate", CmdValidate,
+       {"model", "data", "verbose", "chunk-rows", "format"}},
+      {"repair", CmdRepair, {"model", "data", "out", "format"}},
+      {"explain", CmdExplain, {"model", "data", "row", "format"}},
+      {"serve-sim", CmdServeSim,
+       {"model", "data", "threads", "rounds", "chunk-rows", "format"}},
+      {"serve", CmdServe,
+       {"port", "host", "capacity", "max-inflight", "max-connections",
+        "io-timeout-ms", "deploy", "auto-retrain", "retrain-epochs",
+        "retrain-min-rows", "retrain-buffer-rows", "retrain-triggers",
+        "retrain-cooldown-rows", "retrain-seed"}},
+      {"deploy", CmdDeploy, client({"tenant", "checkpoint"})},
+      {"stats", CmdStats, client({"tenant"})},
+      {"shutdown", CmdShutdown, client({})},
+      {"schema-template", CmdSchemaTemplate, {"data"}},
+  };
+  for (const auto& cmd : commands) {
+    if (command != cmd.name) continue;
+    const std::string unknown = args.UnknownFlag(cmd.flags);
+    if (!unknown.empty()) {
+      std::fprintf(stderr, "unknown flag --%s for %s\n", unknown.c_str(),
+                   cmd.name);
+      return 1;
+    }
+    return cmd.run(args);
+  }
   std::fprintf(stderr, "unknown command: %s\n", command.c_str());
   return 1;
 }
